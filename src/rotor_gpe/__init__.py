@@ -68,7 +68,6 @@ from .propagator import (
     ORACLE_SIZE_CAP,
     DispersiveScan,
     KernelMatrices,
-    calibrated_rotation_sign,
     compose_propagators,
     default_scan_pairs,
     dispersive_scan,
@@ -163,7 +162,6 @@ __all__ = [
     "propagate_dual",
     "propagate_inverse",
     "compose_propagators",
-    "calibrated_rotation_sign",
     "dispersive_scan",
     "default_scan_pairs",
     "strichartz_exponent",

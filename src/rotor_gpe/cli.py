@@ -85,9 +85,9 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
 
-#: Fast-vs-oracle discrepancy allowed at calibrated substeps.
+#: Fast-vs-oracle discrepancy allowed at ``COMPARE_SUBSTEPS``.
 COMPARE_BOUND = 1e-6
-#: Substep count that calibrates the fast backend against the kernel.
+#: Substep count at which the fast backend's splitting error is below the bound.
 COMPARE_SUBSTEPS = 512
 
 
@@ -212,7 +212,7 @@ def _check_matrix_identities(params: PhysicsParams, rng: np.random.Generator) ->
         s = float(rng.uniform(0.05, 1.0)) * window
         km = kernel_matrices(t, params, s)
         theta = w * t
-        csc, cot = 1.0 / np.sin(theta), 1.0 / np.tan(theta)
+        csc = 1.0 / np.sin(theta)
         worst = max(worst, abs(km.tilde_scale - np.tan(theta / 2.0)))
         worst = max(worst, abs(km.breve_scale + km.tilde_scale))
         a_perp = km.a_matrix[:2, :2]
@@ -220,7 +220,6 @@ def _check_matrix_identities(params: PhysicsParams, rng: np.random.Generator) ->
             worst, float(np.max(np.abs(a_perp.T @ a_perp - csc**2 * np.eye(2))))
         )
         worst = max(worst, abs(km.a_matrix[2, 2] - csc))
-        _ = cot
         ratio = np.sin(w * s) / np.sin(w * t)
         b_perp = km.b_matrix[:2, :2]
         worst = max(

@@ -28,12 +28,14 @@ Two independent implementations of the same one-window flow operator:
 * **fast** -- split-step spectral method exploiting the factorization
   of the flow into the non-rotating harmonic flow followed by a spatial
   rotation by ``omega*t`` about the x3 axis.  The harmonic flow is
-  Strang-split into kinetic/potential substeps (all multipliers
-  separable per axis, so no n^3 tables are stored); the rotation is
-  applied exactly on the grid by three FFT shears.  The rotation
-  *direction* is not hard-coded: it is calibrated once per process
-  against the oracle on a vortex state, which discriminates the two
-  candidate signs by an O(1) margin.
+  Strang-split into kinetic/potential substeps; every multiplier and
+  the FFT are separable, so the whole split-step composition is the
+  tensor product of one (n x n) matrix with itself along the three
+  axes.  That matrix is built once per plan by running the 1D
+  composition on the identity, so the substep count costs nothing per
+  application.  The rotation is applied exactly on the grid by three
+  FFT shears, in the sense the oracle's closed-form kernel fixes (the
+  pattern turns clockwise, ``u(t, x) = v(t, R(omega t) x)``).
 
 The dual propagator (transpose under the unconjugated pairing
 ``sum(f*g)``) has the same kernel with the transverse rotation
@@ -47,7 +49,6 @@ the dispersive scan measures.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -62,7 +63,6 @@ from .errors import (
     WindowViolation,
 )
 from .grid import Field, GridSpec, PhysicsParams, fft_workers, lp_norm
-from .states import vortex_state
 
 __all__ = [
     "ORACLE_SIZE_CAP",
@@ -78,14 +78,11 @@ __all__ = [
     "propagate_dual",
     "propagate_inverse",
     "compose_propagators",
-    "calibrated_rotation_sign",
     "dispersive_scan",
     "default_scan_pairs",
     "strichartz_exponent",
     "strichartz_ratio",
 ]
-
-logger = logging.getLogger(__name__)
 
 ORACLE_SIZE_CAP = 24
 #: default trig-interpolation refinement of the oracle quadrature grid
@@ -365,8 +362,8 @@ class PropagatorPlan:
 
     Built by :func:`splitting_plan` (fast backend) or
     :func:`kernel_plan` (oracle backend); apply with :meth:`apply`.
-    All stored multiplier tables are 1D (separable), so plans are cheap
-    to cache even on large grids.
+    A fast plan stores one (n x n) matrix, the 1D harmonic flow, so
+    plans are cheap to cache even on large grids.
     """
 
     grid: GridSpec
@@ -377,9 +374,7 @@ class PropagatorPlan:
     rotation_angle: float
     reverse: bool
     oversample: int = DEFAULT_OVERSAMPLE
-    _kin_1d: np.ndarray | None = field(default=None, repr=False)
-    _pot_half_1d: np.ndarray | None = field(default=None, repr=False)
-    _pot_full_1d: np.ndarray | None = field(default=None, repr=False)
+    _harmonic_1d: np.ndarray | None = field(default=None, repr=False)
 
     def apply_data(self, data: np.ndarray) -> np.ndarray:
         if self.backend == "oracle":
@@ -401,24 +396,20 @@ class PropagatorPlan:
 
     # -- internals ---------------------------------------------------------
 
-    def _mult3(self, data: np.ndarray, ph: np.ndarray) -> np.ndarray:
-        n = self.grid.n
-        data = data * ph.reshape(n, 1, 1)
-        data *= ph.reshape(1, n, 1)
-        data *= ph.reshape(1, 1, n)
-        return data
-
     def _harmonic_flow(self, data: np.ndarray) -> np.ndarray:
-        """Strang-split non-rotating harmonic flow over time ``t``."""
-        workers = fft_workers()
-        m = self.substeps
-        data = self._mult3(data, self._pot_half_1d)
-        for step in range(m):
-            hat = _sfft.fftn(data, norm="ortho", workers=workers)
-            hat = self._mult3(hat, self._kin_1d)
-            data = _sfft.ifftn(hat, norm="ortho", workers=workers)
-            data = self._mult3(data, self._pot_full_1d if step < m - 1 else self._pot_half_1d)
-        return data
+        """Non-rotating harmonic flow: the 1D matrix applied along each axis.
+
+        Each contraction is one matrix product over the leading axis of a
+        C-ordered array; the middle axis is brought to the front and back
+        by two copies, which costs less than a batched product.
+        """
+        n = self.grid.n
+        mat = self._harmonic_1d
+        data = (mat @ data.reshape(n, n * n)).reshape(n, n, n)
+        data = np.ascontiguousarray(data.transpose(1, 0, 2))
+        data = (mat @ data.reshape(n, n * n)).reshape(n, n, n)
+        data = np.ascontiguousarray(data.transpose(1, 0, 2))
+        return (data.reshape(n * n, n) @ mat.T).reshape(n, n, n)
 
 
 def splitting_plan(
@@ -438,26 +429,42 @@ def splitting_plan(
     return _cached_splitting_plan(grid, params, float(t), substeps, bool(reverse))
 
 
+def _harmonic_matrix(
+    grid: GridSpec, params: PhysicsParams, t: float, substeps: int
+) -> np.ndarray:
+    """1D Strang-split harmonic flow over ``t`` as an (n x n) matrix.
+
+    The composition -- half potential, then ``substeps`` times (FFT,
+    kinetic multiplier, inverse FFT, potential), the last potential
+    being a half step -- is applied to the identity column by column.
+    The 3D split-step flow is exactly this matrix along each axis.
+    """
+    delta = t / substeps
+    kin = np.exp(-0.5j * delta * grid.freq**2)[:, None]  # even symbol: Nyquist kept
+    pot_half = np.exp(-0.25j * delta * params.omega**2 * grid.axis**2)[:, None]
+    pot_full = pot_half**2
+    mat = pot_half * np.eye(grid.n)
+    for step in range(substeps):
+        hat = kin * _sfft.fft(mat, axis=0, norm="ortho")
+        pot = pot_full if step < substeps - 1 else pot_half
+        mat = pot * _sfft.ifft(hat, axis=0, norm="ortho")
+    mat.flags.writeable = False
+    return mat
+
+
 @lru_cache(maxsize=64)
 def _cached_splitting_plan(
     grid: GridSpec, params: PhysicsParams, t: float, substeps: int, reverse: bool
 ) -> PropagatorPlan:
-    delta = t / substeps
-    w = params.omega
-    axis2 = grid.axis**2
-    k2 = grid.freq**2  # even symbol: Nyquist kept
-    pot_half = np.exp(-0.25j * delta * w**2 * axis2)
     return PropagatorPlan(
         grid=grid,
         params=params,
         t=t,
         backend="fast",
         substeps=substeps,
-        rotation_angle=calibrated_rotation_sign() * w * t,
+        rotation_angle=params.omega * t,
         reverse=reverse,
-        _kin_1d=np.exp(-0.5j * delta * k2),
-        _pot_half_1d=pot_half,
-        _pot_full_1d=pot_half**2,
+        _harmonic_1d=_harmonic_matrix(grid, params, t, substeps),
     )
 
 
@@ -486,63 +493,6 @@ def kernel_plan(
 def default_substeps(t: float, params: PhysicsParams) -> int:
     """Default Strang substep count: ``SUBSTEPS_PER_WINDOW`` per full window."""
     return max(1, int(np.ceil(SUBSTEPS_PER_WINDOW * t / params.window)))
-
-
-def _fast_apply(
-    f: Field, t: float, params: PhysicsParams, substeps: int | None, sign: int
-) -> Field:
-    _check_window(t, params)
-    if substeps is None:
-        substeps = default_substeps(t, params)
-    delta = t / int(substeps)
-    w = params.omega
-    axis2 = f.grid.axis**2
-    k2 = f.grid.freq**2
-    pot_half = np.exp(-0.25j * delta * w**2 * axis2)
-    plan = PropagatorPlan(
-        grid=f.grid,
-        params=params,
-        t=t,
-        backend="fast",
-        substeps=int(substeps),
-        rotation_angle=sign * w * t,
-        reverse=False,
-        _kin_1d=np.exp(-0.5j * delta * k2),
-        _pot_half_1d=pot_half,
-        _pot_full_1d=pot_half**2,
-    )
-    return plan.apply(f)
-
-
-@lru_cache(maxsize=1)
-def calibrated_rotation_sign() -> int:
-    """Rotation direction of the fast backend, fixed once against the oracle.
-
-    A charge +1 vortex advances with phase ``exp(-3i omega t/2)`` under
-    the true flow and ``exp(-7i omega t/2)`` under the flow with the
-    rotation reversed, so the two candidate signs differ by an O(1)
-    margin even on a coarse grid.  Raises ``RuntimeError`` if the
-    margin degenerates (which would mean a broken backend, not an
-    unlucky grid).
-    """
-    grid = GridSpec(16, 4.0)
-    params = PhysicsParams(1.0, 0.0)
-    probe = vortex_state(grid, params, +1)
-    t = 0.7
-    reference = propagate_oracle(probe, t, params)
-    errs = {}
-    for sign in (+1, -1):
-        trial = _fast_apply(probe, t, params, substeps=32, sign=sign)
-        errs[sign] = lp_norm(Field(grid, trial.data - reference.data), 2)
-    best = min(errs, key=errs.get)
-    worst = -best
-    if not errs[best] < 0.1 * errs[worst]:
-        raise RuntimeError(
-            f"rotation-sign calibration ambiguous: errors {errs}; "
-            "the fast and oracle backends disagree structurally"
-        )
-    logger.debug("rotation sign calibrated: %+d (errors %s)", best, errs)
-    return best
 
 
 def propagate_fast(

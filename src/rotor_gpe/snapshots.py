@@ -12,8 +12,8 @@ A snapshot is a pair of files sharing one stem:
 
 The format is deliberately language-neutral: any consumer can
 reconstruct the array from the sidecar alone.  Readers validate the
-sidecar and the byte count and raise :class:`SnapshotFormatError` on
-any mismatch.
+sidecar, the byte count and the finiteness of the payload and raise
+:class:`SnapshotFormatError` on any mismatch.
 """
 
 from __future__ import annotations
@@ -86,10 +86,11 @@ def read_snapshot(stem: str | Path) -> tuple[Field, dict]:
         raise SnapshotFormatError(
             f"unsupported dtype {sidecar['dtype']!r}; expected 'c128'"
         )
-    n = int(sidecar["n"])
-    extent = float(sidecar["extent"])
-    if n <= 0 or extent <= 0:
-        raise SnapshotFormatError(f"sidecar {json_path} has n = {n}, extent = {extent}")
+    try:
+        grid = GridSpec(n=sidecar["n"], extent=sidecar["extent"])
+    except (TypeError, ValueError) as exc:  # ConfigInvalid is a ValueError
+        raise SnapshotFormatError(f"sidecar {json_path}: {exc}") from None
+    n = grid.n
     raw = bin_path.read_bytes()
     expected = n**3 * 16
     if len(raw) != expected:
@@ -97,5 +98,6 @@ def read_snapshot(stem: str | Path) -> tuple[Field, dict]:
             f"{bin_path} holds {len(raw)} bytes; {expected} expected for n = {n}"
         )
     data = np.frombuffer(raw, dtype="<c16").reshape(n, n, n).astype(np.complex128)
-    grid = GridSpec(n=n, extent=extent)
+    if not np.isfinite(data.view(np.float64)).all():
+        raise SnapshotFormatError(f"{bin_path} holds NaN or Inf amplitudes")
     return Field(grid, data), sidecar

@@ -402,13 +402,14 @@ def picard_solve(
     """Solve the integral form on ``[0, T]`` by fixed-point iteration.
 
     Trapezoid nodes ``t_i = i T/(N-1)``; every kernel application is a
-    fast-backend flow over a node gap, so one iteration costs
-    ``O(N^2)`` applications of ``S(T/(N-1))``.  The initial iterate is
-    the free evolution; the stopping metric is the workspace distance
-    between consecutive iterates.  Raises :class:`NoContraction` after
-    three consecutive non-decreasing distances (the smallness condition
-    on ``T`` and the data is violated), :class:`WindowViolation` if
-    ``T`` exceeds one window.
+    fast-backend flow over a node gap.  The Duhamel sum is carried from
+    node to node by a linear recurrence, so one iteration costs
+    ``N - 1`` applications of ``S(T/(N-1))``, i.e. ``O(N)``.  The
+    initial iterate is the free evolution; the stopping metric is the
+    workspace distance between consecutive iterates.  Raises
+    :class:`NoContraction` after three consecutive non-decreasing
+    distances (the smallness condition on ``T`` and the data is
+    violated), :class:`WindowViolation` if ``T`` exceeds one window.
     """
     if not 0.0 < T <= params.window + _TIME_EPS:
         raise WindowViolation(
@@ -443,19 +444,17 @@ def picard_solve(
     distances: list[float] = []
     rising = 0
     for iteration in range(1, pc.max_iter + 1):
-        cubic = [Field(f.grid, np.abs(f.data) ** 2 * f.data) for f in current]
-        # duhamel[i] = sum_{j <= i} w_ij S((i-j) delta) cubic_j with
-        # trapezoid weights over [0, t_i]; evolved[j] tracks S((k-j) delta)
-        # applied to cubic_j as the target index k advances.
-        evolved = list(cubic)
+        cubic = [np.abs(f.data) ** 2 * f.data for f in current]
+        # duhamel[k] = sum_{j <= k} w_kj S((k-j) delta) cubic_j with
+        # trapezoid weights over [0, t_k].  The j < k part is carried as
+        # A_k = S(delta)(A_{k-1} + w_{k-1} cubic_{k-1}), A_0 = 0, which is
+        # the same sum by linearity of S.
         duhamel: list[np.ndarray] = [np.zeros_like(u0.data)]
+        carried = np.zeros_like(u0.data)
         for k in range(1, n_nodes):
-            for j in range(k):
-                evolved[j] = step(evolved[j])
-            acc = 0.5 * delta * evolved[0].data + 0.5 * delta * cubic[k].data
-            for j in range(1, k):
-                acc = acc + delta * evolved[j].data
-            duhamel.append(acc)
+            w_prev = 0.5 * delta if k == 1 else delta
+            carried = step(Field(u0.grid, carried + w_prev * cubic[k - 1])).data
+            duhamel.append(carried + 0.5 * delta * cubic[k])
         proposed = [
             Field(u0.grid, free_i.data - 1j * params.beta * duh)
             for free_i, duh in zip(free, duhamel)

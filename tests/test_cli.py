@@ -4,10 +4,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from rotor_gpe import CSV_HEADER
+from rotor_gpe import CSV_HEADER, GridSpec, PhysicsParams, ground_state
 from rotor_gpe.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, entrypoint
+from rotor_gpe.snapshots import write_snapshot
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -99,6 +101,36 @@ def test_run_unwritable_output_exits_io(tmp_path):
 def test_missing_config_file_exits_config(capsys):
     assert entrypoint(["run", "/nonexistent/config.json"]) == EXIT_CONFIG
     assert "config" in capsys.readouterr().err
+
+
+def snapshot_start_config(tmp_path):
+    """A run config starting from a fresh ground-state snapshot ``init``."""
+    params = PhysicsParams(omega=1.0, beta=1.0)
+    stem = tmp_path / "init"
+    write_snapshot(stem, ground_state(GridSpec(16, 5.0), params), 0.0, params)
+    raw = run_config(tmp_path)
+    raw["initial"] = {"type": "file", "params": {"path": str(stem)}}
+    return write_config(tmp_path, raw), stem
+
+
+def test_run_from_snapshot_with_nan_payload_exits_io(tmp_path, capsys):
+    cfg, stem = snapshot_start_config(tmp_path)
+    payload = np.fromfile(stem.with_suffix(".bin"), dtype="<c16")
+    payload[7] = complex(np.nan, 0.0)
+    payload.tofile(stem.with_suffix(".bin"))
+    assert entrypoint(["run", cfg]) == EXIT_IO
+    assert "NaN" in capsys.readouterr().err
+
+
+def test_run_from_snapshot_with_odd_grid_exits_io(tmp_path, capsys):
+    cfg, stem = snapshot_start_config(tmp_path)
+    sidecar = stem.with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    meta["n"] = 15
+    sidecar.write_text(json.dumps(meta))
+    np.zeros(15**3, dtype="<c16").tofile(stem.with_suffix(".bin"))
+    assert entrypoint(["run", cfg]) == EXIT_IO
+    assert "grid.n" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

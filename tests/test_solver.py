@@ -243,6 +243,41 @@ def test_picard_contracts_on_small_data_and_reports_distances():
     assert res.distances[-1] < 1e-8
 
 
+def test_one_picard_iteration_equals_the_direct_trapezoid_sum():
+    # Reference: u_k = S(t_k) u0 - i beta sum_j w_kj S(t_k - t_j) |S(t_j) u0|^2 S(t_j) u0,
+    # every S(t_k - t_j) applied afresh as k - j node-gap flows.
+    grid = GridSpec(8, 4.0)
+    u0 = random_smooth_field(grid, np.random.default_rng(31), width=1.0)
+    n_nodes, T, m = 9, 0.3, 2
+    cfg = SolverConfig(
+        scheme="picard",
+        dt=1e-3,
+        t_end=T,
+        m=m,
+        picard=PicardConfig(quad_nodes=n_nodes, max_iter=1),
+    )
+    res = picard_solve(u0, T, cfg, CUBIC)
+    assert res.iterations == 1
+    delta = T / (n_nodes - 1)
+
+    def flow(f, gaps):
+        for _ in range(gaps):
+            f = propagate_fast(f, delta, CUBIC, m)
+        return f
+
+    free = [flow(u0, k) for k in range(n_nodes)]
+    cubic = [Field(grid, np.abs(f.data) ** 2 * f.data) for f in free]
+    for k in range(n_nodes):
+        duhamel = np.zeros(grid.shape, dtype=complex)
+        if k > 0:  # the trapezoid sum over [0, t_0] is empty
+            for j in range(k + 1):
+                w = 0.5 * delta if j in (0, k) else delta
+                duhamel += w * flow(cubic[j], k - j).data
+        want = free[k].data - 1j * CUBIC.beta * duhamel
+        err = np.linalg.norm(res.fields[k].data - want) / np.linalg.norm(want)
+        assert err < 1e-12
+
+
 def test_picard_rejects_multi_window_horizons():
     u = ground_state(GRID, CUBIC)
     cfg = SolverConfig(scheme="picard", dt=1e-3, t_end=1.0, m=4)
