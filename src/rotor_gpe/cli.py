@@ -31,6 +31,7 @@ internal FFT parallelism.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -151,14 +152,22 @@ def cmd_run(cfg: RunConfig) -> int:
             f" distance {result.distances[-1]:.3e}"
         )
     else:
-        result = evolve(u0, cfg.solver, cfg.params, snapshot_every=cfg.snapshot_every)
+        numbers = itertools.count()
+
+        def write_next_snapshot(t: float, snap: Field) -> None:
+            stem = f"snapshot_{next(numbers):06d}"
+            write_snapshot(cfg.output_dir / stem, snap, t, cfg.params)
+            outputs.extend([f"{stem}.bin", f"{stem}.json"])
+
+        result = evolve(
+            u0,
+            cfg.solver,
+            cfg.params,
+            snapshot_every=cfg.snapshot_every,
+            on_snapshot=write_next_snapshot,
+        )
         records = list(result.records)
         final_field, final_t = result.final.field, result.final.t_global
-        for i, (t, snap) in enumerate(result.snapshots):
-            stem = cfg.output_dir / f"snapshot_{i:06d}"
-            write_snapshot(stem, snap, t, cfg.params)
-            outputs.append(f"snapshot_{i:06d}.bin")
-            outputs.append(f"snapshot_{i:06d}.json")
 
     csv_path = cfg.output_dir / "diagnostics.csv"
     csv_path.parent.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as _sfft
@@ -41,8 +41,14 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def fft_workers() -> int:
-    """Worker count for FFT calls, capped by the ROTOR_GPE_THREADS env var."""
+    """Worker count for FFT calls, capped by the ROTOR_GPE_THREADS env var.
+
+    The variable is read once per process; call ``fft_workers.cache_clear()``
+    after changing it.  A value that is not an integer raises
+    :class:`ConfigInvalid` on every call (errors are not cached).
+    """
     avail = os.cpu_count() or 1
     raw = os.environ.get("ROTOR_GPE_THREADS")
     if raw is None or raw == "":

@@ -35,7 +35,10 @@ Two independent implementations of the same one-window flow operator:
   composition on the identity, so the substep count costs nothing per
   application.  The rotation is applied exactly on the grid by three
   FFT shears, in the sense the oracle's closed-form kernel fixes (the
-  pattern turns clockwise, ``u(t, x) = v(t, R(omega t) x)``).
+  pattern turns clockwise, ``u(t, x) = v(t, R(omega t) x)``).  The
+  two parts are exposed separately (:meth:`PropagatorPlan.harmonic`,
+  :func:`rotate_pattern`) so the nonlinear solvers can step in the
+  co-rotating frame and rotate only the fields they observe.
 
 The dual propagator (transpose under the unconjugated pairing
 ``sum(f*g)``) has the same kernel with the transverse rotation
@@ -383,7 +386,7 @@ class PropagatorPlan:
             )
         if self.reverse:
             data = np.ascontiguousarray(np.swapaxes(data, 0, 1))
-        data = self._harmonic_flow(data)
+        data = self.harmonic(data)
         data = rotate_pattern(self.grid, data, self.rotation_angle)
         if self.reverse:
             data = np.ascontiguousarray(np.swapaxes(data, 0, 1))
@@ -394,11 +397,11 @@ class PropagatorPlan:
             raise ValueError("field grid does not match the plan's grid")
         return Field(self.grid, self.apply_data(f.data))
 
-    # -- internals ---------------------------------------------------------
+    def harmonic(self, data: np.ndarray) -> np.ndarray:
+        """Non-rotating harmonic flow of a fast plan: the 1D matrix along each axis.
 
-    def _harmonic_flow(self, data: np.ndarray) -> np.ndarray:
-        """Non-rotating harmonic flow: the 1D matrix applied along each axis.
-
+        This is the flow in the frame co-rotating with the trap; the same
+        matrix acts on every axis, so it commutes with the dual's swap.
         Each contraction is one matrix product over the leading axis of a
         C-ordered array; the middle axis is brought to the front and back
         by two copies, which costs less than a batched product.

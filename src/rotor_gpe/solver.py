@@ -17,18 +17,30 @@ implemented so each can falsify the other:
   evolution, until the workspace distance (the triple space-time norm
   of the difference, plain + J-dressed + H-dressed) stops moving.
 
+Both schemes run in the frame co-rotating with the trap.  The linear
+flow is ``S(t) = R(omega t) H(t)``, the harmonic flow ``H`` followed by
+the rotation ``R`` about x3, and ``R`` commutes with ``H`` and with
+``|u|^2``.  So ``u(t) = R(omega t) v(t)`` where ``v`` solves the
+non-rotating equation, and the rotation is applied only when a field is
+observed (a record, a snapshot, a seam, the end).  Between observations
+the Strang loop also fuses the trailing half-phase of one step with the
+leading half-phase of the next, ``N(dt/2) N(dt/2) = N(dt)``, which is
+exact because ``|v|`` is invariant under the phase.
+
 The linear kernel is only valid on ``(0, pi/(4 omega)]``, so long
 evolutions proceed window by window: steps are clipped at seams, and at
 each seam only bookkeeping restarts — the window-local clock returns to
-zero and the energy reference for the pseudo-conformal balance is
-re-captured.  The field itself is never modified at a seam.
+zero, the energy reference for the pseudo-conformal balance is
+re-captured, and the co-rotating frame restarts from the lab field (so
+the frame angle never exceeds ``pi/4``).  The field itself is never
+modified at a seam.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +62,7 @@ from .grid import (
     gradient_arrays,
     lp_norm,
 )
-from .propagator import propagate_fast
+from .propagator import propagate_fast, rotate_pattern, splitting_plan
 
 __all__ = [
     "PicardConfig",
@@ -148,6 +160,11 @@ class TrajectoryState:
     ``t_local in [0, window]``; ``e0_window`` is the energy captured at
     the start of the current window (the reference of the
     pseudo-conformal balance).
+
+    The last three fields carry :func:`evolve`'s co-rotating frame, so a
+    resumed call continues with the very same arithmetic:
+    ``field = R(frame_angle) N(pending_phase) corotating``.  ``None``
+    (a bare field) means the frame starts here, at angle and phase 0.
     """
 
     field: Field
@@ -155,6 +172,9 @@ class TrajectoryState:
     window_index: int
     t_local: float
     e0_window: float
+    corotating: np.ndarray | None = field(default=None, compare=False, repr=False)
+    frame_angle: float = field(default=0.0, compare=False)
+    pending_phase: float = field(default=0.0, compare=False)
 
 
 def initial_state(
@@ -175,22 +195,39 @@ def initial_state(
     )
 
 
+def _phased(data: np.ndarray, tau: float, beta: float) -> np.ndarray:
+    """``exp(-i beta |data|^2 tau) data`` as a new array (``data`` when trivial).
+
+    The phase is assembled from a real cosine and sine, which costs less
+    than a complex exponential of a purely imaginary argument.
+    """
+    if beta == 0.0 or tau == 0.0:
+        return data
+    angle = data.real**2
+    angle += data.imag**2
+    angle *= -beta * tau
+    out = np.empty_like(data)
+    out.real = np.cos(angle)
+    out.imag = np.sin(angle)
+    out *= data
+    return out
+
+
 def nonlinear_phase(u: Field, tau: float, params: PhysicsParams) -> Field:
     """Exact nonlinear factor ``N(tau) v = exp(-i beta |v|^2 tau) v``."""
-    if params.beta == 0.0 or tau == 0.0:
-        return Field(u.grid, u.data.copy())
-    phase = np.exp(-1j * params.beta * tau * np.abs(u.data) ** 2)
-    return Field(u.grid, phase * u.data)
+    out = _phased(u.data, tau, params.beta)
+    return Field(u.grid, out.copy() if out is u.data else out)
 
 
 def strang_step(
     u: Field, dt: float, params: PhysicsParams, m: int | None = None
 ) -> Field:
-    """One splitting step ``N(dt/2) o S(dt) o N(dt/2)``.
+    """One lab-frame splitting step ``N(dt/2) o R(omega dt) o H(dt) o N(dt/2)``.
 
-    ``dt`` must fit inside one window; :func:`evolve` clips steps at
-    seams before calling this.  With ``beta = 0`` the two nonlinear
-    factors are identities and the step is exactly the fast linear flow.
+    The single-step reference for :func:`evolve`, which composes the same
+    pieces in the co-rotating frame.  ``dt`` must fit inside one window.
+    With ``beta = 0`` the two nonlinear factors are identities and the
+    step is exactly the fast linear flow.
     """
     if not 0.0 < dt <= params.window + _TIME_EPS:
         raise WindowViolation(
@@ -206,7 +243,7 @@ def strang_step(
 
 @dataclass(frozen=True)
 class EvolveResult:
-    """Final state, diagnostics stream, and optional field snapshots."""
+    """Final state, diagnostics stream, and the snapshots not streamed to a callback."""
 
     final: TrajectoryState
     records: tuple[DiagnosticsRecord, ...]
@@ -229,19 +266,32 @@ def evolve(
     params: PhysicsParams,
     *,
     snapshot_every: int = 0,
+    on_snapshot: Callable[[float, Field], None] | None = None,
 ) -> EvolveResult:
     """Advance to ``config.t_end`` window by window with Strang steps.
 
+    The loop runs in the co-rotating frame (see the module docstring).
+    It carries the array ``w``, which still owes its trailing half-phase,
+    the frame angle ``theta`` and that pending phase time ``tau``; one
+    step is ``w <- H(dt) N(tau + dt/2) w``, then ``tau = dt/2``.  A field
+    is built in the lab frame, ``R(theta) N(tau) w``, only where it is
+    observed: at a record, a snapshot, a seam and the end.
+
     Steps never straddle window seams: the last step of each window is
-    clipped, the window-local clock is re-based to zero, and the energy
-    reference is re-captured — the field itself is untouched, so
-    conserved diagnostics are continuous across seams (two records are
-    emitted there, one on each side of the bookkeeping restart).
+    clipped, the window-local clock is re-based to zero, the energy
+    reference is re-captured and the frame restarts from the lab field —
+    the field itself is untouched, so conserved diagnostics are
+    continuous across seams (two records are emitted there, one on each
+    side of the bookkeeping restart).
 
     Accepts either a bare field (trajectory starts at ``t = 0``) or a
     :class:`TrajectoryState` from a previous call, which resumes with
-    identical stepping — evolving for ``2T`` in one call or in two is
-    the same sequence of steps.
+    identical stepping and frame — evolving for ``2T`` in one call or in
+    two is the same sequence of operations, bit for bit.
+
+    Snapshots (every ``snapshot_every`` steps, plus the first and the
+    last field) go to ``on_snapshot(t, field)`` as they are produced;
+    without a callback they are collected in :attr:`EvolveResult.snapshots`.
 
     Raises :class:`BlowupDetected` when ``max |u|`` exceeds
     ``config.blowup_factor`` times its initial value (a numerical-health
@@ -268,63 +318,83 @@ def evolve(
             stacklevel=2,
         )
 
+    snapshots: list[tuple[float, Field]] = []
+    if on_snapshot is None:
+        on_snapshot = lambda t, f: snapshots.append((t, f))  # noqa: E731
+    grid = state.field.grid
     guard = config.blowup_factor * lp_norm(state.field, np.inf)
     records: list[DiagnosticsRecord] = [_record_state(state, params)]
-    snapshots: list[tuple[float, Field]] = []
     if snapshot_every > 0:
-        snapshots.append((state.t_global, state.field.copy()))
+        on_snapshot(state.t_global, state.field.copy())
+
+    if state.corotating is None:
+        w, theta, tau = state.field.data, 0.0, 0.0
+    else:
+        w, theta, tau = state.corotating, state.frame_angle, state.pending_phase
+    window_index, t_local = state.window_index, state.t_local
+    t_global, e0_window = state.t_global, state.e0_window
+
+    def observed() -> TrajectoryState:
+        lab = rotate_pattern(grid, _phased(w, tau, params.beta), theta)
+        return TrajectoryState(
+            Field(grid, lab), t_global, window_index, t_local, e0_window, w, theta, tau
+        )
 
     step_count = 0
-    while state.t_global < config.t_end - _TIME_EPS:
-        if window - state.t_local <= _TIME_EPS:
-            # Seam: bookkeeping restart only (records on both sides).
+    while t_global < config.t_end - _TIME_EPS:
+        if window - t_local <= _TIME_EPS:
+            # Seam: bookkeeping restart only (records on both sides); the
+            # frame restarts from the lab field the closing record saw.
+            w, theta, tau = state.field.data, 0.0, 0.0
+            window_index += 1
+            t_local = 0.0
+            e0_window = energy_e0(state.field, params)
             state = TrajectoryState(
-                field=state.field,
-                t_global=state.t_global,
-                window_index=state.window_index + 1,
-                t_local=0.0,
-                e0_window=energy_e0(state.field, params),
+                state.field, t_global, window_index, t_local, e0_window, w
             )
             records.append(_record_state(state, params))
             continue
 
-        next_local = min(state.t_local + config.dt, window)
-        end_local = config.t_end - state.window_index * window
+        next_local = min(t_local + config.dt, window)
+        end_local = config.t_end - window_index * window
         if next_local > end_local - _TIME_EPS and end_local <= window + _TIME_EPS:
             next_local = min(end_local, window)
-        dt_step = next_local - state.t_local
+        dt_step = next_local - t_local
         if dt_step <= _TIME_EPS:
             break
 
-        stepped = strang_step(state.field, dt_step, params, config.m)
+        plan = splitting_plan(grid, params, dt_step, config.m)
+        w = plan.harmonic(_phased(w, tau + 0.5 * dt_step, params.beta))
+        theta += params.omega * dt_step
+        tau = 0.5 * dt_step
         at_seam = next_local >= window - _TIME_EPS
-        state = TrajectoryState(
-            field=stepped,
-            t_global=state.window_index * window + next_local,
-            window_index=state.window_index,
-            t_local=window if at_seam else next_local,
-            e0_window=state.e0_window,
-        )
+        t_global = window_index * window + next_local
+        t_local = window if at_seam else next_local
         step_count += 1
 
-        linf = lp_norm(state.field, np.inf)
+        linf = float(np.abs(w).max())
         if linf > guard:
             raise BlowupDetected(
                 f"max |u| = {linf:.3e} exceeded the guard {guard:.3e} at "
-                f"t = {state.t_global:.6f} (step {step_count}); the run is "
+                f"t = {t_global:.6f} (step {step_count}); the run is "
                 "numerically unstable (aliasing or too-large dt), not physics"
             )
 
-        done = state.t_global >= config.t_end - _TIME_EPS
-        cadence_hit = (
+        done = t_global >= config.t_end - _TIME_EPS
+        record_hit = at_seam or done or (
             config.diagnostics_every > 0
             and step_count % config.diagnostics_every == 0
         )
-        if at_seam or done or cadence_hit:
-            records.append(_record_state(state, params))
-        if snapshot_every > 0 and (step_count % snapshot_every == 0 or done):
-            snapshots.append((state.t_global, state.field.copy()))
+        snapshot_hit = snapshot_every > 0 and (step_count % snapshot_every == 0 or done)
+        if record_hit or snapshot_hit:
+            state = observed()
+            if record_hit:
+                records.append(_record_state(state, params))
+            if snapshot_hit:
+                on_snapshot(t_global, state.field)
 
+    if state.t_global != t_global:  # left by a final step too short to take
+        state = observed()
     return EvolveResult(
         final=state, records=tuple(records), snapshots=tuple(snapshots)
     )
@@ -401,15 +471,18 @@ def picard_solve(
 ) -> PicardResult:
     """Solve the integral form on ``[0, T]`` by fixed-point iteration.
 
-    Trapezoid nodes ``t_i = i T/(N-1)``; every kernel application is a
-    fast-backend flow over a node gap.  The Duhamel sum is carried from
-    node to node by a linear recurrence, so one iteration costs
-    ``N - 1`` applications of ``S(T/(N-1))``, i.e. ``O(N)``.  The
-    initial iterate is the free evolution; the stopping metric is the
-    workspace distance between consecutive iterates.  Raises
-    :class:`NoContraction` after three consecutive non-decreasing
-    distances (the smallness condition on ``T`` and the data is
-    violated), :class:`WindowViolation` if ``T`` exceeds one window.
+    Trapezoid nodes ``t_i = i T/(N-1)``.  The iteration runs in the
+    co-rotating frame, where the kernel over a node gap is the harmonic
+    flow ``H(T/(N-1))`` alone; each iterate's node ``i`` is rotated once,
+    by ``omega t_i``, into the lab field that the workspace distance and
+    the result see.  The Duhamel sum is carried from node to node by a
+    linear recurrence, so one iteration costs ``N - 1`` applications of
+    ``H`` and ``N`` rotations, i.e. ``O(N)``.  The initial iterate is
+    the free evolution; the stopping metric is the workspace distance
+    between consecutive iterates.  Raises :class:`NoContraction` after
+    three consecutive non-decreasing distances (the smallness condition
+    on ``T`` and the data is violated), :class:`WindowViolation` if
+    ``T`` exceeds one window.
     """
     if not 0.0 < T <= params.window + _TIME_EPS:
         raise WindowViolation(
@@ -422,46 +495,52 @@ def picard_solve(
     weights = tuple(
         0.5 * delta if i in (0, n_nodes - 1) else delta for i in range(n_nodes)
     )
+    grid = u0.grid
+    step = splitting_plan(grid, params, delta, config.m).harmonic
 
-    def step(f: Field) -> Field:
-        return propagate_fast(f, delta, params, config.m)
+    def to_lab(nodes: list[np.ndarray]) -> list[Field]:
+        return [
+            Field(grid, rotate_pattern(grid, v, params.omega * t))
+            for v, t in zip(nodes, times)
+        ]
 
-    # Free evolution S(t_i) u0, built incrementally along the node set.
-    free: list[Field] = [u0]
+    # Free evolution H(t_i) u0, built incrementally along the node set.
+    free: list[np.ndarray] = [u0.data]
     for _ in range(n_nodes - 1):
         free.append(step(free[-1]))
+    free_lab = to_lab(free)
 
     if params.beta == 0.0:
         return PicardResult(
             times=times,
-            fields=tuple(free),
+            fields=tuple(free_lab),
             distances=(0.0,),
             iterations=1,
-            sup_l2=max(lp_norm(f, 2) for f in free),
+            sup_l2=max(lp_norm(f, 2) for f in free_lab),
         )
 
-    current = list(free)
+    current, current_lab = free, free_lab
     distances: list[float] = []
     rising = 0
     for iteration in range(1, pc.max_iter + 1):
-        cubic = [np.abs(f.data) ** 2 * f.data for f in current]
-        # duhamel[k] = sum_{j <= k} w_kj S((k-j) delta) cubic_j with
+        cubic = [np.abs(v) ** 2 * v for v in current]
+        # duhamel[k] = sum_{j <= k} w_kj H((k-j) delta) cubic_j with
         # trapezoid weights over [0, t_k].  The j < k part is carried as
-        # A_k = S(delta)(A_{k-1} + w_{k-1} cubic_{k-1}), A_0 = 0, which is
-        # the same sum by linearity of S.
+        # A_k = H(delta)(A_{k-1} + w_{k-1} cubic_{k-1}), A_0 = 0, which is
+        # the same sum by linearity of H.
         duhamel: list[np.ndarray] = [np.zeros_like(u0.data)]
         carried = np.zeros_like(u0.data)
         for k in range(1, n_nodes):
             w_prev = 0.5 * delta if k == 1 else delta
-            carried = step(Field(u0.grid, carried + w_prev * cubic[k - 1])).data
+            carried = step(carried + w_prev * cubic[k - 1])
             duhamel.append(carried + 0.5 * delta * cubic[k])
         proposed = [
-            Field(u0.grid, free_i.data - 1j * params.beta * duh)
-            for free_i, duh in zip(free, duhamel)
+            free_i - 1j * params.beta * duh for free_i, duh in zip(free, duhamel)
         ]
+        proposed_lab = to_lab(proposed)
         dist = workspace_distance(
-            proposed,
-            current,
+            proposed_lab,
+            current_lab,
             pc.rho,
             weights,
             times=times,
@@ -473,7 +552,7 @@ def picard_solve(
             rising += 1
         else:
             rising = 0
-        current = proposed
+        current, current_lab = proposed, proposed_lab
         if dist < pc.tol:
             break
         if rising >= 3:
@@ -484,8 +563,8 @@ def picard_solve(
             )
     return PicardResult(
         times=times,
-        fields=tuple(current),
+        fields=tuple(current_lab),
         distances=tuple(distances),
         iterations=len(distances),
-        sup_l2=max(lp_norm(f, 2) for f in current),
+        sup_l2=max(lp_norm(f, 2) for f in current_lab),
     )

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from rotor_gpe import CSV_HEADER, GridSpec, PhysicsParams, ground_state
+from rotor_gpe import CSV_HEADER, GridSpec, PhysicsParams, fft_workers, ground_state
+from rotor_gpe.config import build_initial_field, load_config
+from rotor_gpe.solver import evolve
 from rotor_gpe.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, entrypoint
 from rotor_gpe.snapshots import write_snapshot
 
@@ -50,6 +52,33 @@ def test_run_writes_csv_snapshots_and_manifest(tmp_path, capsys):
     assert (out_dir / "snapshot_000000.bin").exists()
     captured = capsys.readouterr().out
     assert "diagnostics records" in captured
+
+
+def test_run_writes_each_snapshot_as_the_evolution_collects_it(tmp_path):
+    path = write_config(tmp_path, run_config(tmp_path))
+    assert entrypoint(["run", path]) == EXIT_OK
+    cfg = load_config(path)
+    collected = evolve(
+        build_initial_field(cfg), cfg.solver, cfg.params, snapshot_every=cfg.snapshot_every
+    ).snapshots
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    names = [name for name in manifest["outputs"] if name.startswith("snapshot_0")]
+    assert names == [f"snapshot_{i:06d}.{ext}" for i in range(len(collected)) for ext in ("bin", "json")]
+    for i, (t, field) in enumerate(collected):
+        stem = tmp_path / "out" / f"snapshot_{i:06d}"
+        assert stem.with_suffix(".bin").read_bytes() == field.data.astype("<c16").tobytes()
+        assert json.loads(stem.with_suffix(".json").read_text())["t"] == t
+
+
+def test_run_with_a_malformed_thread_cap_exits_config(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, run_config(tmp_path))
+    monkeypatch.setenv("ROTOR_GPE_THREADS", "four")
+    fft_workers.cache_clear()
+    try:
+        assert entrypoint(["run", cfg]) == EXIT_CONFIG
+    finally:
+        fft_workers.cache_clear()
+    assert "ROTOR_GPE_THREADS" in capsys.readouterr().err
 
 
 def test_run_is_byte_for_byte_deterministic(tmp_path):

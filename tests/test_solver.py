@@ -16,6 +16,7 @@ from rotor_gpe import (
     PicardConfig,
     SolverConfig,
     WindowViolation,
+    coherent_state,
     evolve,
     ground_state,
     initial_state,
@@ -26,6 +27,8 @@ from rotor_gpe import (
     strang_step,
     workspace_distance,
 )
+import rotor_gpe.solver as solver_module
+from rotor_gpe.propagator import rotate_pattern, splitting_plan
 from rotor_gpe.solver import admissible_gamma
 
 GRID = GridSpec(16, 5.0)
@@ -164,6 +167,108 @@ def test_evolve_resume_is_bitwise_identical():
     assert resumed.final.t_global == full.final.t_global
 
 
+def off_axis_state(grid, params=CUBIC):
+    """Coherent state off the x3 axis, so the frame rotation is visible."""
+    return coherent_state(grid, params, center=(1.0, 0.5, 0.2), kick=(0.3, -0.5, 0.2))
+
+
+def test_evolve_resume_after_a_seam_is_bitwise_identical():
+    # The split point lies in the second window, so the handed-over state
+    # carries a frame that restarted at the seam and has turned since.
+    u = off_axis_state(GRID)
+    dt = 2.0**-6
+    full = evolve(u, SolverConfig(dt=dt, t_end=1.5 * CUBIC.window), CUBIC)
+    half = evolve(u, SolverConfig(dt=dt, t_end=CUBIC.window + 0.25), CUBIC)
+    assert half.final.window_index == 1
+    assert half.final.frame_angle > 0.0 and half.final.pending_phase > 0.0
+    resumed = evolve(
+        half.final, SolverConfig(dt=dt, t_end=1.5 * CUBIC.window), CUBIC
+    )
+    assert np.array_equal(resumed.final.field.data, full.final.field.data)
+    assert resumed.final.t_global == full.final.t_global
+
+
+def reference_observations(u, dt, t_end, params):
+    """``(t, R(theta) N(tau) w)`` after every step, the frame by its definition."""
+    grid, window, beta = u.grid, params.window, params.beta
+    out = [(0.0, u.data)]
+    w, theta, tau = u.data, 0.0, 0.0
+    start, t_local = 0.0, 0.0
+    while start + t_local < t_end - 1e-12:
+        dt_step = min(dt, window - t_local, t_end - start - t_local)
+        phase = np.exp(-1j * beta * (tau + 0.5 * dt_step) * np.abs(w) ** 2)
+        w = splitting_plan(grid, params, dt_step).harmonic(phase * w)
+        theta += params.omega * dt_step
+        tau = 0.5 * dt_step
+        t_local += dt_step
+        lab = rotate_pattern(grid, np.exp(-1j * beta * tau * np.abs(w) ** 2) * w, theta)
+        out.append((start + t_local, lab))
+        if window - t_local <= 1e-12:  # seam: the frame restarts from the lab field
+            w, theta, tau = lab, 0.0, 0.0
+            start, t_local = start + window, 0.0
+    return out
+
+
+def test_every_observed_field_is_the_rotated_phased_frame(monkeypatch):
+    # Records and snapshots at off-step cadences, across a seam: each
+    # observed field must be R(theta) N(tau) w at its own time, never a
+    # field left over from an earlier observation.
+    u = off_axis_state(GRID)
+    dt, t_end = 0.05, 1.3 * CUBIC.window
+    seen = []
+    real_record = solver_module.record
+
+    def spy(field, t, *args, **kwargs):
+        seen.append((t, field.data))
+        return real_record(field, t, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "record", spy)
+    cfg = SolverConfig(dt=dt, t_end=t_end, diagnostics_every=3)
+    res = evolve(u, cfg, CUBIC, snapshot_every=2)
+    assert len(seen) == len(res.records)
+    assert sum(abs(t - CUBIC.window) < 1e-12 for t, _ in seen) == 2
+    reference = reference_observations(u, dt, t_end, CUBIC)
+    observed = seen + [(t, f.data) for t, f in res.snapshots]
+    observed.append((res.final.t_global, res.final.field.data))
+    for t, data in observed:
+        (want,) = [lab for t_ref, lab in reference if abs(t_ref - t) < 1e-9]
+        assert np.linalg.norm(data - want) / np.linalg.norm(want) < 1e-12, t
+
+
+def test_corotating_evolution_meets_lab_frame_steps_under_refinement():
+    # evolve steps in the co-rotating frame and fuses the half-phases;
+    # a chain of lab-frame strang_step calls applies every rotation.  The
+    # two agree up to the grid's commutator of rotation and harmonic flow,
+    # which must vanish under n-refinement (measured 1.9e-5 at n = 32,
+    # 2.3e-8 at n = 48).
+    dt, steps = 2e-3, 100
+    gaps = {}
+    for n in (32, 48):
+        u = off_axis_state(GridSpec(n, 8.0))
+        res = evolve(u, SolverConfig(dt=dt, t_end=steps * dt), CUBIC)
+        lab = u
+        for _ in range(steps):
+            lab = strang_step(lab, dt, CUBIC)
+        gap = res.final.field.data - lab.data
+        gaps[n] = float(np.linalg.norm(gap) / np.linalg.norm(lab.data))
+    assert gaps[48] < 1e-6
+    assert gaps[48] < 1e-2 * gaps[32]
+
+
+def test_evolve_streams_snapshots_to_a_callback():
+    cfg = SolverConfig(scheme="strang", dt=1e-2, t_end=0.1)
+    u = off_axis_state(GRID)
+    collected = evolve(u, cfg, CUBIC, snapshot_every=3)
+    streamed = []
+    res = evolve(
+        u, cfg, CUBIC, snapshot_every=3, on_snapshot=lambda t, f: streamed.append((t, f))
+    )
+    assert res.snapshots == ()
+    assert [t for t, _ in streamed] == [t for t, _ in collected.snapshots]
+    for (_, a), (_, b) in zip(streamed, collected.snapshots):
+        assert np.array_equal(a.data, b.data)
+
+
 def test_evolve_rejects_non_advancing_targets():
     u = ground_state(GRID, CUBIC)
     st = initial_state(u, CUBIC, t0=0.5)
@@ -244,8 +349,10 @@ def test_picard_contracts_on_small_data_and_reports_distances():
 
 
 def test_one_picard_iteration_equals_the_direct_trapezoid_sum():
-    # Reference: u_k = S(t_k) u0 - i beta sum_j w_kj S(t_k - t_j) |S(t_j) u0|^2 S(t_j) u0,
-    # every S(t_k - t_j) applied afresh as k - j node-gap flows.
+    # The iteration runs in the co-rotating frame, so the reference is
+    # u_k = R(omega t_k)[H^k u0 - i beta sum_j w_kj H^(k-j) |H^j u0|^2 H^j u0]
+    # with H the harmonic flow over one node gap, every H^(k-j) applied
+    # afresh as k - j gap flows.
     grid = GridSpec(8, 4.0)
     u0 = random_smooth_field(grid, np.random.default_rng(31), width=1.0)
     n_nodes, T, m = 9, 0.3, 2
@@ -259,21 +366,24 @@ def test_one_picard_iteration_equals_the_direct_trapezoid_sum():
     res = picard_solve(u0, T, cfg, CUBIC)
     assert res.iterations == 1
     delta = T / (n_nodes - 1)
+    harmonic = splitting_plan(grid, CUBIC, delta, m).harmonic
 
-    def flow(f, gaps):
+    def flow(data, gaps):
         for _ in range(gaps):
-            f = propagate_fast(f, delta, CUBIC, m)
-        return f
+            data = harmonic(data)
+        return data
 
-    free = [flow(u0, k) for k in range(n_nodes)]
-    cubic = [Field(grid, np.abs(f.data) ** 2 * f.data) for f in free]
+    free = [flow(u0.data, k) for k in range(n_nodes)]
+    cubic = [np.abs(f) ** 2 * f for f in free]
     for k in range(n_nodes):
         duhamel = np.zeros(grid.shape, dtype=complex)
         if k > 0:  # the trapezoid sum over [0, t_0] is empty
             for j in range(k + 1):
                 w = 0.5 * delta if j in (0, k) else delta
-                duhamel += w * flow(cubic[j], k - j).data
-        want = free[k].data - 1j * CUBIC.beta * duhamel
+                duhamel += w * flow(cubic[j], k - j)
+        want = rotate_pattern(
+            grid, free[k] - 1j * CUBIC.beta * duhamel, CUBIC.omega * k * delta
+        )
         err = np.linalg.norm(res.fields[k].data - want) / np.linalg.norm(want)
         assert err < 1e-12
 
