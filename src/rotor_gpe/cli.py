@@ -70,7 +70,7 @@ from .propagator import (
     propagate_oracle,
 )
 from .solver import SolverConfig, evolve, picard_solve
-from .snapshots import write_snapshot
+from .snapshots import atomic_write, write_snapshot
 from .states import (
     exact_linear_evolution,
     ground_state,
@@ -104,8 +104,7 @@ def _fmt(value: float) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    atomic_write(path, text.encode("utf-8"))
 
 
 def _write_manifest(
@@ -169,9 +168,7 @@ def cmd_run(cfg: RunConfig) -> int:
         records = list(result.records)
         final_field, final_t = result.final.field, result.final.t_global
 
-    csv_path = cfg.output_dir / "diagnostics.csv"
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(records, csv_path)
+    write_csv(records, cfg.output_dir / "diagnostics.csv")
     outputs.append("diagnostics.csv")
 
     write_snapshot(cfg.output_dir / "snapshot_final", final_field, final_t, cfg.params)

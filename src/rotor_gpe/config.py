@@ -382,7 +382,12 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def build_initial_field(cfg: RunConfig) -> Field:
-    """Construct the initial field a config describes (state or snapshot)."""
+    """Construct the initial field a config describes (state or snapshot).
+
+    A snapshot must match the config's grid and physics: a sidecar whose
+    ``n``, ``extent``, ``omega`` or ``beta`` differs raises
+    :class:`ConfigInvalid` under ``initial.params.path``.
+    """
     if cfg.initial_type == "file":
         field, sidecar = read_snapshot(cfg.initial_params["path"])
         if field.grid.n != cfg.grid.n or field.grid.extent != cfg.grid.extent:
@@ -391,6 +396,11 @@ def build_initial_field(cfg: RunConfig) -> Field:
                 f" extent = {field.grid.extent}) differs from config grid"
                 f" (n = {cfg.grid.n}, extent = {cfg.grid.extent})"
             )
-        del sidecar
+        for key in ("omega", "beta"):
+            if sidecar[key] != getattr(cfg.params, key):
+                raise ConfigInvalid(
+                    f"initial.params.path: snapshot {key} = {sidecar[key]!r}"
+                    f" differs from config physics.{key} = {getattr(cfg.params, key)!r}"
+                )
         return field
     return make_state(cfg.grid, cfg.params, cfg.initial_type, **cfg.initial_params)

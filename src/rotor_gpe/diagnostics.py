@@ -23,9 +23,27 @@ accepts an optional ``t_local`` distinct from the global timestamp written
 to the CSV.
 
 All quadratures use the plain ``h^3``-weighted grid sums of
-:mod:`rotor_gpe.grid`; the angular momentum integrates over the full 3D
-grid.  Spectral derivatives are computed once per record and shared
-between the energy, the Sigma-norm, and the dressed operators.
+:mod:`rotor_gpe.grid`, and every quantity is read off one moments pass
+(``grid._moments``): one spectral gradient (a forward and an inverse 1D
+transform along each axis) and a few fused reductions, with no dressed
+field built.  With ``theta = omega t_local``, ``c = cos(theta)``,
+``s = sin(theta)`` and the moments
+
+* ``X = || |x| u ||^2``,
+* ``G = sum_j ||d_j u||^2``,
+* ``V = Im sum_j <x_j u, d_j u>``,
+
+the squared norms of the dressed operators of :mod:`rotor_gpe.galilean` are
+
+* ``||J(t)u||^2 = omega^2 s^2 X + c^2 G + 2 omega s c V``,
+* ``||H(t)u||^2 = omega^2 c^2 X + s^2 G - 2 omega s c V``.
+
+These hold exactly on the grid, not only in the continuum: the
+transverse mix of the dressed operators is one orthogonal 2x2 rotation
+applied pointwise to ``(x1 u, x2 u)`` and to ``(d1 u, d2 u)``, so the
+norms and cross products it enters do not depend on ``theta``.  The
+axial components obey the same formulas with ``X3 = ||x3 u||^2``,
+``G3 = ||d3 u||^2`` and ``V3 = Im <x3 u, d3 u>``.
 """
 
 from __future__ import annotations
@@ -36,8 +54,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .galilean import galilean_momentum, galilean_position
-from .grid import Field, PhysicsParams, gradient_arrays
+from .grid import Field, PhysicsParams, _moments, _Moments
+from .snapshots import atomic_write
 
 __all__ = [
     "CSV_HEADER",
@@ -108,21 +126,10 @@ def mass(u: Field) -> float:
     return float(np.sum(np.abs(u.data) ** 2) * u.grid.cell_volume)
 
 
-def _energy_parts(
-    u: Field,
-    params: PhysicsParams,
-    derivs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, float, float]:
-    vol = u.grid.cell_volume
-    if derivs is None:
-        derivs = gradient_arrays(u.grid, u.data)
-    abs2 = np.abs(u.data) ** 2
-    gradsq = sum(float(np.sum(np.abs(d) ** 2)) for d in derivs) * vol
-    xsq = float(np.sum(u.grid.r2 * abs2)) * vol
-    l4sq = float(np.sum(abs2**2)) * vol
-    kin = 0.5 * gradsq
-    pot = 0.5 * params.omega**2 * xsq
-    inter = 0.5 * params.beta * l4sq
+def _energy(m: _Moments, params: PhysicsParams) -> tuple[float, float, float]:
+    kin = 0.5 * sum(m.grad_sq)
+    pot = 0.5 * params.omega**2 * sum(m.x_sq)
+    inter = 0.5 * params.beta * m.l4_4
     return kin, pot, inter
 
 
@@ -132,24 +139,12 @@ def energy_terms(u: Field, params: PhysicsParams) -> tuple[float, float, float]:
     Returns ``(kin, pot, inter)`` with ``kin = 1/2 ||grad u||^2``,
     ``pot = (omega^2/2) || |x| u ||^2`` and ``inter = (beta/2) ||u||_4^4``.
     """
-    return _energy_parts(u, params)
+    return _energy(_moments(u), params)
 
 
 def energy_e0(u: Field, params: PhysicsParams) -> float:
     """Non-rotating energy: sum of the three terms of :func:`energy_terms`."""
-    return float(sum(_energy_parts(u, params)))
-
-
-def _lz_quadrature(
-    u: Field,
-    derivs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> complex:
-    grid = u.grid
-    if derivs is None:
-        derivs = gradient_arrays(grid, u.data)
-    d1, d2, _ = derivs
-    lz_data = -1j * (grid.x1 * d2 - grid.x2 * d1)
-    return complex(np.vdot(u.data, lz_data) * grid.cell_volume)
+    return float(sum(energy_terms(u, params)))
 
 
 def lz_expectation(u: Field) -> float:
@@ -158,7 +153,7 @@ def lz_expectation(u: Field) -> float:
     The quadrature is Hermitian up to rounding; the imaginary part is a
     numerical defect, available through :func:`record`.
     """
-    return _lz_quadrature(u).real
+    return _moments(u).lz.real
 
 
 def pseudo_conformal(
@@ -174,6 +169,16 @@ def pseudo_conformal(
     return {"pc_lhs": rec.pc_lhs, "pc_residual": rec.pc_residual}
 
 
+def _dressed_sq(
+    omega: float, c: float, s: float, x_sq: float, grad_sq: float, virial: float
+) -> tuple[float, float]:
+    """``(||J u||^2, ||H u||^2)`` from the moments ``X``, ``G``, ``V``."""
+    cross = 2.0 * omega * s * c * virial
+    j_sq = omega**2 * s**2 * x_sq + c**2 * grad_sq + cross
+    h_sq = omega**2 * c**2 * x_sq + s**2 * grad_sq - cross
+    return j_sq, h_sq
+
+
 def record(
     u: Field,
     t: float,
@@ -186,66 +191,54 @@ def record(
 
     ``t`` is the global timestamp; ``t_local`` (defaulting to ``t``) is
     the window-local time used for the dressed operators and the balance
-    law.  Derivatives are computed once and shared.
+    law.  Every column comes from one moments pass: one spectral
+    gradient (a 1D transform pair along each axis) and a few fused
+    reductions.  ``||J(t)u||^2`` and ``||H(t)u||^2`` follow from the
+    moment identities of the module docstring, which hold exactly on the
+    grid; no dressed field is built.
     """
     if t_local is None:
         t_local = t
-    grid = u.grid
-    vol = grid.cell_volume
-    derivs = gradient_arrays(grid, u.data)
-    abs2 = np.abs(u.data) ** 2
-
-    mass_val = float(abs2.sum()) * vol
-    gradsq = sum(float(np.sum(np.abs(d) ** 2)) for d in derivs) * vol
-    xsq = float(np.sum(grid.r2 * abs2)) * vol
-    l4_4 = float(np.sum(abs2**2)) * vol
-    kin = 0.5 * gradsq
-    pot = 0.5 * params.omega**2 * xsq
-    inter = 0.5 * params.beta * l4_4
+    m = _moments(u)
+    w = params.omega
+    kin, pot, inter = _energy(m, params)
     e0 = kin + pot + inter
+    x_sq = sum(m.x_sq)
+    grad_sq = sum(m.grad_sq)
 
-    lz_c = _lz_quadrature(u, derivs)
-
-    j_fields = galilean_momentum(u, t_local, params, derivs)
-    h_fields = galilean_position(u, t_local, params, derivs)
-    j2 = sum(float(np.sum(np.abs(g.data) ** 2)) for g in j_fields) * vol
-    h2 = sum(float(np.sum(np.abs(g.data) ** 2)) for g in h_fields) * vol
-
-    theta = params.omega * t_local
-    cos_t = np.cos(theta)
-    x3_sq = float(np.sum(grid.x3**2 * abs2)) * vol
-    d3_sq = float(np.sum(np.abs(derivs[2]) ** 2)) * vol
+    theta = w * t_local
+    cos_t, sin_t = float(np.cos(theta)), float(np.sin(theta))
+    j2, h2 = _dressed_sq(w, cos_t, sin_t, x_sq, grad_sq, sum(m.virial))
+    j3_sq, h3_sq = _dressed_sq(w, cos_t, sin_t, m.x_sq[2], m.grad_sq[2], m.virial[2])
     # The balance law carries the *reflected* axial twist: its third
     # components are the module's scaled by (2 cos - 1), and the explicit
     # cross term compensates via (2cos - 1)^2 + 4cos(1 - cos) = 1.
-    j3_sq = float(np.sum(np.abs(j_fields[2].data) ** 2)) * vol
-    h3_sq = float(np.sum(np.abs(h_fields[2].data) ** 2)) * vol
     breve = 2.0 * cos_t - 1.0
-    cross = 4.0 * cos_t * (1.0 - cos_t) * (params.omega**2 * x3_sq + d3_sq)
+    cross = 4.0 * cos_t * (1.0 - cos_t) * (w**2 * m.x_sq[2] + m.grad_sq[2])
 
     pc_lhs = (
         (j2 - j3_sq + breve**2 * j3_sq)
         + (h2 - h3_sq + breve**2 * h3_sq)
         + cross
-        + params.beta * l4_4
+        + params.beta * m.l4_4
     )
-    sigma = float(np.sqrt(mass_val + gradsq) + np.sqrt(xsq))
+    sigma = float(np.sqrt(m.mass + grad_sq) + np.sqrt(x_sq))
 
     return DiagnosticsRecord(
         t=float(t),
-        mass=mass_val,
+        mass=m.mass,
         e0=e0,
         e0_kin=kin,
         e0_pot=pot,
         e0_int=inter,
-        lz_expect=lz_c.real,
-        lz_imag_defect=abs(lz_c.imag),
+        lz_expect=m.lz.real,
+        lz_imag_defect=abs(m.lz.imag),
         pc_lhs=pc_lhs,
         pc_residual=pc_lhs - 2.0 * e0_initial,
         sigma_norm=sigma,
         j_norm_sq=j2,
         h_norm_sq=h2,
-        linf=float(np.sqrt(abs2.max())) if abs2.size else 0.0,
+        linf=m.linf,
     )
 
 
@@ -278,9 +271,9 @@ def format_csv_rows(records: Iterable[DiagnosticsRecord]) -> str:
 
 
 def write_csv(records: Iterable[DiagnosticsRecord], target) -> None:
-    """Write the diagnostics CSV to a path or a text file object."""
+    """Write the diagnostics CSV to a path (atomically) or a text file object."""
     text = format_csv_rows(records)
     if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
+        atomic_write(target, text.encode("utf-8"))
     else:
         target.write(text)

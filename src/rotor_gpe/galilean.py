@@ -50,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import QFactorizationSingular
-from .grid import Field, GridSpec, PhysicsParams, gradient_arrays, _fftn
+from .grid import Field, GridSpec, PhysicsParams, gradient_arrays
 
 __all__ = [
     "angular_momentum",

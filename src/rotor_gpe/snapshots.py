@@ -14,11 +14,20 @@ The format is deliberately language-neutral: any consumer can
 reconstruct the array from the sidecar alone.  Readers validate the
 sidecar, the byte count and the finiteness of the payload and raise
 :class:`SnapshotFormatError` on any mismatch.
+
+Every file the package writes (snapshots, the diagnostics CSV, manifests
+and tables) goes through :func:`atomic_write`: the bytes land in a
+temporary file in the target directory, which then replaces the final
+name in one ``os.replace``.  An interrupted write therefore never leaves
+a file under the final name that looks complete; the ``.bin`` is written
+before its sidecar, so a new snapshot never shows a sidecar without its
+data.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +35,32 @@ import numpy as np
 from .errors import SnapshotFormatError
 from .grid import Field, GridSpec, PhysicsParams
 
-__all__ = ["SIDECAR_KEYS", "write_snapshot", "read_snapshot"]
+__all__ = ["SIDECAR_KEYS", "atomic_write", "write_snapshot", "read_snapshot"]
 
 SIDECAR_KEYS = ("n", "extent", "t", "omega", "beta", "layout", "dtype")
+
+
+def _write_all(fh, data: bytes) -> None:
+    fh.write(data)
+
+
+def atomic_write(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file and ``os.replace``.
+
+    The parent directory is created if needed.  On any failure the
+    temporary file is removed and the error propagates; ``path`` then
+    keeps whatever it held before (or stays absent).
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            _write_all(fh, data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_snapshot(
@@ -37,13 +69,12 @@ def write_snapshot(
     t: float,
     params: PhysicsParams,
 ) -> tuple[Path, Path]:
-    """Write ``<stem>.bin`` + ``<stem>.json``; returns the two paths."""
+    """Write ``<stem>.bin`` then ``<stem>.json``, each atomically; returns the two paths."""
     stem = Path(stem)
     bin_path = stem.with_suffix(".bin")
     json_path = stem.with_suffix(".json")
     data = np.ascontiguousarray(field.data, dtype="<c16")
-    bin_path.parent.mkdir(parents=True, exist_ok=True)
-    bin_path.write_bytes(data.tobytes())
+    atomic_write(bin_path, data.tobytes())
     sidecar = {
         "n": field.grid.n,
         "extent": field.grid.extent,
@@ -53,7 +84,7 @@ def write_snapshot(
         "layout": "z-fastest",
         "dtype": "c128",
     }
-    json_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    atomic_write(json_path, (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
     return bin_path, json_path
 
 

@@ -62,7 +62,7 @@ from .grid import (
     gradient_arrays,
     lp_norm,
 )
-from .propagator import propagate_fast, rotate_pattern, splitting_plan
+from .propagator import propagate_fast, rotate_pattern, splitting_plan, strichartz_exponent
 
 __all__ = [
     "PicardConfig",
@@ -86,10 +86,14 @@ _TIME_EPS = 1e-13
 
 
 def admissible_gamma(rho: float) -> float:
-    """Time exponent paired with spatial exponent ``rho``: 2/g = 3(1/2 - 1/rho)."""
+    """Time exponent paired with ``rho`` on the open range ``(2, 6)``.
+
+    The pairing is :func:`~rotor_gpe.propagator.strichartz_exponent`;
+    this only rejects ``rho = 2``, which that function admits.
+    """
     if not 2.0 < rho < 6.0:
         raise InvalidExponent(f"rho must lie in (2, 6), got {rho}")
-    return 2.0 / (3.0 * (0.5 - 1.0 / rho))
+    return strichartz_exponent(rho)
 
 
 @dataclass(frozen=True)

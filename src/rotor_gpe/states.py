@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ResolutionTooLow
-from .grid import Field, GridSpec, PhysicsParams, gradient_arrays, laplacian_array, _fftn, inner, lp_norm
+from .grid import Field, GridSpec, PhysicsParams, gradient_arrays, laplacian_array, inner, lp_norm
 
 __all__ = [
     "ground_state",
@@ -281,9 +281,8 @@ def generator_apply(f: Field, params: PhysicsParams) -> Field:
     """Apply the linear generator ``(1/2)(-Lap + omega^2 |x|^2) - omega*Lz``."""
     grid = f.grid
     w = params.omega
-    data_hat = _fftn(f.data)
-    lap = laplacian_array(grid, f.data, data_hat)
-    d1, d2, _ = gradient_arrays(grid, f.data, data_hat)
+    lap = laplacian_array(grid, f.data)
+    d1, d2, _ = gradient_arrays(grid, f.data)
     lz = -1j * (grid.x1 * d2 - grid.x2 * d1)
     out = -0.5 * lap + 0.5 * w**2 * grid.r2 * f.data - w * lz
     return Field(grid, out)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +161,45 @@ def test_run_from_snapshot_with_odd_grid_exits_io(tmp_path, capsys):
     np.zeros(15**3, dtype="<c16").tofile(stem.with_suffix(".bin"))
     assert entrypoint(["run", cfg]) == EXIT_IO
     assert "grid.n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("omega", 1.5), ("beta", 0.5)])
+def test_run_from_snapshot_with_other_physics_exits_config(tmp_path, capsys, key, value):
+    cfg, stem = snapshot_start_config(tmp_path)
+    sidecar = stem.with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    meta[key] = value
+    sidecar.write_text(json.dumps(meta))
+    assert entrypoint(["run", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"initial.params.path: snapshot {key} = {value}" in err
+    assert f"physics.{key}" in err
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["snapshot_000000.bin", "snapshot_000000.json", "diagnostics.csv", "manifest.json"],
+)
+def test_run_with_a_write_failing_partway_leaves_no_file_under_the_final_name(
+    tmp_path, capsys, monkeypatch, target
+):
+    import rotor_gpe.snapshots as snapshots
+
+    real_write = snapshots._write_all
+
+    def write_half_then_fail(fh, data):
+        if Path(fh.name).name.startswith(f".{target}."):
+            fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+        real_write(fh, data)
+
+    monkeypatch.setattr(snapshots, "_write_all", write_half_then_fail)
+    cfg = write_config(tmp_path, run_config(tmp_path))
+    assert entrypoint(["run", cfg]) == EXIT_IO
+    assert "I/O error" in capsys.readouterr().err
+    out_dir = tmp_path / "out"
+    assert not (out_dir / target).exists()
+    assert not list(out_dir.glob(".*.tmp"))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ from rotor_gpe import (
     GridSpec,
     PhysicsParams,
     SolverConfig,
+    coherent_state,
     drift_report,
     energy_e0,
     energy_terms,
     evolve,
+    galilean_momentum,
+    galilean_position,
     ground_state,
     lz_expectation,
     mass,
@@ -112,6 +115,64 @@ def test_pseudo_conformal_wrapper_matches_record():
     rec = record(u, 0.3, CUBIC, e0)
     assert out["pc_lhs"] == rec.pc_lhs
     assert out["pc_residual"] == rec.pc_residual
+
+
+def _direct_dressed_quantities(u, t_local, params):
+    """The dressed fields J(t)u, H(t)u built and integrated point by point.
+
+    Derivatives come from one 3D transform per partial, independently of
+    ``gradient_arrays``; the balance law is assembled from the fields'
+    own quadratures.
+    """
+    grid = u.grid
+    vol = grid.cell_volume
+    n = grid.n
+    u_hat = np.fft.fftn(u.data)
+    derivs = tuple(
+        np.fft.ifftn(1j * grid.freq_odd.reshape(shape) * u_hat)
+        for shape in ((n, 1, 1), (1, n, 1), (1, 1, n))
+    )
+
+    def sq(a):
+        return float(np.sum(np.abs(a) ** 2)) * vol
+
+    j_fields = galilean_momentum(u, t_local, params, derivs)
+    h_fields = galilean_position(u, t_local, params, derivs)
+    j2 = sum(sq(f.data) for f in j_fields)
+    h2 = sum(sq(f.data) for f in h_fields)
+    j3, h3 = sq(j_fields[2].data), sq(h_fields[2].data)
+    cos_t = np.cos(params.omega * t_local)
+    breve = 2.0 * cos_t - 1.0
+    cross = 4.0 * cos_t * (1.0 - cos_t) * (
+        params.omega**2 * sq(grid.x3 * u.data) + sq(derivs[2])
+    )
+    l4_4 = float(np.sum(np.abs(u.data) ** 4)) * vol
+    pc_lhs = (
+        (j2 - j3 + breve**2 * j3)
+        + (h2 - h3 + breve**2 * h3)
+        + cross
+        + params.beta * l4_4
+    )
+    grad_sq = sum(sq(d) for d in derivs)
+    sigma = np.sqrt(sq(u.data) + grad_sq) + np.sqrt(
+        float(np.sum(grid.r2 * np.abs(u.data) ** 2)) * vol
+    )
+    return {"j_norm_sq": j2, "h_norm_sq": h2, "pc_lhs": pc_lhs, "sigma_norm": sigma}
+
+
+@pytest.mark.parametrize("t_local", [0.0, 0.3, np.pi / 4])
+@pytest.mark.parametrize("state", ["kicked_coherent", "vortex_plus"])
+def test_record_moment_identities_match_the_dressed_fields(state, t_local):
+    # record() reads ||J u||^2, ||H u||^2 and the balance law off grid
+    # moments; the referee builds the six dressed fields and integrates.
+    if state == "kicked_coherent":
+        u = coherent_state(GRID, CUBIC, (1.0, 0.5, 0.3), (0.4, -0.3, 0.2))
+    else:
+        u = vortex_state(GRID, CUBIC, +1)
+    rec = record(u, 7.0, CUBIC, energy_e0(u, CUBIC), t_local=t_local)
+    for name, expected in _direct_dressed_quantities(u, t_local, CUBIC).items():
+        measured = getattr(rec, name)
+        assert abs(measured - expected) <= 1e-12 * abs(expected), name
 
 
 def test_balance_law_is_conserved_along_the_linear_flow():

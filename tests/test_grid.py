@@ -130,6 +130,18 @@ def test_gradient_exact_on_resolved_plane_wave():
     assert np.max(np.abs(d3)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [16, 48])
+def test_one_axis_gradient_equals_the_3d_transform_reference(n):
+    rng = np.random.default_rng(n)
+    grid = GridSpec(n, 4.0)
+    data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    data_hat = np.fft.fftn(data)
+    got = gradient_arrays(grid, data)
+    for axis, shape in enumerate(((n, 1, 1), (1, n, 1), (1, 1, n))):
+        ref = np.fft.ifftn(1j * grid.freq_odd.reshape(shape) * data_hat)
+        assert np.max(np.abs(got[axis] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_laplacian_matches_symbol_on_plane_wave():
     grid = GridSpec(16, 3.0)
     k1, k2 = grid.freq[2], grid.freq[5]

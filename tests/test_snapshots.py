@@ -102,3 +102,22 @@ def test_corrupt_json_raises(tmp_path):
     json_path.write_text("{not json")
     with pytest.raises(SnapshotFormatError):
         read_snapshot(stem)
+
+
+def test_a_failed_rewrite_keeps_the_previous_snapshot(tmp_path, monkeypatch):
+    import rotor_gpe.snapshots as snapshots
+
+    field, stem, bin_path, json_path = write_one(tmp_path)
+    before = bin_path.read_bytes(), json_path.read_bytes()
+
+    def write_half_then_fail(fh, data):
+        fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(snapshots, "_write_all", write_half_then_fail)
+    with pytest.raises(OSError):
+        write_snapshot(stem, vortex_state(GRID, PARAMS, -1), 0.5, PARAMS)
+    assert (bin_path.read_bytes(), json_path.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.bin", "snap.json"]
+    back, _ = read_snapshot(stem)
+    assert np.array_equal(back.data, field.data)
