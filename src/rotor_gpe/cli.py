@@ -108,8 +108,10 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_manifest(
-    cfg: RunConfig, command: str, outputs: list[str], wall: float, name: str
-) -> Path:
+    cfg: RunConfig, command: str, outputs: list[str], start: float, name: str
+) -> float:
+    """Write the manifest with the wall time since ``start``; return that time."""
+    wall = time.perf_counter() - start
     manifest = {
         "command": command,
         "config": cfg.echo,
@@ -119,7 +121,7 @@ def _write_manifest(
     }
     path = cfg.output_dir / name
     _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return wall
 
 
 # --------------------------------------------------------------------------
@@ -174,8 +176,7 @@ def cmd_run(cfg: RunConfig) -> int:
     write_snapshot(cfg.output_dir / "snapshot_final", final_field, final_t, cfg.params)
     outputs.extend(["snapshot_final.bin", "snapshot_final.json"])
 
-    wall = time.perf_counter() - start
-    _write_manifest(cfg, "run", outputs, wall, "manifest.json")
+    wall = _write_manifest(cfg, "run", outputs, start, "manifest.json")
     drift = drift_report(records)
     print(f"run: {len(records)} diagnostics records to t = {final_t:.6f}")
     print(
@@ -419,6 +420,7 @@ def _convergence_rows(
 
 
 def cmd_convergence(cfg: RunConfig, scheme: str, levels: int) -> int:
+    start = time.perf_counter()
     params = cfg.params
     u0 = build_initial_field(cfg)
     window = params.window
@@ -474,7 +476,7 @@ def cmd_convergence(cfg: RunConfig, scheme: str, levels: int) -> int:
     path = cfg.output_dir / f"convergence_{scheme}.csv"
     _write_text(path, csv_text)
     _write_manifest(cfg, f"convergence --scheme {scheme} --levels {levels}",
-                    [path.name], 0.0, f"manifest_convergence_{scheme}.csv.json")
+                    [path.name], start, f"manifest_convergence_{scheme}.csv.json")
     print(csv_text, end="")
     print(f"fitted order: {fitted:.4f}")
 
@@ -502,12 +504,13 @@ def _narrow_probe(grid: GridSpec) -> Field:
 
 
 def cmd_dispersive_scan(cfg: RunConfig) -> int:
+    start = time.perf_counter()
     params = cfg.params
     header = "t,s,ratio,bound\n"
     path = cfg.output_dir / "dispersive_scan.csv"
     if cfg.scan_pairs is not None and len(cfg.scan_pairs) == 0:
         _write_text(path, header)
-        _write_manifest(cfg, "dispersive-scan", [path.name], 0.0,
+        _write_manifest(cfg, "dispersive-scan", [path.name], start,
                         "manifest_dispersive_scan.json")
         print("empty pair list; wrote empty scan CSV")
         return EXIT_OK
@@ -524,7 +527,7 @@ def cmd_dispersive_scan(cfg: RunConfig) -> int:
     for row in scan.rows:
         lines.append(f"{_fmt(row.t)},{_fmt(row.s)},{_fmt(row.ratio)},{_fmt(row.bound)}")
     _write_text(path, "\n".join(lines) + "\n")
-    _write_manifest(cfg, "dispersive-scan", [path.name], 0.0,
+    _write_manifest(cfg, "dispersive-scan", [path.name], start,
                     "manifest_dispersive_scan.json")
     print("\n".join(lines))
     print(
@@ -544,12 +547,13 @@ def cmd_dispersive_scan(cfg: RunConfig) -> int:
 
 
 def cmd_propagator_compare(cfg: RunConfig) -> int:
+    start = time.perf_counter()
     params = cfg.params
     header = "t,s,ratio,bound\n"
     path = cfg.output_dir / "propagator_compare.csv"
     if cfg.compare_pairs is not None and len(cfg.compare_pairs) == 0:
         _write_text(path, header)
-        _write_manifest(cfg, "propagator-compare", [path.name], 0.0,
+        _write_manifest(cfg, "propagator-compare", [path.name], start,
                         "manifest_propagator_compare.json")
         print("empty pair list; wrote empty comparison CSV")
         return EXIT_OK
@@ -576,7 +580,7 @@ def cmd_propagator_compare(cfg: RunConfig) -> int:
         lines.append(f"{_fmt(t)},{_fmt(float(substeps))},{_fmt(ratio)},{_fmt(COMPARE_BOUND)}")
         print(f"{kind:>12}  t = {t:.4f}  m = {substeps}  discrepancy = {ratio:.3e}")
     _write_text(path, "\n".join(lines) + "\n")
-    _write_manifest(cfg, "propagator-compare", [path.name], 0.0,
+    _write_manifest(cfg, "propagator-compare", [path.name], start,
                     "manifest_propagator_compare.json")
     if worst > COMPARE_BOUND:
         print(f"worst discrepancy {worst:.3e} exceeds {COMPARE_BOUND:.1e}")

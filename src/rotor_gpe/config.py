@@ -37,6 +37,7 @@ same cadence; giving both with different values is rejected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -75,7 +76,13 @@ def _reject_unknown(section: dict, allowed: tuple[str, ...], path: str) -> None:
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # JSON also admits NaN and Infinity
+        raise ConfigInvalid(f"{path}: expected a finite number, got {number!r}")
+    return number
 
 
 def _as_int(value: Any, path: str) -> int:

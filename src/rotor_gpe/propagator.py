@@ -14,10 +14,15 @@ Two independent implementations of the same one-window flow operator:
   transverse part (harmonic-oscillator kernel times the rotation cross
   term ``x1 y2 - x2 y1``) plus an axial harmonic-oscillator kernel, so
   the quadrature contracts a dense (n^2 x n^2) transverse matrix and an
-  (n x n) axial matrix instead of an n^3 x n^3 monster.  The rectangle
-  rule on the quadratic chirp aliases once the ghost images it creates
-  (momentum-boosted copies at distance ``2 pi sin(omega t)/(omega h_q)``
-  for quadrature step ``h_q``) re-enter the box.  Two mitigations:
+  (n x n) axial matrix instead of an n^3 x n^3 monster.  With
+  ``a(X, Y) = exp(i omega cot (X - Y)^2 / 2)`` the transverse kernel is
+  ``a(X1,Y1) a(X2,Y2) exp(-i omega X1 Y2) exp(i omega X2 Y1)``, so its
+  table is built from these 1D factors and a build peaks at ``4 n^4``
+  entries (default oversampling), not the sampled kernel's ``(2n)^4``.
+  The rectangle rule on the quadratic chirp aliases once the ghost
+  images it creates (momentum-boosted copies at distance
+  ``2 pi sin(omega t)/(omega h_q)`` for quadrature step ``h_q``)
+  re-enter the box.  Two mitigations:
   the input is trig-interpolated onto an ``oversample``-times finer
   quadrature grid (exact for band-limited grid data, and folded into
   the cached kernel tables so applications stay O(n^5)), and a
@@ -73,7 +78,6 @@ __all__ = [
     "KernelMatrices",
     "PropagatorPlan",
     "kernel_matrices",
-    "kernel_plan",
     "splitting_plan",
     "propagate_oracle",
     "propagate_fast",
@@ -236,6 +240,17 @@ def _oracle_tables(
     the antisymmetric rotation cross term, which is exactly the dual's
     closed form -- so the dual is equally well-resolved and the
     bilinear pairing identity holds to rounding.
+
+    The transverse kernel on the refined grid factors as
+    ``a(X1,Y1) a(X2,Y2) exp(-i omega X1 Y2) exp(i omega X2 Y1)`` with
+    ``a(X, Y) = exp(i omega cot (X - Y)^2 / 2)``.  The interpolation is
+    folded into ``Y1`` against ``a(X1,Y1) exp(i omega X2 Y1)``, giving
+    ``P[X1, X2, y1]``, and into ``Y2`` against
+    ``a(X2,Y2) exp(-i omega X1 Y2)``, giving ``Q[X1, X2, y2]``; the
+    restriction then contracts ``X1`` and ``X2`` of ``P (x) Q``.  The
+    largest array, ``P (x) Q``, holds ``(oversample * n)^2 n^2``
+    entries -- ``4 n^4`` at the default oversample 2, 21 MB at n = 24 --
+    where sampling the kernel itself would take ``(oversample * n)^4``.
     """
     grid = GridSpec(n, extent)
     theta = omega * t
@@ -249,24 +264,15 @@ def _oracle_tables(
     restrict = interp / oversample  # contracted over its fine index below
     big = fine.size
 
-    x1 = fine.reshape(big, 1, 1, 1)
-    x2 = fine.reshape(1, big, 1, 1)
-    y1 = fine.reshape(1, 1, big, 1)
-    y2 = fine.reshape(1, 1, 1, big)
-    phase_t = omega * (
-        0.5 * cot * ((x1 - y1) ** 2 + (x2 - y2) ** 2) - (x1 * y2 - x2 * y1)
-    )
-    k_fine = (c1**2 * h_q**2) * np.exp(1j * phase_t)
-    del phase_t
-    # fold interpolation into the input indices and restriction into the
-    # output indices: (X1, X2, Y1, Y2) -> (x1, x2, y1, y2)
-    k_fold = np.tensordot(k_fine, interp, axes=([2], [0]))  # (X1, X2, Y2, y1)
-    del k_fine
-    k_fold = np.tensordot(k_fold, interp, axes=([2], [0]))  # (X1, X2, y1, y2)
-    k_fold = np.tensordot(k_fold, restrict, axes=([0], [0]))  # (X2, y1, y2, x1)
-    k_fold = np.tensordot(k_fold, restrict, axes=([0], [0]))  # (y1, y2, x1, x2)
+    chirp = (c1 * h_q) * np.exp(0.5j * omega * cot * np.subtract.outer(fine, fine) ** 2)
+    cross = np.exp(1j * omega * np.multiply.outer(fine, fine))  # exp(i w X Y)
+    p = (chirp[:, None, :] * cross[None, :, :]) @ interp  # (X1, X2, y1)
+    q = (chirp[None, :, :] * cross.conj()[:, None, :]) @ interp  # (X1, X2, y2)
+    k_fold = p[:, :, :, None] * q[:, :, None, :]  # (X1, X2, y1, y2)
+    k_fold = np.tensordot(restrict, k_fold, axes=([0], [0]))  # (x1, X2, y1, y2)
+    k_fold = np.tensordot(restrict, k_fold, axes=([0], [1]))  # (x2, x1, y1, y2)
     k_transverse = np.ascontiguousarray(
-        k_fold.transpose(2, 3, 0, 1).reshape(n * n, n * n)
+        k_fold.transpose(1, 0, 2, 3).reshape(n * n, n * n)
     )
 
     xz = fine.reshape(big, 1)
@@ -361,29 +367,23 @@ def rotate_pattern(grid: GridSpec, data: np.ndarray, angle: float) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class PropagatorPlan:
-    """Precomputed one-shot application of the one-window flow.
+    """Precomputed fast-backend application of the one-window flow.
 
-    Built by :func:`splitting_plan` (fast backend) or
-    :func:`kernel_plan` (oracle backend); apply with :meth:`apply`.
-    A fast plan stores one (n x n) matrix, the 1D harmonic flow, so
-    plans are cheap to cache even on large grids.
+    Built by :func:`splitting_plan`; apply with :meth:`apply`.  A plan
+    stores one (n x n) matrix, the 1D harmonic flow, so plans are cheap
+    to cache even on large grids.  The oracle backend has no plan: its
+    cached kernel tables play that role.
     """
 
     grid: GridSpec
     params: PhysicsParams
     t: float
-    backend: str
     substeps: int
     rotation_angle: float
     reverse: bool
-    oversample: int = DEFAULT_OVERSAMPLE
-    _harmonic_1d: np.ndarray | None = field(default=None, repr=False)
+    _harmonic_1d: np.ndarray = field(repr=False)
 
     def apply_data(self, data: np.ndarray) -> np.ndarray:
-        if self.backend == "oracle":
-            return _oracle_apply(
-                self.grid, self.params, data, self.t, self.reverse, self.oversample
-            )
         if self.reverse:
             data = np.ascontiguousarray(np.swapaxes(data, 0, 1))
         data = self.harmonic(data)
@@ -463,33 +463,10 @@ def _cached_splitting_plan(
         grid=grid,
         params=params,
         t=t,
-        backend="fast",
         substeps=substeps,
         rotation_angle=params.omega * t,
         reverse=reverse,
         _harmonic_1d=_harmonic_matrix(grid, params, t, substeps),
-    )
-
-
-def kernel_plan(
-    grid: GridSpec,
-    params: PhysicsParams,
-    t: float,
-    reverse: bool = False,
-    oversample: int = DEFAULT_OVERSAMPLE,
-) -> PropagatorPlan:
-    """Plan an oracle application (mostly so both backends share an interface)."""
-    _check_window(t, params)
-    _check_oracle_size(grid.n)
-    return PropagatorPlan(
-        grid=grid,
-        params=params,
-        t=t,
-        backend="oracle",
-        substeps=1,
-        rotation_angle=0.0,
-        reverse=reverse,
-        oversample=oversample,
     )
 
 

@@ -220,6 +220,16 @@ def test_inner_is_hermitian_and_pairing_is_symmetric():
         pairing(f, gaussian(GridSpec(8, 3.0)))
 
 
+@pytest.mark.parametrize("n", [16, 48])
+def test_inner_equals_the_direct_conjugated_sum(n):
+    grid = GridSpec(n, 6.0)
+    f = Field(grid, np.exp(0.8j * grid.x2) * gaussian(grid, width=1.2).data)
+    kick = np.exp(1j * (0.7 * grid.x1 - 0.4 * grid.x3))
+    g = Field(grid, kick * gaussian(grid, width=0.9).data * (1.0 + 0.5 * grid.x2))
+    want = np.sum(np.conj(f.data) * g.data) * grid.h**3
+    assert abs(inner(f, g) - want) <= 1e-14 * abs(want)
+
+
 def test_parseval_under_fft():
     rng = np.random.default_rng(19)
     grid = GridSpec(16, 3.0)

@@ -1,6 +1,7 @@
 """Linear propagator backends: kernel algebra, unitarity, duality, decay."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,14 @@ from rotor_gpe import (
     strichartz_ratio,
     vortex_state,
 )
-from rotor_gpe.propagator import default_substeps, rotate_pattern, splitting_plan
+from rotor_gpe.propagator import (
+    _BRANCH_1D,
+    _interp_matrix,
+    _oracle_tables,
+    default_substeps,
+    rotate_pattern,
+    splitting_plan,
+)
 
 OGRID = GridSpec(24, 6.0)  # quadrature-backend reference geometry
 PARAMS = PhysicsParams(omega=1.0, beta=0.0)
@@ -127,6 +135,61 @@ def test_alias_guard_warns_on_undersampled_quadrature():
     with warnings.catch_warnings():
         warnings.simplefilter("error", AliasRisk)
         propagate_oracle(g, 0.6, PARAMS)
+
+
+# ---------------------------------------------------------------------------
+# oracle kernel tables
+# ---------------------------------------------------------------------------
+
+
+def _sampled_transverse_table(n, extent, omega, t, oversample):
+    """Transverse oracle table from the kernel sampled on all four refined indices.
+
+    Samples ``K[X1, X2, Y1, Y2]`` as one (oversample*n)^4 array, then folds
+    the interpolation into the input indices and the restriction into the
+    output indices by four contractions.
+    """
+    grid = GridSpec(n, extent)
+    theta = omega * t
+    cot = np.cos(theta) / np.sin(theta)
+    h_q = grid.h / oversample
+    c1 = np.sqrt(omega / (2.0 * np.pi * np.sin(theta))) * _BRANCH_1D
+    fine = -extent + h_q * np.arange(oversample * n)
+    interp = _interp_matrix(n, oversample)
+    restrict = interp / oversample
+    big = fine.size
+    x1 = fine.reshape(big, 1, 1, 1)
+    x2 = fine.reshape(1, big, 1, 1)
+    y1 = fine.reshape(1, 1, big, 1)
+    y2 = fine.reshape(1, 1, 1, big)
+    phase = omega * (0.5 * cot * ((x1 - y1) ** 2 + (x2 - y2) ** 2) - (x1 * y2 - x2 * y1))
+    k = (c1**2 * h_q**2) * np.exp(1j * phase)
+    k = np.tensordot(k, interp, axes=([2], [0]))  # (X1, X2, Y2, y1)
+    k = np.tensordot(k, interp, axes=([2], [0]))  # (X1, X2, y1, y2)
+    k = np.tensordot(k, restrict, axes=([0], [0]))  # (X2, y1, y2, x1)
+    k = np.tensordot(k, restrict, axes=([0], [0]))  # (y1, y2, x1, x2)
+    return k.transpose(2, 3, 0, 1).reshape(n * n, n * n)
+
+
+@pytest.mark.parametrize("oversample", [2, 3])
+@pytest.mark.parametrize("n", [8, 12])
+def test_factored_oracle_tables_equal_the_sampled_kernel(n, oversample):
+    for t in (0.55, WINDOW):
+        k_transverse, _ = _oracle_tables(n, 6.0, PARAMS.omega, t, oversample)
+        want = _sampled_transverse_table(n, 6.0, PARAMS.omega, t, oversample)
+        assert np.max(np.abs(k_transverse - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_oracle_table_build_never_holds_the_sampled_kernel():
+    # The sampled (2n)^4 kernel alone is 85 MB at n = 24; the factored
+    # build's largest array, P (x) Q, is 4 n^4 entries (21 MB).
+    tracemalloc.start()
+    try:
+        _oracle_tables.__wrapped__(24, 6.0, 1.0, 0.55, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 # ---------------------------------------------------------------------------
