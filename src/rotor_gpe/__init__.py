@@ -54,7 +54,6 @@ from .grid import (
     boundary_mass_fraction,
     fft_forward,
     fft_inverse,
-    fft_workers,
     gradient_arrays,
     inner,
     laplacian_array,
@@ -121,7 +120,6 @@ __all__ = [
     "norms",
     "fft_forward",
     "fft_inverse",
-    "fft_workers",
     "gradient_arrays",
     "laplacian_array",
     "spectral_gradient",

@@ -24,8 +24,7 @@ Subcommands
     ``t,s,ratio,bound`` CSV (``s`` is the substep count used).
 
 Exit codes: 0 success; 2 config error; 3 verification failure;
-4 I/O error.  The environment variable ``ROTOR_GPE_THREADS`` caps
-internal FFT parallelism.
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -603,7 +602,7 @@ def _parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Exit codes: 0 success, 2 config error, 3 verification failure,"
-            " 4 I/O error.  ROTOR_GPE_THREADS caps FFT parallelism."
+            " 4 I/O error."
         ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

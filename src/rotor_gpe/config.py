@@ -32,12 +32,17 @@ Optional sections (defaults in parentheses)::
 
 ``output.diagnostics_every`` and ``evolve.diagnostics_every`` name the
 same cadence; giving both with different values is rejected.
+
+A grid whose working set, ``WORKING_SET_FIELDS`` complex fields of
+``16 n^3`` bytes each, exceeds the machine's physical memory is rejected
+as ``grid.n`` before anything is allocated.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -58,6 +63,12 @@ __all__ = [
 
 _INITIAL_TYPES = STATE_KINDS + ("file",)
 
+#: Working set of a subcommand, in complex fields of ``16 n^3`` bytes: the
+#: peak RSS above the imported package of a ``run`` recording every step
+#: and snapshotting every second one read 11.5 fields at n = 48 and 10.6
+#: at n = 64 (``dispersive-scan`` 9.8 and 9.2).
+WORKING_SET_FIELDS = 12
+
 
 def _require_mapping(obj: Any, path: str) -> dict:
     if not isinstance(obj, dict):
@@ -70,6 +81,25 @@ def _reject_unknown(section: dict, allowed: tuple[str, ...], path: str) -> None:
     if unknown:
         raise ConfigInvalid(
             f"{path}.{unknown[0]}: unknown key (allowed: {', '.join(allowed)})"
+        )
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or ``None`` where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_working_set(n: int) -> None:
+    need = WORKING_SET_FIELDS * 16 * n**3
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ConfigInvalid(
+            f"grid.n: a grid of n = {n} needs about {need / 2**30:.3g} GiB"
+            f" ({WORKING_SET_FIELDS} fields of 16 n^3 bytes), more than the"
+            f" {have / 2**30:.3g} GiB of physical memory"
         )
 
 
@@ -310,6 +340,7 @@ def parse_config(data: Any) -> RunConfig:
         n=_as_int(grid_section["n"], "grid.n"),
         extent=_as_float(grid_section["extent"], "grid.extent"),
     )
+    _check_working_set(grid.n)
 
     if "physics" not in data:
         raise ConfigInvalid("physics: section required")

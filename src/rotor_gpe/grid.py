@@ -11,17 +11,23 @@ Derivatives are spectral.  Odd symbols (single derivatives) zero the
 Nyquist mode so that the discrete operator stays skew-adjoint; even
 symbols (the Laplacian, phase multipliers) keep it.  A partial ``d_j``
 is a forward and an inverse 1D transform along axis ``j`` only.
+
+Transforms are ``numpy.fft`` (pocketfft, one thread), so the package
+imports nothing beyond numpy.  The functions on the Strang loop's hot
+path take ``out=`` (and scratch) arrays, and ``solver.evolve`` steps
+through one workspace per call without allocating.  A function given
+``out`` writes only there and into the scratch it is given, never into
+its input unless its docstring allows it; the caller never hands a
+workspace array to code that keeps it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy import fft as _sfft
 
 from .errors import ConfigInvalid
 
@@ -29,7 +35,6 @@ __all__ = [
     "GridSpec",
     "Field",
     "PhysicsParams",
-    "fft_workers",
     "fft_forward",
     "fft_inverse",
     "spectral_gradient",
@@ -41,27 +46,6 @@ __all__ = [
     "pairing",
     "boundary_mass_fraction",
 ]
-
-
-@lru_cache(maxsize=None)
-def fft_workers() -> int:
-    """Worker count for FFT calls, capped by the ROTOR_GPE_THREADS env var.
-
-    The variable is read once per process; call ``fft_workers.cache_clear()``
-    after changing it.  A value that is not an integer raises
-    :class:`ConfigInvalid` on every call (errors are not cached).
-    """
-    avail = os.cpu_count() or 1
-    raw = os.environ.get("ROTOR_GPE_THREADS")
-    if raw is None or raw == "":
-        return max(1, min(4, avail))
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigInvalid(
-            f"ROTOR_GPE_THREADS: expected an integer, got {raw!r}"
-        ) from None
-    return max(1, min(cap, avail))
 
 
 @dataclass(frozen=True)
@@ -215,11 +199,11 @@ class PhysicsParams:
 
 
 def _fftn(data: np.ndarray) -> np.ndarray:
-    return _sfft.fftn(data, norm="ortho", workers=fft_workers())
+    return np.fft.fftn(data, norm="ortho")
 
 
 def _ifftn(data: np.ndarray) -> np.ndarray:
-    return _sfft.ifftn(data, norm="ortho", workers=fft_workers())
+    return np.fft.ifftn(data, norm="ortho")
 
 
 def fft_forward(f: Field) -> Field:
@@ -244,14 +228,13 @@ def gradient_arrays(
     work (six one-axis passes over the array instead of twelve).
     """
     n = grid.n
-    workers = fft_workers()
     out = []
     for axis in range(3):
         shape = [1, 1, 1]
         shape[axis] = n
-        hat = _sfft.fft(data, axis=axis, workers=workers)
+        hat = np.fft.fft(data, axis=axis)
         hat *= 1j * grid.freq_odd.reshape(shape)
-        out.append(_sfft.ifft(hat, axis=axis, workers=workers, overwrite_x=True))
+        out.append(np.fft.ifft(hat, axis=axis, out=hat))
     return tuple(out)
 
 

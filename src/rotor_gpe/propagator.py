@@ -62,7 +62,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as _sfft
 
 from .errors import (
     AliasRisk,
@@ -70,7 +69,7 @@ from .errors import (
     InvalidExponent,
     WindowViolation,
 )
-from .grid import Field, GridSpec, PhysicsParams, fft_workers, lp_norm
+from .grid import Field, GridSpec, PhysicsParams, lp_norm
 
 __all__ = [
     "ORACLE_SIZE_CAP",
@@ -328,41 +327,52 @@ def propagate_oracle(
 # --------------------------------------------------------------------------
 
 
-def _shear_axis0(data: np.ndarray, grid: GridSpec, amount: float) -> np.ndarray:
-    """Translate along x1, per x2 line, by ``amount * x2`` (periodic, exact)."""
-    workers = fft_workers()
-    hat = _sfft.fft(data, axis=0, norm="ortho", workers=workers)
-    phase = np.exp(1j * np.outer(grid.freq, amount * grid.axis))
-    hat *= phase[:, :, None]
-    return _sfft.ifft(hat, axis=0, norm="ortho", workers=workers)
+def _shear(
+    data: np.ndarray, grid: GridSpec, amount: float, axis: int, out: np.ndarray
+) -> np.ndarray:
+    """Translate along ``x_(axis+1)`` by ``amount`` times the other transverse coordinate.
+
+    Periodic and exact: one forward and one inverse transform along
+    ``axis`` with a phase in between, written into ``out`` (which may be
+    ``data``).
+    """
+    phase = np.exp(1j * np.outer(grid.freq, amount * grid.axis))  # (k, other x)
+    if axis == 1:
+        phase = phase.T
+    np.fft.fft(data, axis=axis, norm="ortho", out=out)
+    out *= phase[:, :, None]
+    return np.fft.ifft(out, axis=axis, norm="ortho", out=out)
 
 
-def _shear_axis1(data: np.ndarray, grid: GridSpec, amount: float) -> np.ndarray:
-    """Translate along x2, per x1 line, by ``amount * x1`` (periodic, exact)."""
-    workers = fft_workers()
-    hat = _sfft.fft(data, axis=1, norm="ortho", workers=workers)
-    phase = np.exp(1j * np.outer(amount * grid.axis, grid.freq))
-    hat *= phase[:, :, None]
-    return _sfft.ifft(hat, axis=1, norm="ortho", workers=workers)
-
-
-def rotate_pattern(grid: GridSpec, data: np.ndarray, angle: float) -> np.ndarray:
+def rotate_pattern(
+    grid: GridSpec, data: np.ndarray, angle: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Resample ``data`` as ``data(R_angle x)`` via the three-shear factorization.
 
     ``R_angle`` rotates the (x1, x2) coordinates counterclockwise by
     ``angle``, so the *pattern* turns clockwise.  Exact (unitary) for
     band-limited periodic data as long as ``|angle| <= pi/2``.
+
+    Every shear transforms in place, so the rotation needs no scratch:
+    with ``out`` (a C-contiguous complex array of the field's shape,
+    possibly ``data`` itself) the result is written there and ``out`` is
+    returned, even at angle 0.  Without it a new array is returned, or
+    ``data`` itself at angle 0.
     """
-    if abs(angle) < 1e-15:
-        return data
     if abs(angle) > 0.5 * np.pi + 1e-12:
         raise ValueError(f"shear rotation valid for |angle| <= pi/2, got {angle!r}")
+    if abs(angle) < 1e-15:
+        if out is None:
+            return data
+        np.copyto(out, data)
+        return out
+    if out is None:
+        out = np.empty(data.shape, dtype=np.complex128)
     a = -np.tan(0.5 * angle)
     b = np.sin(angle)
-    data = _shear_axis0(data, grid, a)
-    data = _shear_axis1(data, grid, b)
-    data = _shear_axis0(data, grid, a)
-    return data
+    _shear(data, grid, a, 0, out)
+    _shear(out, grid, b, 1, out)
+    return _shear(out, grid, a, 0, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,7 +397,7 @@ class PropagatorPlan:
         if self.reverse:
             data = np.ascontiguousarray(np.swapaxes(data, 0, 1))
         data = self.harmonic(data)
-        data = rotate_pattern(self.grid, data, self.rotation_angle)
+        data = rotate_pattern(self.grid, data, self.rotation_angle, out=data)
         if self.reverse:
             data = np.ascontiguousarray(np.swapaxes(data, 0, 1))
         return data
@@ -397,7 +407,12 @@ class PropagatorPlan:
             raise ValueError("field grid does not match the plan's grid")
         return Field(self.grid, self.apply_data(f.data))
 
-    def harmonic(self, data: np.ndarray) -> np.ndarray:
+    def harmonic(
+        self,
+        data: np.ndarray,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Non-rotating harmonic flow of a fast plan: the 1D matrix along each axis.
 
         This is the flow in the frame co-rotating with the trap; the same
@@ -405,14 +420,26 @@ class PropagatorPlan:
         Each contraction is one matrix product over the leading axis of a
         C-ordered array; the middle axis is brought to the front and back
         by two copies, which costs less than a batched product.
+
+        The products and copies ping-pong between ``out`` and ``scratch``
+        (C-contiguous complex arrays of the field's shape; fresh ones
+        when not given), and the result lands in ``out``.  ``data`` is
+        read by the first product only, so ``scratch`` may be ``data``
+        (which is then overwritten); ``out`` must not be ``data``.
         """
         n = self.grid.n
         mat = self._harmonic_1d
-        data = (mat @ data.reshape(n, n * n)).reshape(n, n, n)
-        data = np.ascontiguousarray(data.transpose(1, 0, 2))
-        data = (mat @ data.reshape(n, n * n)).reshape(n, n, n)
-        data = np.ascontiguousarray(data.transpose(1, 0, 2))
-        return (data.reshape(n * n, n) @ mat.T).reshape(n, n, n)
+        if out is None:
+            out = np.empty((n, n, n), dtype=np.complex128)
+        if scratch is None:
+            scratch = np.empty_like(out)
+        wide, tall = (n, n * n), (n * n, n)
+        np.matmul(mat, data.reshape(wide), out=out.reshape(wide))
+        np.copyto(scratch, out.transpose(1, 0, 2))
+        np.matmul(mat, scratch.reshape(wide), out=out.reshape(wide))
+        np.copyto(scratch, out.transpose(1, 0, 2))
+        np.matmul(scratch.reshape(tall), mat.T, out=out.reshape(tall))
+        return out
 
 
 def splitting_plan(
@@ -448,9 +475,9 @@ def _harmonic_matrix(
     pot_full = pot_half**2
     mat = pot_half * np.eye(grid.n)
     for step in range(substeps):
-        hat = kin * _sfft.fft(mat, axis=0, norm="ortho")
+        hat = kin * np.fft.fft(mat, axis=0, norm="ortho")
         pot = pot_full if step < substeps - 1 else pot_half
-        mat = pot * _sfft.ifft(hat, axis=0, norm="ortho")
+        mat = pot * np.fft.ifft(hat, axis=0, norm="ortho")
     mat.flags.writeable = False
     return mat
 

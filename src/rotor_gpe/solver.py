@@ -199,20 +199,35 @@ def initial_state(
     )
 
 
-def _phased(data: np.ndarray, tau: float, beta: float) -> np.ndarray:
-    """``exp(-i beta |data|^2 tau) data`` as a new array (``data`` when trivial).
+def _phased(
+    data: np.ndarray,
+    tau: float,
+    beta: float,
+    out: np.ndarray | None = None,
+    real: np.ndarray | None = None,
+) -> np.ndarray:
+    """``exp(-i beta |data|^2 tau) data``, written into ``out``.
 
     The phase is assembled from a real cosine and sine, which costs less
-    than a complex exponential of a purely imaginary argument.
+    than a complex exponential of a purely imaginary argument; they are
+    written straight into ``out.real`` and ``out.imag``, with ``real``
+    (a float array of the field's shape) holding the angle.  Fresh
+    arrays stand in for ``out`` and ``real`` when they are not given,
+    and without ``out`` a trivial phase returns ``data`` itself.
+    ``out`` must not be ``data``.
     """
     if beta == 0.0 or tau == 0.0:
-        return data
-    angle = data.real**2
-    angle += data.imag**2
+        if out is None:
+            return data
+        np.copyto(out, data)
+        return out
+    if out is None:
+        out = np.empty_like(data)
+    angle = np.multiply(data.real, data.real, out=real)
+    angle += np.multiply(data.imag, data.imag, out=out.real)
     angle *= -beta * tau
-    out = np.empty_like(data)
-    out.real = np.cos(angle)
-    out.imag = np.sin(angle)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
     out *= data
     return out
 
@@ -281,6 +296,16 @@ def evolve(
     is built in the lab frame, ``R(theta) N(tau) w``, only where it is
     observed: at a record, a snapshot, a seam and the end.
 
+    A step writes only a workspace allocated once per call: two complex
+    arrays and one real one, each of the field's shape.  The phase goes
+    into one complex array, the harmonic flow into the other with the
+    first as its scratch, and the guard's modulus into the real one, so
+    a step allocates nothing.  The loop never writes into the caller's
+    field, into a field it has handed to a record or to ``on_snapshot``,
+    or into the returned state's ``corotating``: every observation is a
+    fresh array, and after the last step the workspace belongs to the
+    returned state alone.
+
     Steps never straddle window seams: the last step of each window is
     clipped, the window-local clock is re-based to zero, the energy
     reference is re-captured and the frame restarts from the lab field —
@@ -338,8 +363,18 @@ def evolve(
     window_index, t_local = state.window_index, state.t_local
     t_global, e0_window = state.t_global, state.e0_window
 
+    # The workspace: a step phases w into ``phased``, then the harmonic
+    # flow takes it into ``ahead`` (with ``phased`` as its scratch), and w
+    # becomes ``ahead``.  Only these three arrays are ever written; w may
+    # also be the caller's field, a returned ``corotating`` or a field
+    # handed out at a seam, which are only read.
+    ahead = np.empty(grid.shape, dtype=np.complex128)
+    phased = np.empty_like(ahead)
+    real = np.empty(grid.shape)
+
     def observed() -> TrajectoryState:
-        lab = rotate_pattern(grid, _phased(w, tau, params.beta), theta)
+        lab = _phased(w, tau, params.beta, out=np.empty_like(ahead), real=real)
+        rotate_pattern(grid, lab, theta, out=lab)
         return TrajectoryState(
             Field(grid, lab), t_global, window_index, t_local, e0_window, w, theta, tau
         )
@@ -368,7 +403,8 @@ def evolve(
             break
 
         plan = splitting_plan(grid, params, dt_step, config.m)
-        w = plan.harmonic(_phased(w, tau + 0.5 * dt_step, params.beta))
+        _phased(w, tau + 0.5 * dt_step, params.beta, out=phased, real=real)
+        w = plan.harmonic(phased, out=ahead, scratch=phased)
         theta += params.omega * dt_step
         tau = 0.5 * dt_step
         at_seam = next_local >= window - _TIME_EPS
@@ -376,7 +412,7 @@ def evolve(
         t_local = window if at_seam else next_local
         step_count += 1
 
-        linf = float(np.abs(w).max())
+        linf = float(np.abs(w, out=real).max())
         if linf > guard:
             raise BlowupDetected(
                 f"max |u| = {linf:.3e} exceeded the guard {guard:.3e} at "

@@ -4,17 +4,16 @@ The linear generator here is ``H0 = (1/2)(-Lap + omega^2 |x|^2) -
 omega*Lz`` with ``Lz = -i (x1 d2 - x2 d1)``.  Its low eigenstates have
 closed forms, and a displaced Gaussian evolves as a coherent state
 whose center follows the classical equations of motion in the rotating
-frame.  Everything downstream of this module is tested against these
-states, so the classical orbit is obtained by numerical integration of
-the Hamiltonian system (high-order Runge-Kutta, tight tolerances)
-rather than from a transcribed closed-form orbit -- that keeps the
-check independent of the operator algebra it is meant to validate.
+frame.  The orbit has a closed form: the rotation term commutes with
+the oscillator, so the rotating-frame orbit is the lab-frame oscillator
+orbit turned by ``-omega t`` about x3.  The tests check that closed
+form against a high-order numerical integration of the Hamiltonian
+system, which keeps it independent of the algebra it encodes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ResolutionTooLow
 from .grid import Field, GridSpec, PhysicsParams, gradient_arrays, laplacian_array, inner, lp_norm
@@ -147,9 +146,7 @@ def random_smooth_field(
         & (np.abs(k).reshape(1, n, 1) <= k_cut)
         & (np.abs(k).reshape(1, 1, n) <= k_cut)
     )
-    from scipy import fft as _sfft
-
-    data = _sfft.ifftn(noise_hat * mask, norm="ortho")
+    data = np.fft.ifftn(noise_hat * mask, norm="ortho")
     data *= np.exp(-0.5 * grid.r2 / width**2)
     f = Field(grid, data)
     scale = lp_norm(f, 2)
@@ -187,7 +184,7 @@ def classical_orbit(
     kick: tuple[float, float, float],
     times: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate the rotating-frame Hamiltonian system for a point particle.
+    """Closed-form orbit of the rotating-frame Hamiltonian system for a point particle.
 
     Equations of motion (the rotation couples the transverse pairs)::
 
@@ -196,8 +193,14 @@ def classical_orbit(
         q3' = p3                 p3' = -omega^2 q3
 
     together with the action integral ``theta' = (omega^2 |q|^2 - |p|^2)/2``
-    that fixes the coherent state's global phase.  Returns arrays
-    ``q[len(times), 3]``, ``p[len(times), 3]``, ``theta[len(times)]``.
+    that fixes the coherent state's global phase.  Per axis the lab-frame
+    oscillator is ``Q = q0 cos(wt) + (p0/w) sin(wt)``,
+    ``P = -w q0 sin(wt) + p0 cos(wt)``; the transverse pairs of ``Q`` and
+    ``P`` are then rotated by ``-omega t``, which leaves the action
+    integrand unchanged, so ``theta`` sums per axis
+    ``(w^2 q0^2 - p0^2) sin(2wt)/(4w) + q0 p0 (1 - cos(2wt))/2``.
+    Returns arrays ``q[len(times), 3]``, ``p[len(times), 3]``,
+    ``theta[len(times)]``.
     """
     w = params.omega
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -205,38 +208,25 @@ def classical_orbit(
         raise ValueError("times must be non-empty")
     if np.any(times < 0):
         raise ValueError("orbit times must be >= 0")
+    q0 = np.asarray(center, dtype=float)
+    p0 = np.asarray(kick, dtype=float)
+    cos = np.cos(w * times)[:, None]
+    sin = np.sin(w * times)[:, None]
 
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        q = y[0:3]
-        p = y[3:6]
-        dq = np.array([p[0] + w * q[1], p[1] - w * q[0], p[2]])
-        dp = np.array([-w**2 * q[0] + w * p[1], -w**2 * q[1] - w * p[0], -w**2 * q[2]])
-        dtheta = 0.5 * (w**2 * np.dot(q, q) - np.dot(p, p))
-        return np.concatenate([dq, dp, [dtheta]])
+    def turned(lab: np.ndarray) -> np.ndarray:
+        """The transverse pair of a lab-frame orbit rotated by ``-omega t``."""
+        out = lab.copy()
+        out[:, 0:1] = cos * lab[:, 0:1] + sin * lab[:, 1:2]
+        out[:, 1:2] = cos * lab[:, 1:2] - sin * lab[:, 0:1]
+        return out
 
-    y0 = np.concatenate([np.asarray(center, float), np.asarray(kick, float), [0.0]])
-    order = np.argsort(times)
-    sorted_times = times[order]
-    t_end = float(sorted_times[-1])
-    if t_end == 0.0:
-        sol_y = np.tile(y0[:, None], (1, times.size))
-    else:
-        sol = solve_ivp(
-            rhs,
-            (0.0, t_end),
-            y0,
-            method="DOP853",
-            t_eval=sorted_times,
-            rtol=1e-12,
-            atol=1e-14,
-        )
-        if not sol.success:
-            raise RuntimeError(f"orbit integration failed: {sol.message}")
-        sol_y = np.empty((7, times.size))
-        sol_y[:, order] = sol.y
-    q = sol_y[0:3].T.copy()
-    p = sol_y[3:6].T.copy()
-    theta = sol_y[6].copy()
+    q = turned(q0 * cos + (p0 / w) * sin)
+    p = turned(p0 * cos - w * q0 * sin)
+    two = 2.0 * w * times
+    theta = (
+        np.sum(w**2 * q0**2 - p0**2) * np.sin(two) / (4.0 * w)
+        + np.sum(q0 * p0) * (1.0 - np.cos(two)) / 2.0
+    )
     return q, p, theta
 
 

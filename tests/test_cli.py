@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotor_gpe import CSV_HEADER, GridSpec, PhysicsParams, fft_workers, ground_state
+from rotor_gpe import CSV_HEADER, ConfigInvalid, GridSpec, PhysicsParams, ground_state
 from rotor_gpe.config import build_initial_field, load_config
 from rotor_gpe.solver import evolve
 from rotor_gpe.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, entrypoint
@@ -72,17 +72,6 @@ def test_run_writes_each_snapshot_as_the_evolution_collects_it(tmp_path):
         assert json.loads(stem.with_suffix(".json").read_text())["t"] == t
 
 
-def test_run_with_a_malformed_thread_cap_exits_config(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, run_config(tmp_path))
-    monkeypatch.setenv("ROTOR_GPE_THREADS", "four")
-    fft_workers.cache_clear()
-    try:
-        assert entrypoint(["run", cfg]) == EXIT_CONFIG
-    finally:
-        fft_workers.cache_clear()
-    assert "ROTOR_GPE_THREADS" in capsys.readouterr().err
-
-
 def test_run_is_byte_for_byte_deterministic(tmp_path):
     cfg_a = write_config(tmp_path, run_config(tmp_path, output={"dir": str(tmp_path / "a"), "diagnostics_every": 10}), "a.json")
     cfg_b = write_config(tmp_path, run_config(tmp_path, output={"dir": str(tmp_path / "b"), "diagnostics_every": 10}), "b.json")
@@ -119,6 +108,27 @@ def test_run_missing_omega_exits_config(tmp_path, capsys):
     cfg = write_config(tmp_path, raw)
     assert entrypoint(["run", cfg]) == EXIT_CONFIG
     assert "physics.omega" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "dispersive-scan"])
+def test_a_grid_beyond_physical_memory_exits_config(tmp_path, capsys, command):
+    # Rejected while parsing: nothing of the grid's size is allocated.
+    raw = run_config(tmp_path)
+    raw["grid"]["n"] = 100000
+    assert entrypoint([command, write_config(tmp_path, raw)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: grid.n: ")
+
+
+def test_the_working_set_bound_is_twelve_fields_of_the_grid(tmp_path, monkeypatch):
+    import rotor_gpe.config as config_module
+
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: 12 * 16 * 48**3)
+    raw = run_config(tmp_path)
+    raw["grid"]["n"] = 48
+    assert config_module.parse_config(raw).grid.n == 48
+    raw["grid"]["n"] = 50
+    with pytest.raises(ConfigInvalid, match=r"^grid\.n: "):
+        config_module.parse_config(raw)
 
 
 @pytest.mark.parametrize(
@@ -450,6 +460,26 @@ def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         entrypoint(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_importing_the_package_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy costs a cold start ~0.5 s.
+    import rotor_gpe
+
+    src = str(Path(rotor_gpe.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys; sys.path.insert(0, {src!r}); import rotor_gpe, sys;"
+            " print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_invocation_reports_version():

@@ -11,7 +11,6 @@ from rotor_gpe import (
     boundary_mass_fraction,
     fft_forward,
     fft_inverse,
-    fft_workers,
     gradient_arrays,
     inner,
     laplacian_array,
@@ -264,24 +263,3 @@ def test_physics_params_validation_and_window():
         PhysicsParams(omega=0.5, beta=1.0)  # rotation speed below the trap floor
     with pytest.raises(ConfigInvalid):
         PhysicsParams(omega=1.0, beta=-0.5)  # focusing sign not admitted
-
-
-# ---------------------------------------------------------------------------
-# FFT worker count
-# ---------------------------------------------------------------------------
-
-
-def test_fft_workers_reads_the_environment_once_and_rejects_garbage(monkeypatch):
-    fft_workers.cache_clear()
-    try:
-        monkeypatch.setenv("ROTOR_GPE_THREADS", "many")
-        with pytest.raises(ConfigInvalid, match="ROTOR_GPE_THREADS"):
-            fft_workers()
-        with pytest.raises(ConfigInvalid):  # errors are not cached
-            fft_workers()
-        monkeypatch.setenv("ROTOR_GPE_THREADS", "1")
-        assert fft_workers() == 1
-        monkeypatch.setenv("ROTOR_GPE_THREADS", "many")
-        assert fft_workers() == 1  # read once per process
-    finally:
-        fft_workers.cache_clear()

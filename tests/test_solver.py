@@ -1,6 +1,7 @@
 """Nonlinear stepping: splitting, windowed bookkeeping, fixed-point solver."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,6 +234,100 @@ def test_every_observed_field_is_the_rotated_phased_frame(monkeypatch):
     for t, data in observed:
         (want,) = [lab for t_ref, lab in reference if abs(t_ref - t) < 1e-9]
         assert np.linalg.norm(data - want) / np.linalg.norm(want) < 1e-12, t
+
+
+def allocating_evolve(u, cfg, params, snapshot_every):
+    """``evolve``'s step and observation sequence with allocating calls only.
+
+    Every step and observation builds fresh arrays through the allocating
+    forms of ``_phased``, ``PropagatorPlan.harmonic`` and
+    ``rotate_pattern``; the clock arithmetic is ``evolve``'s, so that each
+    step uses the same plan.  Returns ``(records, snapshots, final lab
+    array)``.
+    """
+    grid, window, beta = u.grid, params.window, params.beta
+    phased = solver_module._phased
+    e0 = solver_module.energy_e0(u, params)
+    records = [solver_module.record(u, 0.0, params, e0, t_local=0.0)]
+    snapshots = [(0.0, u.data)]
+    w, theta, tau = u.data, 0.0, 0.0
+    lab = u.data
+    k, t_local, t_global, steps = 0, 0.0, 0.0, 0
+    while t_global < cfg.t_end - 1e-13:
+        if window - t_local <= 1e-13:  # seam: the frame restarts from the lab field
+            w, theta, tau = lab, 0.0, 0.0
+            k, t_local = k + 1, 0.0
+            e0 = solver_module.energy_e0(Field(grid, lab), params)
+            records.append(solver_module.record(Field(grid, lab), t_global, params, e0, t_local=0.0))
+            continue
+        next_local = min(t_local + cfg.dt, window)
+        end_local = cfg.t_end - k * window
+        if next_local > end_local - 1e-13 and end_local <= window + 1e-13:
+            next_local = min(end_local, window)
+        dt_step = next_local - t_local
+        plan = splitting_plan(grid, params, dt_step, cfg.m)
+        w = plan.harmonic(phased(w, tau + 0.5 * dt_step, beta))
+        theta += params.omega * dt_step
+        tau = 0.5 * dt_step
+        at_seam = next_local >= window - 1e-13
+        t_global = k * window + next_local
+        t_local = window if at_seam else next_local
+        steps += 1
+        done = t_global >= cfg.t_end - 1e-13
+        record_hit = at_seam or done or steps % cfg.diagnostics_every == 0
+        snapshot_hit = steps % snapshot_every == 0 or done
+        if record_hit or snapshot_hit:
+            lab = rotate_pattern(grid, phased(w, tau, beta), theta)
+            if record_hit:
+                records.append(
+                    solver_module.record(Field(grid, lab), t_global, params, e0, t_local=t_local)
+                )
+            if snapshot_hit:
+                snapshots.append((t_global, lab))
+    return records, snapshots, lab
+
+
+def test_workspace_evolve_is_bit_equal_to_allocating_steps_and_aliases_nothing(monkeypatch):
+    # Cadences 3 and 2 and a seam: records, snapshots and the final field
+    # must equal the allocating loop bit for bit; nothing the loop was
+    # given or has handed out may change afterwards.
+    u = off_axis_state(GRID)
+    u_bits = u.data.copy()
+    cfg = SolverConfig(dt=2.0**-4, t_end=1.5 * CUBIC.window, diagnostics_every=3)
+    handed = []
+    real_record = solver_module.record
+
+    def spy(field, t, *args, **kwargs):
+        handed.append((field.data, field.data.copy()))
+        return real_record(field, t, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "record", spy)
+    snapshots = []
+    res = evolve(
+        u, cfg, CUBIC, snapshot_every=2,
+        on_snapshot=lambda t, f: snapshots.append((t, f.data, f.data.copy())),
+    )
+    monkeypatch.setattr(solver_module, "record", real_record)
+    records, ref_snapshots, ref_final = allocating_evolve(u, cfg, CUBIC, 2)
+
+    assert res.final.window_index == 1
+    assert np.array_equal(u.data, u_bits)
+    assert res.records == tuple(records)
+    assert [t for t, _, _ in snapshots] == [t for t, _ in ref_snapshots]
+    for (_, data, at_hand_off), (_, want) in zip(snapshots, ref_snapshots):
+        assert np.array_equal(data, at_hand_off)
+        assert np.array_equal(data, want)
+    assert all(np.array_equal(data, at_hand_off) for data, at_hand_off in handed)
+    assert np.array_equal(res.final.field.data, ref_final)
+
+    # Resume from a state inside the second window: bit-identical, and the
+    # state resumed from keeps its co-rotating array.
+    half = evolve(u, replace(cfg, t_end=CUBIC.window + 0.25), CUBIC, snapshot_every=2)
+    corotating = half.final.corotating.copy()
+    resumed = evolve(half.final, cfg, CUBIC, snapshot_every=2)
+    assert np.array_equal(half.final.corotating, corotating)
+    assert np.array_equal(resumed.final.field.data, res.final.field.data)
+    assert np.array_equal(resumed.final.corotating, res.final.corotating)
 
 
 def test_corotating_evolution_meets_lab_frame_steps_under_refinement():

@@ -207,6 +207,38 @@ def test_axial_motion_decouples_and_oscillates():
     assert np.max(np.abs(q[0, :2])) < 1e-12
 
 
+@pytest.mark.parametrize("omega", [1.0, 2.5])
+def test_closed_form_orbit_matches_numerical_integration(omega):
+    # The closed form's sign conventions against DOP853 on the equations
+    # of motion, on unsorted times that include 0 and span several windows.
+    from scipy.integrate import solve_ivp
+
+    params = PhysicsParams(omega=omega, beta=0.0)
+    w = omega
+    center, kick = (1.0, -0.3, 0.5), (0.2, 0.4, -0.1)
+    times = np.array([2.9, 0.0, 0.45, 6.1, 1.3, 4.4]) / w
+
+    def rhs(_t, y):
+        q, p = y[0:3], y[3:6]
+        dq = [p[0] + w * q[1], p[1] - w * q[0], p[2]]
+        dp = [-(w**2) * q[0] + w * p[1], -(w**2) * q[1] - w * p[0], -(w**2) * q[2]]
+        return [*dq, *dp, 0.5 * (w**2 * q @ q - p @ p)]
+
+    order = np.argsort(times)
+    sol = solve_ivp(
+        rhs, (0.0, times.max()), [*center, *kick, 0.0], method="DOP853",
+        t_eval=times[order], rtol=1e-12, atol=1e-14,
+    )
+    assert sol.success
+    want = np.empty((7, times.size))
+    want[:, order] = sol.y
+    assert times.max() > 6 * params.window
+    q, p, theta = classical_orbit(params, center, kick, times)
+    assert np.max(np.abs(q - want[0:3].T)) < 1e-10
+    assert np.max(np.abs(p - want[3:6].T)) < 1e-10
+    assert np.max(np.abs(theta - want[6])) < 1e-10
+
+
 def test_orbit_input_validation():
     with pytest.raises(ValueError):
         classical_orbit(PARAMS, (1, 0, 0), (0, 0, 0), np.array([]))
