@@ -44,6 +44,13 @@ applied pointwise to ``(x1 u, x2 u)`` and to ``(d1 u, d2 u)``, so the
 norms and cross products it enters do not depend on ``theta``.  The
 axial components obey the same formulas with ``X3 = ||x3 u||^2``,
 ``G3 = ||d3 u||^2`` and ``V3 = Im <x3 u, d3 u>``.
+
+Each of these moments, and with them every column but ``linf``, is
+invariant under a rotation of the field about x3, up to the grid's
+resolution of the field; ``linf`` is a grid-sampled maximum, which a
+rotation samples at other points.  So a solver may record the field in
+any frame turned about x3 (``solver.evolve`` records the co-rotating
+one).
 """
 
 from __future__ import annotations
@@ -139,7 +146,7 @@ def energy_terms(u: Field, params: PhysicsParams) -> tuple[float, float, float]:
     Returns ``(kin, pot, inter)`` with ``kin = 1/2 ||grad u||^2``,
     ``pot = (omega^2/2) || |x| u ||^2`` and ``inter = (beta/2) ||u||_4^4``.
     """
-    return _energy(_moments(u), params)
+    return _energy(_moments(u.grid, u.data), params)
 
 
 def energy_e0(u: Field, params: PhysicsParams) -> float:
@@ -153,7 +160,7 @@ def lz_expectation(u: Field) -> float:
     The quadrature is Hermitian up to rounding; the imaginary part is a
     numerical defect, available through :func:`record`.
     """
-    return _moments(u).lz.real
+    return _moments(u.grid, u.data).lz.real
 
 
 def pseudo_conformal(
@@ -197,9 +204,26 @@ def record(
     moment identities of the module docstring, which hold exactly on the
     grid; no dressed field is built.
     """
+    return record_from_moments(
+        _moments(u.grid, u.data), t, params, e0_initial, t_local=t_local
+    )
+
+
+def record_from_moments(
+    m: _Moments,
+    t: float,
+    params: PhysicsParams,
+    e0_initial: float,
+    *,
+    t_local: float | None = None,
+) -> DiagnosticsRecord:
+    """:func:`record` from a field's moments, already taken.
+
+    For callers that hold the field in a workspace array (``evolve``) or
+    record one field twice (the two records of a window seam).
+    """
     if t_local is None:
         t_local = t
-    m = _moments(u)
     w = params.omega
     kin, pot, inter = _energy(m, params)
     e0 = kin + pot + inter

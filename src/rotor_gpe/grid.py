@@ -216,6 +216,22 @@ def fft_inverse(f: Field) -> Field:
     return Field(f.grid, _ifftn(f.data))
 
 
+def _partial(
+    grid: GridSpec, data: np.ndarray, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Spectral partial along ``axis``: a forward and an inverse 1D transform.
+
+    The symbol ``i k`` is odd, so its Nyquist mode is zeroed.  Written
+    into ``out`` (a C-contiguous complex array of the field's shape, not
+    ``data``) when given, else into a fresh array.
+    """
+    shape = [1, 1, 1]
+    shape[axis] = grid.n
+    hat = np.fft.fft(data, axis=axis, out=out)
+    hat *= 1j * grid.freq_odd.reshape(shape)
+    return np.fft.ifft(hat, axis=axis, out=hat)
+
+
 def gradient_arrays(
     grid: GridSpec, data: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,15 +243,7 @@ def gradient_arrays(
     cancel, so the result is the same to rounding at half the transform
     work (six one-axis passes over the array instead of twelve).
     """
-    n = grid.n
-    out = []
-    for axis in range(3):
-        shape = [1, 1, 1]
-        shape[axis] = n
-        hat = np.fft.fft(data, axis=axis)
-        hat *= 1j * grid.freq_odd.reshape(shape)
-        out.append(np.fft.ifft(hat, axis=axis, out=hat))
-    return tuple(out)
+    return tuple(_partial(grid, data, axis) for axis in range(3))
 
 
 def laplacian_array(grid: GridSpec, data: np.ndarray) -> np.ndarray:
@@ -283,33 +291,45 @@ class _Moments(NamedTuple):
     lz: complex
 
 
-def _moments(f: Field) -> _Moments:
+def _moments(
+    grid: GridSpec,
+    u: np.ndarray,
+    scratch: np.ndarray | None = None,
+    real: np.ndarray | None = None,
+) -> _Moments:
     """One gradient and a handful of fused reductions: see :class:`_Moments`.
 
     Every energy, norm and balance-law quantity of the package is a
-    combination of these numbers.  The coordinate-weighted sums contract
-    ``conj(u) d_j`` over one axis (``einsum``) and then weight the
-    remaining ``n x n`` partial sums by the 1D axis, so no weighted copy
-    of the field is built (and no threaded BLAS call is made).
+    combination of these numbers.  ``|u|^2`` is written into ``real`` (a
+    float array of the field's shape) and each partial ``d_j`` in turn
+    into ``scratch`` (a C-contiguous complex one, not ``u``); fresh
+    arrays stand in when they are not given, and ``u`` is only read.
+    The coordinate-weighted sums contract ``u conj(d_j)`` over one axis
+    (``einsum``, with ``d_j`` conjugated in place) and then weight the
+    remaining ``n x n`` partial sums by the 1D axis, so no weighted or
+    conjugated copy of the field is built (and no threaded BLAS call is
+    made).
     """
-    grid = f.grid
     vol = grid.cell_volume
     ax = grid.axis
-    u = f.data
-    d = gradient_arrays(grid, u)
-    abs2 = np.abs(u) ** 2
-    uc = u.conj()
-    # Partial sums of conj(u) d_j: over x3 for j = 1, 2 (indices x1, x2),
-    # over x1 for j = 3 (indices x2, x3).
-    p1 = np.einsum("ijk,ijk->ij", uc, d[0])
-    p2 = np.einsum("ijk,ijk->ij", uc, d[1])
-    p3 = np.einsum("ijk,ijk->jk", uc, d[2])
-    virial = (ax @ p1.sum(1), ax @ p2.sum(0), p3.sum(0) @ ax)
-    lz = -1j * (ax @ p2.sum(1) - ax @ p1.sum(0))
+    abs2 = np.abs(u, out=real)
+    abs2 *= abs2
 
     def sq(a: np.ndarray) -> float:
         flat = a.view(np.float64).ravel()
         return float(np.einsum("i,i->", flat, flat)) * vol
+
+    # Partial sums of conj(u) d_j: over x3 for j = 1, 2 (indices x1, x2),
+    # over x1 for j = 3 (indices x2, x3).
+    grad_sq, partial = [], []
+    for axis, spec in enumerate(("ijk,ijk->ij", "ijk,ijk->ij", "ijk,ijk->jk")):
+        d = _partial(grid, u, axis, out=scratch)
+        grad_sq.append(sq(d))
+        np.conjugate(d, out=d)
+        partial.append(np.einsum(spec, u, d).conj())
+    p1, p2, p3 = partial
+    virial = (ax @ p1.sum(1), ax @ p2.sum(0), p3.sum(0) @ ax)
+    lz = -1j * (ax @ p2.sum(1) - ax @ p1.sum(0))
 
     return _Moments(
         mass=float(abs2.sum()) * vol,
@@ -318,7 +338,7 @@ def _moments(f: Field) -> _Moments:
         x_sq=tuple(
             float(np.einsum(f"ijk,{x}->", abs2, ax**2)) * vol for x in "ijk"
         ),
-        grad_sq=tuple(sq(a) for a in d),
+        grad_sq=tuple(grad_sq),
         virial=tuple(float(v.imag) * vol for v in virial),
         lz=complex(lz) * vol,
     )
@@ -331,7 +351,7 @@ def norms(f: Field) -> dict[str, float]:
     where ``h1**2 = l2**2 + ||grad f||**2``, ``weight_x = || |x| f ||``,
     and ``sigma = h1 + weight_x`` (the trap-adapted energy-space norm).
     """
-    m = _moments(f)
+    m = _moments(f.grid, f.data)
     h1 = float(np.sqrt(m.mass + sum(m.grad_sq)))
     weight_x = float(np.sqrt(sum(m.x_sq)))
     return {

@@ -347,32 +347,43 @@ def _shear(
 def rotate_pattern(
     grid: GridSpec, data: np.ndarray, angle: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Resample ``data`` as ``data(R_angle x)`` via the three-shear factorization.
+    """Resample ``data`` as ``data(R_angle x)``, for any ``angle``.
 
     ``R_angle`` rotates the (x1, x2) coordinates counterclockwise by
-    ``angle``, so the *pattern* turns clockwise.  Exact (unitary) for
-    band-limited periodic data as long as ``|angle| <= pi/2``.
+    ``angle``, so the *pattern* turns clockwise.  The angle is split into
+    ``q`` quarter turns and a remainder ``|angle - q pi/2| <= pi/4``.
+    The remainder is a three-shear rotation, exact (unitary) for
+    band-limited periodic data; a quarter turn maps the grid onto itself
+    (``x -> -x`` is ``i -> -i mod n``), so it is an exact index
+    permutation and four of them are the identity bit for bit.
 
-    Every shear transforms in place, so the rotation needs no scratch:
-    with ``out`` (a C-contiguous complex array of the field's shape,
-    possibly ``data`` itself) the result is written there and ``out`` is
-    returned, even at angle 0.  Without it a new array is returned, or
-    ``data`` itself at angle 0.
+    Every shear transforms in place, so a rotation within a quarter turn
+    needs no scratch: with ``out`` (a C-contiguous complex array of the
+    field's shape, possibly ``data`` itself) the result is written there
+    and ``out`` is returned, even at angle 0.  Without it a new array is
+    returned, or ``data`` itself at angle 0.
     """
-    if abs(angle) > 0.5 * np.pi + 1e-12:
-        raise ValueError(f"shear rotation valid for |angle| <= pi/2, got {angle!r}")
-    if abs(angle) < 1e-15:
-        if out is None:
-            return data
-        np.copyto(out, data)
-        return out
+    # Nearest whole number of quarter turns, ties (and angles a rounding
+    # error past a tie) going to the shear: up to pi/4 is one shear.
+    turns = angle / (0.5 * np.pi)
+    quarters = int(np.copysign(max(np.ceil(abs(turns) - 0.5 - 1e-12), 0.0), turns))
+    rest = angle - quarters * (0.5 * np.pi)
     if out is None:
+        if abs(rest) < 1e-15 and quarters % 4 == 0:
+            return data
         out = np.empty(data.shape, dtype=np.complex128)
-    a = -np.tan(0.5 * angle)
-    b = np.sin(angle)
-    _shear(data, grid, a, 0, out)
-    _shear(out, grid, b, 1, out)
-    return _shear(out, grid, a, 0, out)
+    if abs(rest) < 1e-15:
+        np.copyto(out, data)
+    else:
+        a = -np.tan(0.5 * rest)
+        _shear(data, grid, a, 0, out)
+        _shear(out, grid, np.sin(rest), 1, out)
+        _shear(out, grid, a, 0, out)
+    flip = (-np.arange(grid.n)) % grid.n
+    for _ in range(quarters % 4):
+        # out(x1, x2) <- out(-x2, x1); take buffers the overlapping source.
+        np.take(np.swapaxes(out, 0, 1), flip, axis=1, out=out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

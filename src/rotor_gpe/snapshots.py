@@ -40,13 +40,15 @@ __all__ = ["SIDECAR_KEYS", "atomic_write", "write_snapshot", "read_snapshot"]
 SIDECAR_KEYS = ("n", "extent", "t", "omega", "beta", "layout", "dtype")
 
 
-def _write_all(fh, data: bytes) -> None:
+def _write_all(fh, data) -> None:
     fh.write(data)
 
 
-def atomic_write(path: str | Path, data: bytes) -> None:
+def atomic_write(path: str | Path, data) -> None:
     """Write ``data`` to ``path`` through a temporary file and ``os.replace``.
 
+    ``data`` is any bytes-like object (``bytes``, a ``memoryview``, a
+    C-contiguous array), written from its own buffer without a copy.
     The parent directory is created if needed.  On any failure the
     temporary file is removed and the error propagates; ``path`` then
     keeps whatever it held before (or stays absent).
@@ -69,12 +71,16 @@ def write_snapshot(
     t: float,
     params: PhysicsParams,
 ) -> tuple[Path, Path]:
-    """Write ``<stem>.bin`` then ``<stem>.json``, each atomically; returns the two paths."""
+    """Write ``<stem>.bin`` then ``<stem>.json``, each atomically; returns the two paths.
+
+    The payload is written straight from the field's buffer (a copy is
+    made only on a big-endian host).
+    """
     stem = Path(stem)
     bin_path = stem.with_suffix(".bin")
     json_path = stem.with_suffix(".json")
     data = np.ascontiguousarray(field.data, dtype="<c16")
-    atomic_write(bin_path, data.tobytes())
+    atomic_write(bin_path, memoryview(data).cast("B"))
     sidecar = {
         "n": field.grid.n,
         "extent": field.grid.extent,

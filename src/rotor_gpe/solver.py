@@ -21,19 +21,21 @@ Both schemes run in the frame co-rotating with the trap.  The linear
 flow is ``S(t) = R(omega t) H(t)``, the harmonic flow ``H`` followed by
 the rotation ``R`` about x3, and ``R`` commutes with ``H`` and with
 ``|u|^2``.  So ``u(t) = R(omega t) v(t)`` where ``v`` solves the
-non-rotating equation, and the rotation is applied only when a field is
-observed (a record, a snapshot, a seam, the end).  Between observations
-the Strang loop also fuses the trailing half-phase of one step with the
-leading half-phase of the next, ``N(dt/2) N(dt/2) = N(dt)``, which is
-exact because ``|v|`` is invariant under the phase.
+non-rotating equation.  Every diagnostics quadrature is invariant under
+``R`` (see :mod:`rotor_gpe.diagnostics`), so a record reads the
+co-rotating field (its ``linf`` is that field's grid maximum), and the
+rotation is applied only to a field that is handed out (a snapshot, the
+end state).  Between observations the Strang loop also fuses the
+trailing half-phase of one step with the leading half-phase of the
+next, ``N(dt/2) N(dt/2) = N(dt)``, which is exact because ``|v|`` is
+invariant under the phase.
 
 The linear kernel is only valid on ``(0, pi/(4 omega)]``, so long
 evolutions proceed window by window: steps are clipped at seams, and at
 each seam only bookkeeping restarts — the window-local clock returns to
-zero, the energy reference for the pseudo-conformal balance is
-re-captured, and the co-rotating frame restarts from the lab field (so
-the frame angle never exceeds ``pi/4``).  The field itself is never
-modified at a seam.
+zero and the energy reference for the pseudo-conformal balance is
+re-captured.  The field and the co-rotating frame run on unchanged, so
+the frame angle grows without bound.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, energy_e0, record
+from .diagnostics import DiagnosticsRecord, energy_e0, record_from_moments
 from .errors import (
     BlowupDetected,
     BoundaryTruncation,
@@ -58,6 +60,8 @@ from .galilean import galilean_momentum, galilean_position
 from .grid import (
     Field,
     PhysicsParams,
+    _moments,
+    _Moments,
     boundary_mass_fraction,
     gradient_arrays,
     lp_norm,
@@ -167,8 +171,10 @@ class TrajectoryState:
 
     The last three fields carry :func:`evolve`'s co-rotating frame, so a
     resumed call continues with the very same arithmetic:
-    ``field = R(frame_angle) N(pending_phase) corotating``.  ``None``
-    (a bare field) means the frame starts here, at angle and phase 0.
+    ``field = R(frame_angle) N(pending_phase) corotating``.  The frame
+    runs on across seams, so ``frame_angle`` is ``omega`` times the time
+    since the frame started and may take any value.  ``None`` (a bare
+    field) means the frame starts here, at angle and phase 0.
     """
 
     field: Field
@@ -199,6 +205,39 @@ def initial_state(
     )
 
 
+def _modulus_sq(
+    data: np.ndarray, real: np.ndarray | None, scratch: np.ndarray | None
+) -> np.ndarray:
+    """``|data|^2`` as ``re^2 + im^2``, written into ``real``.
+
+    ``scratch`` is a float array of the field's shape (the real view of
+    a complex array will do) that is overwritten.
+    """
+    abs2 = np.multiply(data.real, data.real, out=real)
+    abs2 += np.multiply(data.imag, data.imag, out=scratch)
+    return abs2
+
+
+def _apply_phase(
+    data: np.ndarray, abs2: np.ndarray, tau: float, beta: float, out: np.ndarray
+) -> np.ndarray:
+    """``exp(-i beta abs2 tau) data`` into ``out``, with ``abs2 = |data|^2``.
+
+    The phase is assembled from a real cosine and sine, which costs less
+    than a complex exponential of a purely imaginary argument; they are
+    written straight into ``out.real`` and ``out.imag``.  ``abs2`` is
+    overwritten by the angle.  ``out`` must not be ``data``.
+    """
+    if beta == 0.0 or tau == 0.0:
+        np.copyto(out, data)
+        return out
+    abs2 *= -beta * tau
+    np.cos(abs2, out=out.real)
+    np.sin(abs2, out=out.imag)
+    out *= data
+    return out
+
+
 def _phased(
     data: np.ndarray,
     tau: float,
@@ -208,13 +247,10 @@ def _phased(
 ) -> np.ndarray:
     """``exp(-i beta |data|^2 tau) data``, written into ``out``.
 
-    The phase is assembled from a real cosine and sine, which costs less
-    than a complex exponential of a purely imaginary argument; they are
-    written straight into ``out.real`` and ``out.imag``, with ``real``
-    (a float array of the field's shape) holding the angle.  Fresh
-    arrays stand in for ``out`` and ``real`` when they are not given,
-    and without ``out`` a trivial phase returns ``data`` itself.
-    ``out`` must not be ``data``.
+    ``real`` (a float array of the field's shape) holds the modulus and
+    then the angle.  Fresh arrays stand in for ``out`` and ``real`` when
+    they are not given, and without ``out`` a trivial phase returns
+    ``data`` itself.  ``out`` must not be ``data``.
     """
     if beta == 0.0 or tau == 0.0:
         if out is None:
@@ -223,13 +259,7 @@ def _phased(
         return out
     if out is None:
         out = np.empty_like(data)
-    angle = np.multiply(data.real, data.real, out=real)
-    angle += np.multiply(data.imag, data.imag, out=out.real)
-    angle *= -beta * tau
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
-    out *= data
-    return out
+    return _apply_phase(data, _modulus_sq(data, real, out.real), tau, beta, out)
 
 
 def nonlinear_phase(u: Field, tau: float, params: PhysicsParams) -> Field:
@@ -269,16 +299,6 @@ class EvolveResult:
     snapshots: tuple[tuple[float, Field], ...]
 
 
-def _record_state(state: TrajectoryState, params: PhysicsParams) -> DiagnosticsRecord:
-    return record(
-        state.field,
-        state.t_global,
-        params,
-        state.e0_window,
-        t_local=state.t_local,
-    )
-
-
 def evolve(
     u0: Field | TrajectoryState,
     config: SolverConfig,
@@ -292,26 +312,30 @@ def evolve(
     The loop runs in the co-rotating frame (see the module docstring).
     It carries the array ``w``, which still owes its trailing half-phase,
     the frame angle ``theta`` and that pending phase time ``tau``; one
-    step is ``w <- H(dt) N(tau + dt/2) w``, then ``tau = dt/2``.  A field
-    is built in the lab frame, ``R(theta) N(tau) w``, only where it is
-    observed: at a record, a snapshot, a seam and the end.
+    step is ``w <- H(dt) N(tau + dt/2) w``, then ``tau = dt/2``.  A
+    record takes the moments of the co-rotating field ``N(tau) w``, so
+    its ``linf`` is the co-rotating grid maximum.  A field is built in
+    the lab frame, ``R(theta) N(tau) w``, only where it is handed out: at
+    a snapshot and at the end, where the record is taken from the same
+    array before it is rotated.
 
-    A step writes only a workspace allocated once per call: two complex
-    arrays and one real one, each of the field's shape.  The phase goes
-    into one complex array, the harmonic flow into the other with the
-    first as its scratch, and the guard's modulus into the real one, so
-    a step allocates nothing.  The loop never writes into the caller's
-    field, into a field it has handed to a record or to ``on_snapshot``,
-    or into the returned state's ``corotating``: every observation is a
-    fresh array, and after the last step the workspace belongs to the
-    returned state alone.
+    The loop writes only a workspace allocated once per call: three
+    complex arrays and one real one, each of the field's shape.  The
+    phase goes into one complex array, the harmonic flow into another
+    with the first as its scratch, and ``|w|^2`` into the real one; a
+    record phases into the first and takes its moments with the third as
+    scratch.  So a step, and a step that only records, allocates
+    nothing; a handed-out field is a fresh array.  The loop never writes
+    into the caller's field, into a field it has handed to
+    ``on_snapshot``, or into the returned state's ``corotating``: after
+    the last step the workspace belongs to the returned state alone.
 
     Steps never straddle window seams: the last step of each window is
-    clipped, the window-local clock is re-based to zero, the energy
-    reference is re-captured and the frame restarts from the lab field —
-    the field itself is untouched, so conserved diagnostics are
-    continuous across seams (two records are emitted there, one on each
-    side of the bookkeeping restart).
+    clipped, the window-local clock is re-based to zero and the energy
+    reference is re-captured, and nothing else changes.  Two records are
+    emitted at a seam from one moments pass: the closing one at the
+    window's end, and the opening one at window-local time 0, whose
+    energy becomes the new reference.
 
     Accepts either a bare field (trajectory starts at ``t = 0``) or a
     :class:`TrajectoryState` from a previous call, which resumes with
@@ -326,7 +350,9 @@ def evolve(
     ``config.blowup_factor`` times its initial value (a numerical-health
     guard; the defocusing-type problem should stay bounded) and warns
     :class:`BoundaryTruncation` when the initial field keeps more than
-    1e-10 of its mass within two cells of the box boundary.
+    1e-10 of its mass within two cells of the box boundary.  The guard
+    reads the ``|w|^2`` that the next phase computes anyway, so a field
+    is checked before it is stepped on or handed out.
     """
     window = params.window
     if isinstance(u0, TrajectoryState):
@@ -350,9 +376,8 @@ def evolve(
     snapshots: list[tuple[float, Field]] = []
     if on_snapshot is None:
         on_snapshot = lambda t, f: snapshots.append((t, f))  # noqa: E731
-    grid = state.field.grid
+    grid, beta = state.field.grid, params.beta
     guard = config.blowup_factor * lp_norm(state.field, np.inf)
-    records: list[DiagnosticsRecord] = [_record_state(state, params)]
     if snapshot_every > 0:
         on_snapshot(state.t_global, state.field.copy())
 
@@ -365,33 +390,59 @@ def evolve(
 
     # The workspace: a step phases w into ``phased``, then the harmonic
     # flow takes it into ``ahead`` (with ``phased`` as its scratch), and w
-    # becomes ``ahead``.  Only these three arrays are ever written; w may
-    # also be the caller's field, a returned ``corotating`` or a field
-    # handed out at a seam, which are only read.
+    # becomes ``ahead``; a record phases into ``phased`` and takes its
+    # moments with ``scratch``.  Only these four arrays are ever written;
+    # w may also be the caller's field or a returned ``corotating``,
+    # which are only read.
     ahead = np.empty(grid.shape, dtype=np.complex128)
     phased = np.empty_like(ahead)
+    scratch = np.empty_like(ahead)
     real = np.empty(grid.shape)
+    step_count = 0
 
-    def observed() -> TrajectoryState:
-        lab = _phased(w, tau, params.beta, out=np.empty_like(ahead), real=real)
+    def phase(tau_: float, out: np.ndarray) -> np.ndarray:
+        """``N(tau_) w`` into ``out``, once ``max |w|`` has passed the guard."""
+        abs2 = _modulus_sq(w, real, out.real)
+        peak_sq = float(abs2.max())
+        if peak_sq > guard * guard:
+            raise BlowupDetected(
+                f"max |u| = {np.sqrt(peak_sq):.3e} exceeded the guard {guard:.3e} at "
+                f"t = {t_global:.6f} (step {step_count}); the run is "
+                "numerically unstable (aliasing or too-large dt), not physics"
+            )
+        return _apply_phase(w, abs2, tau_, beta, out)
+
+    records: list[DiagnosticsRecord] = []
+    moments: _Moments | None = None
+
+    def take_record(data: np.ndarray, scratch_: np.ndarray) -> None:
+        nonlocal moments
+        moments = _moments(grid, data, scratch=scratch_, real=real)
+        records.append(
+            record_from_moments(moments, t_global, params, e0_window, t_local=t_local)
+        )
+
+    def handed_out(record_it: bool) -> TrajectoryState:
+        lab = phase(tau, np.empty_like(ahead))
+        if record_it:
+            take_record(lab, phased)
         rotate_pattern(grid, lab, theta, out=lab)
         return TrajectoryState(
             Field(grid, lab), t_global, window_index, t_local, e0_window, w, theta, tau
         )
 
-    step_count = 0
+    take_record(phase(tau, phased), scratch)
     while t_global < config.t_end - _TIME_EPS:
         if window - t_local <= _TIME_EPS:
-            # Seam: bookkeeping restart only (records on both sides); the
-            # frame restarts from the lab field the closing record saw.
-            w, theta, tau = state.field.data, 0.0, 0.0
+            # Seam: bookkeeping only.  The opening record reads the
+            # closing record's moments, and its energy is the new
+            # reference of the balance law.
             window_index += 1
             t_local = 0.0
-            e0_window = energy_e0(state.field, params)
-            state = TrajectoryState(
-                state.field, t_global, window_index, t_local, e0_window, w
+            e0_window = records[-1].e0
+            records.append(
+                record_from_moments(moments, t_global, params, e0_window, t_local=0.0)
             )
-            records.append(_record_state(state, params))
             continue
 
         next_local = min(t_local + config.dt, window)
@@ -403,7 +454,7 @@ def evolve(
             break
 
         plan = splitting_plan(grid, params, dt_step, config.m)
-        _phased(w, tau + 0.5 * dt_step, params.beta, out=phased, real=real)
+        phase(tau + 0.5 * dt_step, phased)
         w = plan.harmonic(phased, out=ahead, scratch=phased)
         theta += params.omega * dt_step
         tau = 0.5 * dt_step
@@ -412,29 +463,21 @@ def evolve(
         t_local = window if at_seam else next_local
         step_count += 1
 
-        linf = float(np.abs(w, out=real).max())
-        if linf > guard:
-            raise BlowupDetected(
-                f"max |u| = {linf:.3e} exceeded the guard {guard:.3e} at "
-                f"t = {t_global:.6f} (step {step_count}); the run is "
-                "numerically unstable (aliasing or too-large dt), not physics"
-            )
-
         done = t_global >= config.t_end - _TIME_EPS
         record_hit = at_seam or done or (
             config.diagnostics_every > 0
             and step_count % config.diagnostics_every == 0
         )
         snapshot_hit = snapshot_every > 0 and (step_count % snapshot_every == 0 or done)
-        if record_hit or snapshot_hit:
-            state = observed()
-            if record_hit:
-                records.append(_record_state(state, params))
+        if snapshot_hit or done:
+            state = handed_out(record_hit)
             if snapshot_hit:
                 on_snapshot(t_global, state.field)
+        elif record_hit:
+            take_record(phase(tau, phased), scratch)
 
     if state.t_global != t_global:  # left by a final step too short to take
-        state = observed()
+        state = handed_out(False)
     return EvolveResult(
         final=state, records=tuple(records), snapshots=tuple(snapshots)
     )

@@ -1,7 +1,8 @@
 """Nonlinear stepping: splitting, windowed bookkeeping, fixed-point solver."""
 
+import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rotor_gpe import (
     SolverConfig,
     WindowViolation,
     coherent_state,
+    energy_e0,
     evolve,
     ground_state,
     initial_state,
@@ -25,6 +27,7 @@ from rotor_gpe import (
     picard_solve,
     propagate_fast,
     random_smooth_field,
+    record,
     strang_step,
     workspace_distance,
 )
@@ -157,6 +160,19 @@ def test_evolve_emits_seam_records_with_continuous_diagnostics():
     assert res.final.window_index == 1
 
 
+def test_seam_records_share_one_moments_pass():
+    # The frame runs on across the seam, so the closing and the opening
+    # record read the same co-rotating field, and the new window's energy
+    # reference is the closing record's energy.
+    cfg = SolverConfig(scheme="strang", dt=2e-3, t_end=1.5 * CUBIC.window)
+    res = evolve(off_axis_state(GRID), cfg, CUBIC)
+    (i,) = [i for i in range(1, len(res.records)) if res.records[i].t == res.records[i - 1].t]
+    a, b = res.records[i - 1], res.records[i]
+    assert (a.mass, a.e0, a.lz_expect) == (b.mass, b.e0, b.lz_expect)
+    assert b.pc_residual == b.pc_lhs - 2.0 * a.e0
+    assert res.final.e0_window == a.e0
+
+
 def test_evolve_resume_is_bitwise_identical():
     u = ground_state(GRID, CUBIC)
     full = evolve(u, SolverConfig(scheme="strang", dt=2.0**-9, t_end=0.125), CUBIC)
@@ -175,7 +191,7 @@ def off_axis_state(grid, params=CUBIC):
 
 def test_evolve_resume_after_a_seam_is_bitwise_identical():
     # The split point lies in the second window, so the handed-over state
-    # carries a frame that restarted at the seam and has turned since.
+    # carries a frame that has run on across the seam (past pi/4).
     u = off_axis_state(GRID)
     dt = 2.0**-6
     full = evolve(u, SolverConfig(dt=dt, t_end=1.5 * CUBIC.window), CUBIC)
@@ -190,49 +206,62 @@ def test_evolve_resume_after_a_seam_is_bitwise_identical():
 
 
 def reference_observations(u, dt, t_end, params):
-    """``(t, R(theta) N(tau) w)`` after every step, the frame by its definition."""
+    """``t -> (N(tau) w, R(theta) N(tau) w)`` after every step, the frame by its definition.
+
+    The frame starts with the field and runs on across seams, where only
+    the window-local clock restarts.
+    """
     grid, window, beta = u.grid, params.window, params.beta
-    out = [(0.0, u.data)]
+    out = {0.0: (u.data, u.data)}
     w, theta, tau = u.data, 0.0, 0.0
     start, t_local = 0.0, 0.0
     while start + t_local < t_end - 1e-12:
+        if window - t_local <= 1e-12:  # seam: the clock restarts, the frame runs on
+            start, t_local = start + window, 0.0
         dt_step = min(dt, window - t_local, t_end - start - t_local)
         phase = np.exp(-1j * beta * (tau + 0.5 * dt_step) * np.abs(w) ** 2)
         w = splitting_plan(grid, params, dt_step).harmonic(phase * w)
         theta += params.omega * dt_step
         tau = 0.5 * dt_step
         t_local += dt_step
-        lab = rotate_pattern(grid, np.exp(-1j * beta * tau * np.abs(w) ** 2) * w, theta)
-        out.append((start + t_local, lab))
-        if window - t_local <= 1e-12:  # seam: the frame restarts from the lab field
-            w, theta, tau = lab, 0.0, 0.0
-            start, t_local = start + window, 0.0
+        corotating = np.exp(-1j * beta * tau * np.abs(w) ** 2) * w
+        out[start + t_local] = (corotating, rotate_pattern(grid, corotating, theta))
     return out
 
 
-def test_every_observed_field_is_the_rotated_phased_frame(monkeypatch):
+def test_every_observed_field_is_the_rotated_phased_frame():
     # Records and snapshots at off-step cadences, across a seam: each
-    # observed field must be R(theta) N(tau) w at its own time, never a
-    # field left over from an earlier observation.
+    # record must read the co-rotating field N(tau) w at its own time, and
+    # each field handed out must be R(theta) N(tau) w, never a field left
+    # over from an earlier observation.
     u = off_axis_state(GRID)
     dt, t_end = 0.05, 1.3 * CUBIC.window
-    seen = []
-    real_record = solver_module.record
-
-    def spy(field, t, *args, **kwargs):
-        seen.append((t, field.data))
-        return real_record(field, t, *args, **kwargs)
-
-    monkeypatch.setattr(solver_module, "record", spy)
     cfg = SolverConfig(dt=dt, t_end=t_end, diagnostics_every=3)
     res = evolve(u, cfg, CUBIC, snapshot_every=2)
-    assert len(seen) == len(res.records)
-    assert sum(abs(t - CUBIC.window) < 1e-12 for t, _ in seen) == 2
     reference = reference_observations(u, dt, t_end, CUBIC)
-    observed = seen + [(t, f.data) for t, f in res.snapshots]
-    observed.append((res.final.t_global, res.final.field.data))
-    for t, data in observed:
-        (want,) = [lab for t_ref, lab in reference if abs(t_ref - t) < 1e-9]
+
+    def at(t):
+        (want,) = [fields for t_ref, fields in reference.items() if abs(t_ref - t) < 1e-9]
+        return want
+
+    assert sum(abs(r.t - CUBIC.window) < 1e-12 for r in res.records) == 2
+    window_index, e0_window = 0, res.records[0].e0
+    for i, rec in enumerate(res.records):
+        if i and rec.t == res.records[i - 1].t:  # the record opening a window
+            window_index, e0_window = window_index + 1, rec.e0
+        corotating, _ = at(rec.t)
+        want = record(
+            Field(GRID, corotating),
+            rec.t,
+            CUBIC,
+            e0_window,
+            t_local=rec.t - window_index * CUBIC.window,
+        )
+        assert astuple(rec) == pytest.approx(astuple(want), rel=1e-12, abs=1e-13), rec.t
+    handed = [(t, f.data) for t, f in res.snapshots]
+    handed.append((res.final.t_global, res.final.field.data))
+    for t, data in handed:
+        _, want = at(t)
         assert np.linalg.norm(data - want) / np.linalg.norm(want) < 1e-12, t
 
 
@@ -241,24 +270,25 @@ def allocating_evolve(u, cfg, params, snapshot_every):
 
     Every step and observation builds fresh arrays through the allocating
     forms of ``_phased``, ``PropagatorPlan.harmonic`` and
-    ``rotate_pattern``; the clock arithmetic is ``evolve``'s, so that each
-    step uses the same plan.  Returns ``(records, snapshots, final lab
+    ``rotate_pattern``, and every record is :func:`record` of a fresh
+    co-rotating field; the clock arithmetic is ``evolve``'s, so that each
+    step uses the same plan.  The frame runs on across the seam, whose two
+    records read the same field.  Returns ``(records, snapshots, final lab
     array)``.
     """
     grid, window, beta = u.grid, params.window, params.beta
     phased = solver_module._phased
-    e0 = solver_module.energy_e0(u, params)
-    records = [solver_module.record(u, 0.0, params, e0, t_local=0.0)]
+    records = [record(u, 0.0, params, energy_e0(u, params), t_local=0.0)]
+    e0 = records[0].e0
     snapshots = [(0.0, u.data)]
     w, theta, tau = u.data, 0.0, 0.0
-    lab = u.data
+    corotating = u.data
     k, t_local, t_global, steps = 0, 0.0, 0.0, 0
     while t_global < cfg.t_end - 1e-13:
-        if window - t_local <= 1e-13:  # seam: the frame restarts from the lab field
-            w, theta, tau = lab, 0.0, 0.0
+        if window - t_local <= 1e-13:  # seam: bookkeeping only
             k, t_local = k + 1, 0.0
-            e0 = solver_module.energy_e0(Field(grid, lab), params)
-            records.append(solver_module.record(Field(grid, lab), t_global, params, e0, t_local=0.0))
+            e0 = records[-1].e0
+            records.append(record(Field(grid, corotating), t_global, params, e0, t_local=0.0))
             continue
         next_local = min(t_local + cfg.dt, window)
         end_local = cfg.t_end - k * window
@@ -277,37 +307,28 @@ def allocating_evolve(u, cfg, params, snapshot_every):
         record_hit = at_seam or done or steps % cfg.diagnostics_every == 0
         snapshot_hit = steps % snapshot_every == 0 or done
         if record_hit or snapshot_hit:
-            lab = rotate_pattern(grid, phased(w, tau, beta), theta)
+            corotating = phased(w, tau, beta)
             if record_hit:
                 records.append(
-                    solver_module.record(Field(grid, lab), t_global, params, e0, t_local=t_local)
+                    record(Field(grid, corotating), t_global, params, e0, t_local=t_local)
                 )
             if snapshot_hit:
-                snapshots.append((t_global, lab))
-    return records, snapshots, lab
+                snapshots.append((t_global, rotate_pattern(grid, corotating, theta)))
+    return records, snapshots, rotate_pattern(grid, corotating, theta)
 
 
-def test_workspace_evolve_is_bit_equal_to_allocating_steps_and_aliases_nothing(monkeypatch):
+def test_workspace_evolve_is_bit_equal_to_allocating_steps_and_aliases_nothing():
     # Cadences 3 and 2 and a seam: records, snapshots and the final field
     # must equal the allocating loop bit for bit; nothing the loop was
     # given or has handed out may change afterwards.
     u = off_axis_state(GRID)
     u_bits = u.data.copy()
     cfg = SolverConfig(dt=2.0**-4, t_end=1.5 * CUBIC.window, diagnostics_every=3)
-    handed = []
-    real_record = solver_module.record
-
-    def spy(field, t, *args, **kwargs):
-        handed.append((field.data, field.data.copy()))
-        return real_record(field, t, *args, **kwargs)
-
-    monkeypatch.setattr(solver_module, "record", spy)
     snapshots = []
     res = evolve(
         u, cfg, CUBIC, snapshot_every=2,
         on_snapshot=lambda t, f: snapshots.append((t, f.data, f.data.copy())),
     )
-    monkeypatch.setattr(solver_module, "record", real_record)
     records, ref_snapshots, ref_final = allocating_evolve(u, cfg, CUBIC, 2)
 
     assert res.final.window_index == 1
@@ -317,7 +338,6 @@ def test_workspace_evolve_is_bit_equal_to_allocating_steps_and_aliases_nothing(m
     for (_, data, at_hand_off), (_, want) in zip(snapshots, ref_snapshots):
         assert np.array_equal(data, at_hand_off)
         assert np.array_equal(data, want)
-    assert all(np.array_equal(data, at_hand_off) for data, at_hand_off in handed)
     assert np.array_equal(res.final.field.data, ref_final)
 
     # Resume from a state inside the second window: bit-identical, and the
@@ -328,6 +348,24 @@ def test_workspace_evolve_is_bit_equal_to_allocating_steps_and_aliases_nothing(m
     assert np.array_equal(half.final.corotating, corotating)
     assert np.array_equal(resumed.final.field.data, res.final.field.data)
     assert np.array_equal(resumed.final.corotating, res.final.corotating)
+
+
+def test_evolve_recording_every_step_peaks_at_five_and_a_half_fields():
+    # Three complex workspace arrays and a real one, plus the final lab
+    # field: measured 4.8 fields at n = 32 (8.1 when every record rotated
+    # a fresh lab field and built a conjugate copy).
+    grid = GridSpec(32, 8.0)
+    u = off_axis_state(grid)
+    cfg = SolverConfig(dt=1e-3, t_end=20e-3, diagnostics_every=1)
+    evolve(u, cfg, CUBIC)  # builds the plans outside the measurement
+    tracemalloc.start()
+    try:
+        res = evolve(u, cfg, CUBIC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.records) == 21
+    assert peak <= 5.5 * u.data.nbytes
 
 
 def test_corotating_evolution_meets_lab_frame_steps_under_refinement():
