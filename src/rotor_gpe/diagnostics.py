@@ -24,9 +24,9 @@ to the CSV.
 
 All quadratures use the plain ``h^3``-weighted grid sums of
 :mod:`rotor_gpe.grid`, and every quantity is read off one moments pass
-(``grid._moments``): one spectral gradient (a forward and an inverse 1D
-transform along each axis) and a few fused reductions, with no dressed
-field built.  With ``theta = omega t_local``, ``c = cos(theta)``,
+(``grid._moments``): one spectral gradient (one real matrix product
+along each axis, no transform) and a few fused reductions, with no
+dressed field built.  With ``theta = omega t_local``, ``c = cos(theta)``,
 ``s = sin(theta)`` and the moments
 
 * ``X = || |x| u ||^2``,
@@ -199,7 +199,7 @@ def record(
     ``t`` is the global timestamp; ``t_local`` (defaulting to ``t``) is
     the window-local time used for the dressed operators and the balance
     law.  Every column comes from one moments pass: one spectral
-    gradient (a 1D transform pair along each axis) and a few fused
+    gradient (one real matrix product along each axis) and a few fused
     reductions.  ``||J(t)u||^2`` and ``||H(t)u||^2`` follow from the
     moment identities of the module docstring, which hold exactly on the
     grid; no dressed field is built.
@@ -213,7 +213,7 @@ def record_from_moments(
     m: _Moments,
     t: float,
     params: PhysicsParams,
-    e0_initial: float,
+    e0_initial: float | None,
     *,
     t_local: float | None = None,
 ) -> DiagnosticsRecord:
@@ -221,12 +221,16 @@ def record_from_moments(
 
     For callers that hold the field in a workspace array (``evolve``) or
     record one field twice (the two records of a window seam).
+    ``e0_initial=None`` marks a record that opens a window: its own
+    ``e0`` is the reference of the balance law.
     """
     if t_local is None:
         t_local = t
     w = params.omega
     kin, pot, inter = _energy(m, params)
     e0 = kin + pot + inter
+    if e0_initial is None:
+        e0_initial = e0
     x_sq = sum(m.x_sq)
     grad_sq = sum(m.grad_sq)
 

@@ -111,7 +111,7 @@ def galilean_momentum(
     """Apply the dressed momentum ``J(t)`` componentwise.
 
     ``derivs`` may carry precomputed spectral partials of ``f.data`` to
-    share transforms with other diagnostics.
+    share one gradient with other diagnostics.
     """
     theta = params.omega * t
     c, s = np.cos(theta), np.sin(theta)

@@ -10,7 +10,9 @@ snapshot layout.  All integrals use the rectangle rule with weight
 Derivatives are spectral.  Odd symbols (single derivatives) zero the
 Nyquist mode so that the discrete operator stays skew-adjoint; even
 symbols (the Laplacian, phase multipliers) keep it.  A partial ``d_j``
-is a forward and an inverse 1D transform along axis ``j`` only.
+is the real ``n x n`` matrix :attr:`GridSpec.derivative_matrix` applied
+along axis ``j`` only: one real matrix product on the field's float64
+view, with no transform.
 
 Transforms are ``numpy.fft`` (pocketfft, one thread), so the package
 imports nothing beyond numpy.  The functions on the Strang loop's hot
@@ -107,6 +109,34 @@ class GridSpec:
         """``freq`` with the Nyquist mode zeroed, for odd derivative symbols."""
         out = self.freq.copy()
         out[self.n // 2] = 0.0
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def derivative_matrix(self) -> np.ndarray:
+        """The spectral partial along one axis as a real ``n x n`` matrix.
+
+        ``D = F^-1 diag(i freq_odd) F`` in closed form:
+        ``D[j, l] = (pi / (2 extent)) (-1)^(j-l) cot(pi (j-l) / n)`` off the
+        diagonal and 0 on it.  Its entries depend on ``(j - l) mod n``
+        only, and ``d`` and ``n - d`` are given exactly opposite values
+        (the ``d = n/2`` entry, whose cotangent vanishes, exactly 0), so
+        ``D`` is exactly circulant and antisymmetric: the discrete partial
+        is skew-adjoint bit for bit.  It agrees with the transform build
+        to rounding.
+        """
+        n = self.n
+        d = np.arange(1, n // 2)
+        half = (np.pi / (2.0 * self.extent)) * np.where(d % 2, -1.0, 1.0) / np.tan(np.pi * d / n)
+        column = np.concatenate(([0.0], half, [0.0], -half[::-1]))
+        out = column[(np.arange(n)[:, None] - np.arange(n)) % n]
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _derivative_pairs(self) -> np.ndarray:
+        """``kron(D^T, I_2)``: the last-axis partial on interleaved re/im pairs."""
+        out = np.kron(self.derivative_matrix.T, np.eye(2))
         out.flags.writeable = False
         return out
 
@@ -219,17 +249,31 @@ def fft_inverse(f: Field) -> Field:
 def _partial(
     grid: GridSpec, data: np.ndarray, axis: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Spectral partial along ``axis``: a forward and an inverse 1D transform.
+    """Spectral partial along ``axis``: one real product with ``D``.
 
-    The symbol ``i k`` is odd, so its Nyquist mode is zeroed.  Written
-    into ``out`` (a C-contiguous complex array of the field's shape, not
-    ``data``) when given, else into a fresh array.
+    ``D`` (:attr:`GridSpec.derivative_matrix`) is real, so it acts on the
+    real and imaginary parts alike, and the product runs on the field's
+    float64 view ``v`` of shape ``(n, n, 2n)``: ``D @ v`` as one
+    ``(n, 2n^2)`` matrix for axis 0, batched over ``x1`` for axis 1, and
+    ``v @ kron(D^T, I_2)`` batched over ``x1`` for axis 2 (the batched
+    form keeps BLAS from packing a tall ``(n^2, 2n)`` copy of the field).
+    A non-contiguous or non-complex ``data`` is first copied to a
+    C-contiguous complex array.  Written into ``out`` (a C-contiguous
+    complex array of the field's shape, not ``data``) when given, else
+    into a fresh array.
     """
-    shape = [1, 1, 1]
-    shape[axis] = grid.n
-    hat = np.fft.fft(data, axis=axis, out=out)
-    hat *= 1j * grid.freq_odd.reshape(shape)
-    return np.fft.ifft(hat, axis=axis, out=hat)
+    n = grid.n
+    v = np.ascontiguousarray(data, dtype=np.complex128).view(np.float64)
+    if out is None:
+        out = np.empty(grid.shape, dtype=np.complex128)
+    w = out.view(np.float64)
+    if axis == 0:
+        np.matmul(grid.derivative_matrix, v.reshape(n, 2 * n * n), out=w.reshape(n, 2 * n * n))
+    elif axis == 1:
+        np.matmul(grid.derivative_matrix, v, out=w)
+    else:
+        np.matmul(v, grid._derivative_pairs, out=w)
+    return out
 
 
 def gradient_arrays(
@@ -237,11 +281,10 @@ def gradient_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spectral partial derivatives ``(d1, d2, d3)`` as raw arrays.
 
-    Each partial ``d_j`` is one forward and one inverse 1D transform
-    along axis ``j`` with the odd symbol ``i k_j`` in between: the
-    transforms along the other two axes of ``ifftn(i k_j fftn(data))``
-    cancel, so the result is the same to rounding at half the transform
-    work (six one-axis passes over the array instead of twelve).
+    Each partial ``d_j`` is :func:`_partial` along axis ``j``: one real
+    matrix product with :attr:`GridSpec.derivative_matrix`, which equals
+    ``ifftn(i k_j fftn(data))`` (odd symbol, Nyquist zeroed) to rounding
+    with no transform at all.
     """
     return tuple(_partial(grid, data, axis) for axis in range(3))
 
@@ -302,13 +345,14 @@ def _moments(
     Every energy, norm and balance-law quantity of the package is a
     combination of these numbers.  ``|u|^2`` is written into ``real`` (a
     float array of the field's shape) and each partial ``d_j`` in turn
-    into ``scratch`` (a C-contiguous complex one, not ``u``); fresh
+    into ``scratch`` (a C-contiguous complex one, not ``u``), each by one
+    real matrix product (:func:`_partial`), with no transform; fresh
     arrays stand in when they are not given, and ``u`` is only read.
     The coordinate-weighted sums contract ``u conj(d_j)`` over one axis
     (``einsum``, with ``d_j`` conjugated in place) and then weight the
     remaining ``n x n`` partial sums by the 1D axis, so no weighted or
-    conjugated copy of the field is built (and no threaded BLAS call is
-    made).
+    conjugated copy of the field is built; the reductions make no
+    threaded BLAS call, the three partials one each.
     """
     vol = grid.cell_volume
     ax = grid.axis

@@ -43,7 +43,7 @@ from __future__ import annotations
 import logging
 import warnings
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -355,10 +355,14 @@ def evolve(
     is checked before it is stepped on or handed out.
     """
     window = params.window
-    if isinstance(u0, TrajectoryState):
-        state = u0
+    bare = not isinstance(u0, TrajectoryState)
+    if bare:
+        # A bare field opens window 0 at t = 0.  Its energy reference is
+        # the e0 of its own opening record, set below, so the initial
+        # field takes one moments pass, not an extra one for the energy.
+        state = TrajectoryState(u0, 0.0, 0, 0.0, e0_window=np.nan)
     else:
-        state = initial_state(u0, params)
+        state = u0
     if config.t_end <= state.t_global + _TIME_EPS:
         raise ConfigInvalid(
             f"t_end: must exceed the start time {state.t_global}, got {config.t_end}"
@@ -422,6 +426,12 @@ def evolve(
             record_from_moments(moments, t_global, params, e0_window, t_local=t_local)
         )
 
+    def open_window() -> None:
+        """The opening record of a window, from the last moments pass."""
+        nonlocal e0_window
+        records.append(record_from_moments(moments, t_global, params, None, t_local=0.0))
+        e0_window = records[-1].e0
+
     def handed_out(record_it: bool) -> TrajectoryState:
         lab = phase(tau, np.empty_like(ahead))
         if record_it:
@@ -431,7 +441,12 @@ def evolve(
             Field(grid, lab), t_global, window_index, t_local, e0_window, w, theta, tau
         )
 
-    take_record(phase(tau, phased), scratch)
+    if bare:
+        moments = _moments(grid, phase(tau, phased), scratch=scratch, real=real)
+        open_window()
+        state = replace(state, e0_window=e0_window)
+    else:
+        take_record(phase(tau, phased), scratch)
     while t_global < config.t_end - _TIME_EPS:
         if window - t_local <= _TIME_EPS:
             # Seam: bookkeeping only.  The opening record reads the
@@ -439,10 +454,7 @@ def evolve(
             # reference of the balance law.
             window_index += 1
             t_local = 0.0
-            e0_window = records[-1].e0
-            records.append(
-                record_from_moments(moments, t_global, params, e0_window, t_local=0.0)
-            )
+            open_window()
             continue
 
         next_local = min(t_local + config.dt, window)
@@ -493,9 +505,12 @@ def _node_lp(data: np.ndarray, grid, rho: float) -> float:
 
 
 def _dressed_magnitude(
-    f: Field, t: float, params: PhysicsParams, which: str
+    f: Field,
+    t: float,
+    params: PhysicsParams,
+    which: str,
+    derivs: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    derivs = gradient_arrays(f.grid, f.data)
     op = galilean_momentum if which == "J" else galilean_position
     comps = op(f, t, params, derivs)
     return np.sqrt(sum(np.abs(c.data) ** 2 for c in comps))
@@ -516,7 +531,8 @@ def workspace_distance(
     ``d_i = u_i - v_i`` plus the same expression with ``d_i`` replaced by
     the pointwise magnitude of ``J(t_i) d_i`` and of ``H(t_i) d_i``;
     ``gamma`` is the admissible exponent paired with ``rho``.  The
-    dressed operators are evaluated at the (window-local) node times.
+    dressed operators are evaluated at the (window-local) node times,
+    both from one gradient of ``d_i``.
     """
     if not len(u_traj) == len(v_traj) == len(time_weights) == len(times):
         raise ValueError("workspace_distance: trajectories must share one node set")
@@ -527,8 +543,9 @@ def workspace_distance(
     for u_i, v_i, w_i, t_i in zip(u_traj, v_traj, time_weights, times):
         delta = Field(u_i.grid, u_i.data - v_i.data)
         plain += w_i * _node_lp(delta.data, delta.grid, rho) ** gamma
-        jmag = _dressed_magnitude(delta, t_i, params, "J")
-        hmag = _dressed_magnitude(delta, t_i, params, "H")
+        derivs = gradient_arrays(delta.grid, delta.data)
+        jmag = _dressed_magnitude(delta, t_i, params, "J", derivs)
+        hmag = _dressed_magnitude(delta, t_i, params, "H", derivs)
         dressed_j += w_i * _node_lp(jmag, delta.grid, rho) ** gamma
         dressed_h += w_i * _node_lp(hmag, delta.grid, rho) ** gamma
     inv = 1.0 / gamma

@@ -1,5 +1,7 @@
 """Grid, field container, spectral calculus, and norm machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rotor_gpe import (
     GridSpec,
     PhysicsParams,
     boundary_mass_fraction,
+    coherent_state,
     fft_forward,
     fft_inverse,
     gradient_arrays,
@@ -18,7 +21,9 @@ from rotor_gpe import (
     norms,
     pairing,
     spectral_gradient,
+    vortex_state,
 )
+from rotor_gpe.grid import _moments, _partial
 
 
 def gaussian(grid: GridSpec, width: float = 1.0) -> Field:
@@ -139,6 +144,97 @@ def test_one_axis_gradient_equals_the_3d_transform_reference(n):
     for axis, shape in enumerate(((n, 1, 1), (1, n, 1), (1, 1, n))):
         ref = np.fft.ifftn(1j * grid.freq_odd.reshape(shape) * data_hat)
         assert np.max(np.abs(got[axis] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _fft_partial(grid, data, axis):
+    """The transform partial the matrix replaces: odd symbol, Nyquist zeroed."""
+    shape = [1, 1, 1]
+    shape[axis] = grid.n
+    hat = np.fft.fft(data, axis=axis) * (1j * grid.freq_odd.reshape(shape))
+    return np.fft.ifft(hat, axis=axis)
+
+
+@pytest.mark.parametrize("n", [8, 16, 48])
+def test_derivative_matrix_is_real_antisymmetric_and_kills_constants_and_nyquist(n):
+    grid = GridSpec(n, 3.7)
+    d = grid.derivative_matrix
+    assert d.dtype == np.float64 and d.shape == (n, n)
+    assert not d.flags.writeable
+    assert d is grid.derivative_matrix  # cached
+    assert np.array_equal(d, -d.T)
+    scale = np.max(np.abs(d))
+    assert np.max(np.abs(d @ np.ones(n))) <= 1e-13 * scale
+    assert np.max(np.abs(d @ (-1.0) ** np.arange(n))) <= 1e-13 * scale
+    # The closed form is the transform build F^-1 diag(i k_odd) F.
+    built = np.fft.ifft(1j * grid.freq_odd[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    assert np.max(np.abs(built.imag)) <= 1e-13 * scale
+    assert np.max(np.abs(d - built.real)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [8, 16, 48])
+def test_matrix_partial_equals_the_transform_partial_on_every_axis(n):
+    rng = np.random.default_rng(100 + n)
+    grid = GridSpec(n, 4.0)
+    data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    view = data.transpose(2, 0, 1)  # not C-contiguous
+    out = np.empty(grid.shape, dtype=np.complex128)
+    for axis in range(3):
+        for source in (data, view):
+            ref = _fft_partial(grid, source, axis)
+            tol = 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(_partial(grid, source, axis) - ref)) <= tol
+            got = _partial(grid, source, axis, out=out)
+            assert got is out
+            assert np.max(np.abs(out - ref)) <= tol
+    assert np.array_equal(view, data.transpose(2, 0, 1))  # input only read
+
+
+def _fft_moments(grid, u):
+    """Derivative moments of ``u`` from transform partials, summed directly."""
+    vol = grid.cell_volume
+    d = [_fft_partial(grid, u, axis) for axis in range(3)]
+    xs = (grid.x1, grid.x2, grid.x3)
+    return {
+        "grad_sq": [float(np.sum(np.abs(dj) ** 2)) * vol for dj in d],
+        "virial": [float(np.sum(np.conj(x * u) * dj).imag) * vol for x, dj in zip(xs, d)],
+        "lz": complex(np.sum(np.conj(u) * -1j * (grid.x1 * d[1] - grid.x2 * d[0]))) * vol,
+    }
+
+
+@pytest.mark.parametrize("state", ["kicked_coherent", "vortex_plus"])
+def test_moments_equal_the_transform_derivative_reference(state):
+    grid = GridSpec(32, 8.0)
+    params = PhysicsParams(omega=1.0, beta=1.0)
+    if state == "kicked_coherent":
+        u = coherent_state(grid, params, (1.0, 0.5, 0.3), (0.4, -0.3, 0.2))
+    else:
+        u = vortex_state(grid, params, +1)
+    got = _moments(grid, u.data)
+    want = _fft_moments(grid, u.data)
+    for j in range(3):
+        assert abs(got.grad_sq[j] - want["grad_sq"][j]) <= 1e-13 * want["grad_sq"][j]
+        # Cauchy-Schwarz bounds the virial; it vanishes for the vortex.
+        bound = np.sqrt(got.x_sq[j] * want["grad_sq"][j])
+        assert abs(got.virial[j] - want["virial"][j]) <= 1e-13 * bound
+    lz_bound = np.sqrt(got.x_sq[0] * want["grad_sq"][1]) + np.sqrt(got.x_sq[1] * want["grad_sq"][0])
+    assert abs(got.lz - want["lz"]) <= 1e-13 * lz_bound
+
+
+def test_a_moments_pass_with_its_workspace_peaks_below_a_fifth_of_a_field():
+    # Each partial is one matrix product into ``scratch``: no transform
+    # buffers (0.32 fields with the one-axis transforms).
+    grid = GridSpec(32, 8.0)
+    u = coherent_state(grid, PhysicsParams(omega=1.0), (1.0, 0.5, 0.3), (0.4, -0.3, 0.2)).data
+    scratch = np.empty_like(u)
+    real = np.empty(grid.shape)
+    _moments(grid, u, scratch=scratch, real=real)  # builds the cached matrices
+    tracemalloc.start()
+    try:
+        _moments(grid, u, scratch=scratch, real=real)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * u.nbytes
 
 
 def test_laplacian_matches_symbol_on_plane_wave():

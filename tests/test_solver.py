@@ -21,6 +21,8 @@ from rotor_gpe import (
     coherent_state,
     energy_e0,
     evolve,
+    galilean_momentum,
+    galilean_position,
     ground_state,
     initial_state,
     nonlinear_phase,
@@ -31,6 +33,7 @@ from rotor_gpe import (
     strang_step,
     workspace_distance,
 )
+import rotor_gpe.diagnostics as diagnostics_module
 import rotor_gpe.solver as solver_module
 from rotor_gpe.propagator import rotate_pattern, splitting_plan
 from rotor_gpe.solver import admissible_gamma
@@ -171,6 +174,31 @@ def test_seam_records_share_one_moments_pass():
     assert (a.mass, a.e0, a.lz_expect) == (b.mass, b.e0, b.lz_expect)
     assert b.pc_residual == b.pc_lhs - 2.0 * a.e0
     assert res.final.e0_window == a.e0
+
+
+def test_a_bare_initial_field_takes_one_moments_pass(monkeypatch):
+    # The energy reference of window 0 is the opening record's e0, so the
+    # initial field is not passed over once more for energy_e0 (a one-step
+    # run took three passes with it: energy, t = 0 record, end record).
+    u = off_axis_state(GRID)
+    e0 = energy_e0(u, CUBIC)
+    calls = []
+    real_moments = solver_module._moments
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_moments(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_moments", counting)
+    monkeypatch.setattr(diagnostics_module, "_moments", counting)
+    res = evolve(u, SolverConfig(scheme="strang", dt=1e-3, t_end=1e-3), CUBIC)
+    assert len(calls) == 2
+    assert len(res.records) == 2
+    first = res.records[0]
+    assert first.e0 == e0
+    assert first.pc_residual == first.pc_lhs - 2.0 * e0
+    assert res.final.e0_window == e0
+    assert res.records[1].pc_residual == res.records[1].pc_lhs - 2.0 * e0
 
 
 def test_evolve_resume_is_bitwise_identical():
@@ -548,6 +576,41 @@ def test_picard_raises_when_the_iteration_diverges():
 # ---------------------------------------------------------------------------
 # workspace distance
 # ---------------------------------------------------------------------------
+
+
+def test_workspace_distance_takes_one_gradient_per_node(monkeypatch):
+    # J and H share the node's gradient; each built from its own gradient,
+    # as the dressed operators do when given none, the distance is the same
+    # bit for bit.
+    rng = np.random.default_rng(63)
+    times = (0.0, 0.05, 0.1)
+    weights = (0.025, 0.05, 0.025)
+    u = [random_smooth_field(GRID, rng, width=GRID.extent / 6.0) for _ in times]
+    v = [random_smooth_field(GRID, rng, width=GRID.extent / 6.0) for _ in times]
+    gamma = admissible_gamma(4.0)
+    sums = [0.0, 0.0, 0.0]
+    for u_i, v_i, w_i, t_i in zip(u, v, weights, times):
+        delta = Field(GRID, u_i.data - v_i.data)
+        mags = [
+            delta.data,
+            np.sqrt(sum(np.abs(c.data) ** 2 for c in galilean_momentum(delta, t_i, CUBIC))),
+            np.sqrt(sum(np.abs(c.data) ** 2 for c in galilean_position(delta, t_i, CUBIC))),
+        ]
+        for k, mag in enumerate(mags):
+            sums[k] += w_i * solver_module._node_lp(mag, GRID, 4.0) ** gamma
+    want = sum(s ** (1.0 / gamma) for s in sums)
+
+    calls = []
+    real_gradient = solver_module.gradient_arrays
+
+    def counting(grid, data):
+        calls.append(1)
+        return real_gradient(grid, data)
+
+    monkeypatch.setattr(solver_module, "gradient_arrays", counting)
+    got = workspace_distance(u, v, 4.0, weights, times=times, params=CUBIC)
+    assert len(calls) == len(times)
+    assert got == want
 
 
 def test_workspace_distance_is_a_homogeneous_metric():
