@@ -654,10 +654,8 @@ def entrypoint(argv: Sequence[str] | None = None) -> int:
         if args.command == "propagator-compare":
             return cmd_propagator_compare(cfg)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (
+        ConfigInvalid,
         ResolutionTooLow,
         GridTooLarge,
         WindowViolation,

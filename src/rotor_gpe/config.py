@@ -18,11 +18,12 @@ Optional sections (defaults in parentheses)::
               coherent params: center, kick (3-vectors)
               file params:     path (snapshot stem or file)
     evolve:   {"scheme": "strang" | "picard", "dt", "t_end", "m",
-               "blowup_factor", "diagnostics_every",
+               "blowup_factor",
                "picard": {"rho", "tol", "max_iter", "quad_nodes"}}
               (strang, dt = 1e-3, t_end = one window)
     output:   {"dir", "snapshot_every", "diagnostics_every"}
-              ("runs/out", 0, 0; 0 disables a cadence)
+              ("runs/out", 0, 0; 0 disables a cadence; diagnostics
+              are recorded at the start, window seams and end anyway)
     seed:     integer >= 0 for randomized verification data (0)
     verify:   {"tolerance": float >= 0} — when present, replaces every
               tolerance of the `verify` subcommand (0 fails everything)
@@ -30,12 +31,12 @@ Optional sections (defaults in parentheses)::
     compare:  {"pairs": [[state, t], ...], "substeps": int}
               for `propagator-compare`
 
-``output.diagnostics_every`` and ``evolve.diagnostics_every`` name the
-same cadence; giving both with different values is rejected.
-
 A grid whose working set, ``WORKING_SET_FIELDS`` complex fields of
 ``16 n^3`` bytes each, exceeds the machine's physical memory is rejected
-as ``grid.n`` before anything is allocated.
+as ``grid.n`` before anything is allocated.  The ``picard`` scheme adds
+``PICARD_NODE_FIELDS`` fields per quadrature node; a node count that
+pushes the total past physical memory is rejected as
+``evolve.picard.quad_nodes``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -69,6 +70,14 @@ _INITIAL_TYPES = STATE_KINDS + ("file",)
 #: at n = 64 (``dispersive-scan`` 9.8 and 9.2).
 WORKING_SET_FIELDS = 12
 
+#: Fields per quadrature node that ``solver.picard_solve`` holds at its
+#: peak, from the second iteration on: the free evolution and its lab
+#: copy, the current iterate and its lab copy, the cubic terms, the
+#: Duhamel sums, and the proposed iterate and its lab copy.  Its
+#: ``tracemalloc`` peak at n = 16 read 277.3 fields with 33 nodes and
+#: 148.7 with 17: 8.03 per node on top of about 12.
+PICARD_NODE_FIELDS = 8
+
 
 def _require_mapping(obj: Any, path: str) -> dict:
     if not isinstance(obj, dict):
@@ -92,13 +101,13 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_working_set(n: int) -> None:
-    need = WORKING_SET_FIELDS * 16 * n**3
+def _check_working_set(n: int, fields: int, path: str) -> None:
+    need = fields * 16 * n**3
     have = _physical_memory()
     if have is not None and need > have:
         raise ConfigInvalid(
-            f"grid.n: a grid of n = {n} needs about {need / 2**30:.3g} GiB"
-            f" ({WORKING_SET_FIELDS} fields of 16 n^3 bytes), more than the"
+            f"{path}: a run on a grid of n = {n} needs about {need / 2**30:.3g} GiB"
+            f" ({fields} fields of 16 n^3 bytes), more than the"
             f" {have / 2**30:.3g} GiB of physical memory"
         )
 
@@ -144,7 +153,6 @@ class RunConfig:
     solver: SolverConfig
     output_dir: Path
     snapshot_every: int
-    diagnostics_every: int
     seed: int
     verify_tolerance: float | None
     scan_pairs: tuple[tuple[float, float], ...] | None
@@ -213,20 +221,11 @@ def _parse_picard(section: Any) -> PicardConfig:
         raise ConfigInvalid(f"evolve.{exc}")
 
 
-def _parse_evolve(section: Any, window: float) -> tuple[SolverConfig, int | None]:
-    """Returns the solver config plus evolve.diagnostics_every if given."""
+def _parse_evolve(section: Any, window: float, diagnostics_every: int) -> SolverConfig:
     section = _require_mapping(section, "evolve")
-    allowed = (
-        "scheme",
-        "dt",
-        "t_end",
-        "m",
-        "blowup_factor",
-        "diagnostics_every",
-        "picard",
-    )
+    allowed = ("scheme", "dt", "t_end", "m", "blowup_factor", "picard")
     _reject_unknown(section, allowed, "evolve")
-    kwargs: dict[str, Any] = {}
+    kwargs: dict[str, Any] = {"diagnostics_every": diagnostics_every}
     if "scheme" in section:
         kwargs["scheme"] = _as_str(section["scheme"], "evolve.scheme")
     if "dt" in section:
@@ -242,29 +241,22 @@ def _parse_evolve(section: Any, window: float) -> tuple[SolverConfig, int | None
         )
     if "picard" in section:
         kwargs["picard"] = _parse_picard(section["picard"])
-    diag = None
-    if "diagnostics_every" in section:
-        diag = _as_int(section["diagnostics_every"], "evolve.diagnostics_every")
-        if diag < 0:
-            raise ConfigInvalid(f"evolve.diagnostics_every: must be >= 0, got {diag}")
     try:
-        return SolverConfig(**kwargs), diag
+        return SolverConfig(**kwargs)
     except ConfigInvalid as exc:
         raise ConfigInvalid(f"evolve.{exc}")
 
 
-def _parse_output(section: Any) -> tuple[Path, int, int | None]:
+def _parse_output(section: Any) -> tuple[Path, int, int]:
     section = _require_mapping(section, "output")
     _reject_unknown(section, ("dir", "snapshot_every", "diagnostics_every"), "output")
     out_dir = Path(_as_str(section.get("dir", "runs/out"), "output.dir"))
     snap = _as_int(section.get("snapshot_every", 0), "output.snapshot_every")
     if snap < 0:
         raise ConfigInvalid(f"output.snapshot_every: must be >= 0, got {snap}")
-    diag = None
-    if "diagnostics_every" in section:
-        diag = _as_int(section["diagnostics_every"], "output.diagnostics_every")
-        if diag < 0:
-            raise ConfigInvalid(f"output.diagnostics_every: must be >= 0, got {diag}")
+    diag = _as_int(section.get("diagnostics_every", 0), "output.diagnostics_every")
+    if diag < 0:
+        raise ConfigInvalid(f"output.diagnostics_every: must be >= 0, got {diag}")
     return out_dir, snap, diag
 
 
@@ -340,7 +332,7 @@ def parse_config(data: Any) -> RunConfig:
         n=_as_int(grid_section["n"], "grid.n"),
         extent=_as_float(grid_section["extent"], "grid.extent"),
     )
-    _check_working_set(grid.n)
+    _check_working_set(grid.n, WORKING_SET_FIELDS, "grid.n")
 
     if "physics" not in data:
         raise ConfigInvalid("physics: section required")
@@ -354,16 +346,14 @@ def parse_config(data: Any) -> RunConfig:
     )
 
     initial_type, initial_params = _parse_initial(data.get("initial", {"type": "ground"}))
-    solver, evolve_diag = _parse_evolve(data.get("evolve", {}), params.window)
-    output_dir, snapshot_every, output_diag = _parse_output(data.get("output", {}))
-    if evolve_diag is not None and output_diag is not None and evolve_diag != output_diag:
-        raise ConfigInvalid(
-            f"output.diagnostics_every: {output_diag} conflicts with"
-            f" evolve.diagnostics_every = {evolve_diag}"
+    output_dir, snapshot_every, diagnostics_every = _parse_output(data.get("output", {}))
+    solver = _parse_evolve(data.get("evolve", {}), params.window, diagnostics_every)
+    if solver.scheme == "picard":
+        _check_working_set(
+            grid.n,
+            WORKING_SET_FIELDS + PICARD_NODE_FIELDS * solver.picard.quad_nodes,
+            "evolve.picard.quad_nodes",
         )
-    diagnostics_every = output_diag if output_diag is not None else (evolve_diag or 0)
-    if diagnostics_every != solver.diagnostics_every:
-        solver = replace(solver, diagnostics_every=diagnostics_every)
 
     seed = _as_int(data.get("seed", 0), "seed")
     if seed < 0:
@@ -395,7 +385,6 @@ def parse_config(data: Any) -> RunConfig:
         solver=solver,
         output_dir=output_dir,
         snapshot_every=snapshot_every,
-        diagnostics_every=diagnostics_every,
         seed=seed,
         verify_tolerance=verify_tolerance,
         scan_pairs=scan_pairs,

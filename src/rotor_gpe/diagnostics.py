@@ -70,8 +70,6 @@ __all__ = [
     "mass",
     "energy_terms",
     "energy_e0",
-    "lz_expectation",
-    "pseudo_conformal",
     "record",
     "drift_report",
     "format_csv_rows",
@@ -152,28 +150,6 @@ def energy_terms(u: Field, params: PhysicsParams) -> tuple[float, float, float]:
 def energy_e0(u: Field, params: PhysicsParams) -> float:
     """Non-rotating energy: sum of the three terms of :func:`energy_terms`."""
     return float(sum(energy_terms(u, params)))
-
-
-def lz_expectation(u: Field) -> float:
-    """Real part of the angular-momentum expectation ``<u, Lz u>``.
-
-    The quadrature is Hermitian up to rounding; the imaginary part is a
-    numerical defect, available through :func:`record`.
-    """
-    return _moments(u.grid, u.data).lz.real
-
-
-def pseudo_conformal(
-    u: Field, t: float, params: PhysicsParams, e0_initial: float
-) -> dict[str, float]:
-    """Left side of the pseudo-conformal balance and its residual.
-
-    ``t`` must be the window-local time in ``[0, pi/(4 omega)]``.  The
-    residual is ``pc_lhs - 2 * e0_initial`` with ``e0_initial`` the energy
-    captured at the start of the current window.
-    """
-    rec = record(u, t, params, e0_initial)
-    return {"pc_lhs": rec.pc_lhs, "pc_residual": rec.pc_residual}
 
 
 def _dressed_sq(

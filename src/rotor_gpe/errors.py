@@ -1,5 +1,20 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "RotorGpeError",
+    "ConfigInvalid",
+    "WindowViolation",
+    "GridTooLarge",
+    "InvalidExponent",
+    "QFactorizationSingular",
+    "ResolutionTooLow",
+    "BlowupDetected",
+    "NoContraction",
+    "SnapshotFormatError",
+    "AliasRisk",
+    "BoundaryTruncation",
+]
+
 
 class RotorGpeError(Exception):
     """Base class for every error raised by this package."""

@@ -53,7 +53,6 @@ from .errors import QFactorizationSingular
 from .grid import Field, GridSpec, PhysicsParams, gradient_arrays
 
 __all__ = [
-    "angular_momentum",
     "galilean_momentum",
     "galilean_position",
     "galilean_momentum_chirped",
@@ -62,13 +61,6 @@ __all__ = [
     "position_defect",
     "chirp_pair",
 ]
-
-
-def angular_momentum(f: Field) -> Field:
-    """Apply the axial angular momentum ``Lz = -i (x1 d2 - x2 d1)``."""
-    grid = f.grid
-    d1, d2, _ = gradient_arrays(grid, f.data)
-    return Field(grid, -1j * (grid.x1 * d2 - grid.x2 * d1))
 
 
 def _dressed_arrays(

@@ -37,12 +37,9 @@ __all__ = [
     "GridSpec",
     "Field",
     "PhysicsParams",
-    "fft_forward",
-    "fft_inverse",
     "spectral_gradient",
     "gradient_arrays",
     "laplacian_array",
-    "norms",
     "lp_norm",
     "inner",
     "pairing",
@@ -224,26 +221,8 @@ class PhysicsParams:
 
 
 # --------------------------------------------------------------------------
-# transforms and calculus
+# spectral calculus
 # --------------------------------------------------------------------------
-
-
-def _fftn(data: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(data, norm="ortho")
-
-
-def _ifftn(data: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(data, norm="ortho")
-
-
-def fft_forward(f: Field) -> Field:
-    """Unitary FFT of a field (so Parseval holds without extra factors)."""
-    return Field(f.grid, _fftn(f.data))
-
-
-def fft_inverse(f: Field) -> Field:
-    """Unitary inverse FFT of a field."""
-    return Field(f.grid, _ifftn(f.data))
 
 
 def _partial(
@@ -291,7 +270,7 @@ def gradient_arrays(
 
 def laplacian_array(grid: GridSpec, data: np.ndarray) -> np.ndarray:
     """Spectral Laplacian as a raw array (even symbol: Nyquist kept)."""
-    return _ifftn(-grid.k2 * _fftn(data))
+    return np.fft.ifftn(-grid.k2 * np.fft.fftn(data, norm="ortho"), norm="ortho")
 
 
 def spectral_gradient(f: Field) -> tuple[Field, Field, Field]:
@@ -386,27 +365,6 @@ def _moments(
         virial=tuple(float(v.imag) * vol for v in virial),
         lz=complex(lz) * vol,
     )
-
-
-def norms(f: Field) -> dict[str, float]:
-    """All norms used by the diagnostics, from :func:`_moments`.
-
-    Returns a dict with keys ``l1, l2, l4, linf, h1, weight_x, sigma``
-    where ``h1**2 = l2**2 + ||grad f||**2``, ``weight_x = || |x| f ||``,
-    and ``sigma = h1 + weight_x`` (the trap-adapted energy-space norm).
-    """
-    m = _moments(f.grid, f.data)
-    h1 = float(np.sqrt(m.mass + sum(m.grad_sq)))
-    weight_x = float(np.sqrt(sum(m.x_sq)))
-    return {
-        "l1": float(np.sum(np.abs(f.data)) * f.grid.cell_volume),
-        "l2": float(np.sqrt(m.mass)),
-        "l4": float(m.l4_4**0.25),
-        "linf": m.linf,
-        "h1": h1,
-        "weight_x": weight_x,
-        "sigma": h1 + weight_x,
-    }
 
 
 def inner(f: Field, g: Field) -> complex:

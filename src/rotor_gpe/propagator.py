@@ -84,6 +84,7 @@ __all__ = [
     "propagate_dual",
     "propagate_inverse",
     "compose_propagators",
+    "DispersiveScan",
     "dispersive_scan",
     "default_scan_pairs",
     "strichartz_exponent",

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, energy_e0, record_from_moments
+from .diagnostics import DiagnosticsRecord, record_from_moments
 from .errors import (
     BlowupDetected,
     BoundaryTruncation,
@@ -74,7 +74,6 @@ __all__ = [
     "TrajectoryState",
     "EvolveResult",
     "PicardResult",
-    "initial_state",
     "nonlinear_phase",
     "strang_step",
     "evolve",
@@ -185,24 +184,6 @@ class TrajectoryState:
     corotating: np.ndarray | None = field(default=None, compare=False, repr=False)
     frame_angle: float = field(default=0.0, compare=False)
     pending_phase: float = field(default=0.0, compare=False)
-
-
-def initial_state(
-    u0: Field, params: PhysicsParams, t0: float = 0.0
-) -> TrajectoryState:
-    """Wrap a bare field into a trajectory state at global time ``t0``."""
-    window = params.window
-    k = int(np.floor(t0 / window + _TIME_EPS))
-    t_local = t0 - k * window
-    if t_local < 0.0:
-        t_local = 0.0
-    return TrajectoryState(
-        field=u0,
-        t_global=float(t0),
-        window_index=k,
-        t_local=float(t_local),
-        e0_window=energy_e0(u0, params),
-    )
 
 
 def _modulus_sq(

@@ -19,6 +19,7 @@ from .errors import ResolutionTooLow
 from .grid import Field, GridSpec, PhysicsParams, gradient_arrays, laplacian_array, inner, lp_norm
 
 __all__ = [
+    "STATE_KINDS",
     "ground_state",
     "vortex_state",
     "coherent_state",
@@ -49,13 +50,13 @@ def _check_resolution(
     sigma = 1.0 / np.sqrt(omega)
     if 4.0 * sigma < 6.0 * grid.h:
         raise ResolutionTooLow(
-            f"state core 4*sigma = {4 * sigma:.3g} spans fewer than six grid "
+            f"grid.n: state core 4*sigma = {4 * sigma:.3g} spans fewer than six grid "
             f"cells (h = {grid.h:.3g}); refine the grid or shrink the box"
         )
     margin = grid.extent - max(abs(c) for c in center)
     if margin <= 0.0 or margin**2 < 8.0 * sigma**2:
         raise ResolutionTooLow(
-            f"envelope decays only {max(margin, 0.0) ** 2 / (2 * sigma**2):.2f} "
+            f"grid.extent: envelope decays only {max(margin, 0.0) ** 2 / (2 * sigma**2):.2f} "
             "e-foldings between the state center and the box face; "
             "at least four are required"
         )
@@ -107,7 +108,8 @@ def coherent_state(
     kmax = np.pi / grid.h
     if np.max(np.abs(p)) > 0.5 * kmax:
         raise ResolutionTooLow(
-            f"coherent-state kick {p} exceeds half the grid Nyquist wavenumber {kmax:.3g}"
+            f"initial.params.kick: coherent-state kick {p} exceeds half the"
+            f" grid Nyquist wavenumber {kmax:.3g}"
         )
     w = params.omega
     _check_resolution(grid, w, tuple(a))

@@ -131,6 +131,21 @@ def test_the_working_set_bound_is_twelve_fields_of_the_grid(tmp_path, monkeypatc
         config_module.parse_config(raw)
 
 
+def test_picard_nodes_add_eight_fields_each_to_the_working_set(tmp_path, monkeypatch):
+    import rotor_gpe.config as config_module
+
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: (12 + 8 * 33) * 16 * 16**3)
+    raw = run_config(tmp_path)
+    raw["evolve"] = {"scheme": "picard", "picard": {"quad_nodes": 33}}
+    assert config_module.parse_config(raw).solver.picard.quad_nodes == 33
+    raw["evolve"]["picard"]["quad_nodes"] = 34
+    with pytest.raises(ConfigInvalid, match=r"^evolve\.picard\.quad_nodes: "):
+        config_module.parse_config(raw)
+    # The nodes count only for the scheme that holds them.
+    raw["evolve"]["scheme"] = "strang"
+    assert config_module.parse_config(raw).solver.picard.quad_nodes == 34
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -148,6 +163,21 @@ def test_run_with_a_non_finite_number_exits_config(tmp_path, capsys, section, ke
     assert entrypoint(["run", cfg]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {section}.{key}:")
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "path, overrides",
+    [
+        ("grid.n", {"grid": {"n": 8, "extent": 5.0}}),
+        ("grid.extent", {"grid": {"n": 16, "extent": 2.0}}),
+        ("initial.params.kick", {"initial": {"type": "coherent", "params": {"kick": [9.0, 0.0, 0.0]}}}),
+    ],
+    ids=["core-cells", "envelope-decay", "kick-nyquist"],
+)
+def test_an_unresolved_initial_state_exits_config_under_its_path(tmp_path, capsys, path, overrides):
+    cfg = write_config(tmp_path, run_config(tmp_path, **overrides))
+    assert entrypoint(["run", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
 
 
 def test_run_unwritable_output_exits_io(tmp_path):
@@ -480,6 +510,35 @@ def test_importing_the_package_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_package_exports_the_union_of_the_module_lists():
+    import ast
+    import importlib
+    import pkgutil
+
+    import rotor_gpe
+
+    # Every module but the entry points, which import the package itself.
+    modules = [
+        importlib.import_module(f"rotor_gpe.{info.name}")
+        for info in pkgutil.iter_modules(rotor_gpe.__path__)
+        if info.name not in ("cli", "__main__")
+    ]
+    for module in modules:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    union = [name for module in modules for name in module.__all__]
+    assert len(union) == len(set(union))
+    assert sorted(rotor_gpe.__all__) == sorted(["__version__", *union])
+    imported = {
+        alias.name
+        for path in Path(__file__).parent.glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "rotor_gpe"
+        for alias in node.names
+    }
+    assert imported <= set(union)
 
 
 def test_module_invocation_reports_version():

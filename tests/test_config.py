@@ -1,6 +1,8 @@
 """JSON run-configuration parsing: defaults, validation, path-named errors."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,15 @@ def test_minimal_config_fills_defaults():
     assert cfg.snapshot_every == 0
 
 
+def test_the_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration schema", 1)[1]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    text = re.sub(r"//.*", "", block).replace(", ...", "")
+    cfg = parse_config(json.loads(text))
+    assert cfg.solver.diagnostics_every == 25
+
+
 def test_default_config_dict_parses():
     cfg = parse_config(default_config_dict())
     assert cfg.grid.n == 24
@@ -50,8 +61,8 @@ def test_full_config_round_trip():
         "grid": {"n": 24, "extent": 6.0},
         "physics": {"omega": 1.0, "beta": 0.5},
         "initial": {"type": "coherent", "params": {"center": [1.0, 0.0, 0.0], "kick": [0.0, 0.3, 0.0]}},
-        "evolve": {"scheme": "strang", "dt": 2e-3, "t_end": 0.5, "diagnostics_every": 25},
-        "output": {"dir": "runs/demo", "snapshot_every": 100},
+        "evolve": {"scheme": "strang", "dt": 2e-3, "t_end": 0.5},
+        "output": {"dir": "runs/demo", "snapshot_every": 100, "diagnostics_every": 25},
         "seed": 7,
     }
     cfg = parse_config(raw)
@@ -59,7 +70,6 @@ def test_full_config_round_trip():
     assert cfg.initial_params["center"] == (1.0, 0.0, 0.0)
     assert cfg.solver.t_end == 0.5
     assert cfg.solver.diagnostics_every == 25
-    assert cfg.diagnostics_every == 25
     assert str(cfg.output_dir).endswith("runs/demo")
     assert cfg.snapshot_every == 100
     assert cfg.seed == 7
@@ -109,6 +119,10 @@ def test_unknown_keys_are_rejected_with_allowed_list():
     raw["evolve"] = {"dt": 1e-3, "step_count": 5}
     with pytest.raises(ConfigInvalid, match=r"evolve\.step_count"):
         parse_config(raw)
+    # The diagnostics cadence has one key, under output.
+    raw["evolve"] = {"dt": 1e-3, "diagnostics_every": 5}
+    with pytest.raises(ConfigInvalid, match=r"evolve\.diagnostics_every: unknown key"):
+        parse_config(raw)
 
 
 def test_type_errors_name_their_paths():
@@ -141,20 +155,6 @@ def test_initial_coherent_vector_validation():
     raw["initial"] = {"type": "file"}
     with pytest.raises(ConfigInvalid, match="path"):
         parse_config(raw)
-
-
-def test_diagnostics_cadence_conflict_is_rejected():
-    raw = minimal()
-    raw["evolve"] = {"dt": 1e-3, "diagnostics_every": 10}
-    raw["output"] = {"dir": "runs/x", "diagnostics_every": 5}
-    with pytest.raises(ConfigInvalid, match="diagnostics_every"):
-        parse_config(raw)
-    # Same value in both places is fine; either alone reaches the solver.
-    raw["output"]["diagnostics_every"] = 10
-    assert parse_config(raw).solver.diagnostics_every == 10
-    raw2 = minimal()
-    raw2["output"] = {"dir": "runs/x", "diagnostics_every": 4}
-    assert parse_config(raw2).solver.diagnostics_every == 4
 
 
 def test_verify_scan_compare_sections():

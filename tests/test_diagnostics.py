@@ -19,10 +19,8 @@ from rotor_gpe import (
     galilean_momentum,
     galilean_position,
     ground_state,
-    lz_expectation,
     mass,
     propagate_oracle,
-    pseudo_conformal,
     random_smooth_field,
     record,
     vortex_state,
@@ -89,9 +87,12 @@ def test_record_components_scale_quadratically_and_quartically():
 
 
 def test_lz_expectation_on_reference_states():
-    assert lz_expectation(vortex_state(GRID, LINEAR, +1)) == pytest.approx(1.0, abs=1e-8)
-    assert lz_expectation(vortex_state(GRID, LINEAR, -1)) == pytest.approx(-1.0, abs=1e-8)
-    assert abs(lz_expectation(ground_state(GRID, LINEAR))) < 1e-10
+    def lz(u):
+        return record(u, 0.0, LINEAR, 0.0).lz_expect
+
+    assert lz(vortex_state(GRID, LINEAR, +1)) == pytest.approx(1.0, abs=1e-8)
+    assert lz(vortex_state(GRID, LINEAR, -1)) == pytest.approx(-1.0, abs=1e-8)
+    assert abs(lz(ground_state(GRID, LINEAR))) < 1e-10
     rec = record(vortex_state(GRID, LINEAR, +1), 0.0, LINEAR, 0.0)
     assert rec.lz_imag_defect < 1e-10
 
@@ -112,15 +113,6 @@ def test_balance_law_equals_twice_the_energy_at_window_start():
         rec = record(u, 0.0, params, energy_e0(u, params))
         assert rec.pc_lhs == pytest.approx(2.0 * rec.e0, rel=1e-12)
         assert abs(rec.pc_residual) < 1e-12 * max(abs(rec.pc_lhs), 1.0)
-
-
-def test_pseudo_conformal_wrapper_matches_record():
-    u = ground_state(GRID, CUBIC)
-    e0 = energy_e0(u, CUBIC)
-    out = pseudo_conformal(u, 0.3, CUBIC, e0)
-    rec = record(u, 0.3, CUBIC, e0)
-    assert out["pc_lhs"] == rec.pc_lhs
-    assert out["pc_residual"] == rec.pc_residual
 
 
 def _direct_dressed_quantities(u, t_local, params):

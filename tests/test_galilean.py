@@ -8,14 +8,12 @@ from rotor_gpe import (
     GridSpec,
     PhysicsParams,
     QFactorizationSingular,
-    angular_momentum,
     chirp_pair,
     galilean_momentum,
     galilean_momentum_chirped,
     galilean_position,
     galilean_position_chirped,
     ground_state,
-    inner,
     lp_norm,
     momentum_defect,
     position_defect,
@@ -140,26 +138,6 @@ def test_dressed_operators_satisfy_the_pythagorean_identity():
         hs = galilean_position(f, t, PARAMS)
         total = sum(lp_norm(g, 2) ** 2 for g in js) + sum(lp_norm(g, 2) ** 2 for g in hs)
         assert total == pytest.approx(target, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# angular momentum
-# ---------------------------------------------------------------------------
-
-
-def test_angular_momentum_eigenstates_and_hermiticity():
-    up = vortex_state(GRID, PARAMS, +1)
-    lz_up = angular_momentum(up)
-    assert rel_l2(lz_up, up) < 5e-6  # eigenvalue +1, box-wrap floor
-    um = vortex_state(GRID, PARAMS, -1)
-    lz_um = angular_momentum(um)
-    assert rel_l2(lz_um, Field(GRID, -um.data)) < 5e-6
-    g = ground_state(GRID, PARAMS)
-    # Radial state is annihilated up to the coordinate-weighted wrap floor.
-    assert lp_norm(angular_momentum(g), 2) < 1e-6
-    rng = np.random.default_rng(36)
-    f, h = smooth(rng), smooth(rng)
-    assert abs(inner(angular_momentum(f), h) - inner(f, angular_momentum(h))) < 1e-10
 
 
 # ---------------------------------------------------------------------------

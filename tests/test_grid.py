@@ -12,14 +12,12 @@ from rotor_gpe import (
     PhysicsParams,
     boundary_mass_fraction,
     coherent_state,
-    fft_forward,
-    fft_inverse,
     gradient_arrays,
     inner,
     laplacian_array,
     lp_norm,
-    norms,
     pairing,
+    record,
     spectral_gradient,
     vortex_state,
 )
@@ -113,14 +111,6 @@ def test_field_copies_and_coerces_dtype():
 # ---------------------------------------------------------------------------
 # FFT and spectral derivatives
 # ---------------------------------------------------------------------------
-
-
-def test_fft_roundtrip_is_machine_exact():
-    rng = np.random.default_rng(11)
-    grid = GridSpec(16, 3.0)
-    f = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    back = fft_inverse(fft_forward(f))
-    assert np.max(np.abs(back.data - f.data)) < 1e-13
 
 
 def test_gradient_exact_on_resolved_plane_wave():
@@ -274,18 +264,22 @@ def test_gaussian_norms_match_closed_forms():
     grid = GridSpec(48, 6.0)
     w = 0.8  # narrow enough that box truncation sits below every tolerance
     f = gaussian(grid, width=w)
-    n = norms(f)
-    assert n["l2"] == pytest.approx(1.0, abs=1e-10)
+    # omega = beta = 1: e0_kin = ||grad f||^2 / 2, e0_pot = || |x| f ||^2 / 2
+    # and e0_int = ||f||_4^4 / 2.
+    rec = record(f, 0.0, PhysicsParams(omega=1.0, beta=1.0), 0.0)
+    assert rec.mass == pytest.approx(1.0, abs=1e-10)
     # For f = (pi w^2)^(-3/4) exp(-r^2 / (2 w^2)):
     #   ||f||_1   = (4 pi)^(3/4) w^(3/2)
     #   ||f||_4^4 = (pi w^2)^(-3/2) 2^(-3/2)
     #   ||grad f||^2 = 3/(2 w^2),  || |x| f ||^2 = 3 w^2 / 2.
-    assert n["l1"] == pytest.approx((4.0 * np.pi) ** 0.75 * w**1.5, rel=1e-9)
-    assert n["l4"] == pytest.approx(((np.pi * w**2) ** -1.5 * 2.0**-1.5) ** 0.25, rel=1e-9)
-    assert n["linf"] == pytest.approx((np.pi * w**2) ** -0.75, rel=1e-12)
-    assert n["h1"] == pytest.approx(np.sqrt(1.0 + 1.5 / w**2), rel=1e-9)
-    assert n["weight_x"] == pytest.approx(np.sqrt(1.5 * w**2), rel=1e-9)
-    assert n["sigma"] == pytest.approx(n["h1"] + n["weight_x"], abs=1e-14)
+    assert lp_norm(f, 1) == pytest.approx((4.0 * np.pi) ** 0.75 * w**1.5, rel=1e-9)
+    assert rec.e0_int == pytest.approx(0.5 * (np.pi * w**2) ** -1.5 * 2.0**-1.5, rel=1e-9)
+    assert rec.linf == pytest.approx((np.pi * w**2) ** -0.75, rel=1e-12)
+    assert rec.e0_kin == pytest.approx(0.75 / w**2, rel=1e-9)
+    assert rec.e0_pot == pytest.approx(0.75 * w**2, rel=1e-9)
+    # sigma = ||f||_H1 + || |x| f ||.
+    h1 = np.sqrt(1.0 + 1.5 / w**2)
+    assert rec.sigma_norm == pytest.approx(h1 + np.sqrt(1.5 * w**2), rel=1e-9)
 
 
 def test_lp_norm_validates_exponent():
@@ -323,15 +317,6 @@ def test_inner_equals_the_direct_conjugated_sum(n):
     g = Field(grid, kick * gaussian(grid, width=0.9).data * (1.0 + 0.5 * grid.x2))
     want = np.sum(np.conj(f.data) * g.data) * grid.h**3
     assert abs(inner(f, g) - want) <= 1e-14 * abs(want)
-
-
-def test_parseval_under_fft():
-    rng = np.random.default_rng(19)
-    grid = GridSpec(16, 3.0)
-    for _ in range(5):
-        f = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-        fhat = fft_forward(f)
-        assert lp_norm(fhat, 2.0) == pytest.approx(lp_norm(f, 2.0), rel=1e-12)
 
 
 def test_boundary_mass_fraction_detects_edge_mass():

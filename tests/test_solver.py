@@ -24,7 +24,6 @@ from rotor_gpe import (
     galilean_momentum,
     galilean_position,
     ground_state,
-    initial_state,
     nonlinear_phase,
     picard_solve,
     propagate_fast,
@@ -130,17 +129,6 @@ def test_evolve_without_interaction_tracks_the_fast_backend():
 # ---------------------------------------------------------------------------
 # windowed evolution bookkeeping
 # ---------------------------------------------------------------------------
-
-
-def test_initial_state_wraps_field_and_clock():
-    u = ground_state(GRID, CUBIC)
-    st = initial_state(u, CUBIC)
-    assert st.t_global == 0.0
-    assert st.window_index == 0
-    assert st.t_local == 0.0
-    st2 = initial_state(u, CUBIC, t0=CUBIC.window * 2.5)
-    assert st2.window_index == 2
-    assert st2.t_local == pytest.approx(CUBIC.window / 2.0)
 
 
 def test_evolve_emits_seam_records_with_continuous_diagnostics():
@@ -432,7 +420,8 @@ def test_evolve_streams_snapshots_to_a_callback():
 
 def test_evolve_rejects_non_advancing_targets():
     u = ground_state(GRID, CUBIC)
-    st = initial_state(u, CUBIC, t0=0.5)
+    st = evolve(u, SolverConfig(scheme="strang", dt=0.05, t_end=0.5), CUBIC).final
+    assert st.t_global == pytest.approx(0.5)
     with pytest.raises(ConfigInvalid):
         evolve(st, SolverConfig(scheme="strang", dt=1e-3, t_end=0.25), CUBIC)
 
