@@ -36,7 +36,8 @@ A grid whose working set, ``WORKING_SET_FIELDS`` complex fields of
 as ``grid.n`` before anything is allocated.  The ``picard`` scheme adds
 ``PICARD_NODE_FIELDS`` fields per quadrature node; a node count that
 pushes the total past physical memory is rejected as
-``evolve.picard.quad_nodes``.
+``evolve.picard.quad_nodes``.  ``evolve.m`` and ``compare.substeps``
+are capped at ``MAX_SUBSTEPS``, so a plan build is bounded work.
 """
 
 from __future__ import annotations
@@ -71,12 +72,17 @@ _INITIAL_TYPES = STATE_KINDS + ("file",)
 WORKING_SET_FIELDS = 12
 
 #: Fields per quadrature node that ``solver.picard_solve`` holds at its
-#: peak, from the second iteration on: the free evolution and its lab
-#: copy, the current iterate and its lab copy, the cubic terms, the
-#: Duhamel sums, and the proposed iterate and its lab copy.  Its
-#: ``tracemalloc`` peak at n = 16 read 277.3 fields with 33 nodes and
-#: 148.7 with 17: 8.03 per node on top of about 12.
-PICARD_NODE_FIELDS = 8
+#: peak: the free evolution and the current iterate, which each sweep
+#: overwrites node by node.  Its ``tracemalloc`` peak at n = 16 read
+#: 77.0 fields with 33 nodes and 44.8 with 17: 2.01 per node on top of
+#: about 10.6, rounded up.
+PICARD_NODE_FIELDS = 3
+
+#: Largest accepted ``evolve.m`` and ``compare.substeps``.  A plan build
+#: costs ``2 m`` one-axis transforms of an ``n x n`` matrix; the program
+#: itself uses at most 512 (``propagator-compare``'s default), 256 in
+#: ``verify`` and 128 in ``convergence --scheme linear``.
+MAX_SUBSTEPS = 4096
 
 
 def _require_mapping(obj: Any, path: str) -> dict:
@@ -128,6 +134,13 @@ def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigInvalid(f"{path}: expected an integer, got {value!r}")
     return value
+
+
+def _as_substeps(value: Any, path: str) -> int:
+    number = _as_int(value, path)
+    if number > MAX_SUBSTEPS:
+        raise ConfigInvalid(f"{path}: must be <= {MAX_SUBSTEPS}, got {number}")
+    return number
 
 
 def _as_str(value: Any, path: str) -> str:
@@ -234,7 +247,7 @@ def _parse_evolve(section: Any, window: float, diagnostics_every: int) -> Solver
         _as_float(section["t_end"], "evolve.t_end") if "t_end" in section else window
     )
     if "m" in section and section["m"] is not None:
-        kwargs["m"] = _as_int(section["m"], "evolve.m")
+        kwargs["m"] = _as_substeps(section["m"], "evolve.m")
     if "blowup_factor" in section:
         kwargs["blowup_factor"] = _as_float(
             section["blowup_factor"], "evolve.blowup_factor"
@@ -298,7 +311,7 @@ def _parse_compare(section: Any) -> tuple[tuple[tuple[str, float], ...], int | N
         pairs.append((kind, _as_float(item[1], f"compare.pairs[{i}][1]")))
     substeps = None
     if "substeps" in section:
-        substeps = _as_int(section["substeps"], "compare.substeps")
+        substeps = _as_substeps(section["substeps"], "compare.substeps")
         if substeps < 1:
             raise ConfigInvalid(f"compare.substeps: must be >= 1, got {substeps}")
     return tuple(pairs), substeps

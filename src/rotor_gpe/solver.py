@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,9 +56,9 @@ from .errors import (
     NoContraction,
     WindowViolation,
 )
-from .galilean import galilean_momentum, galilean_position
 from .grid import (
     Field,
+    GridSpec,
     PhysicsParams,
     _moments,
     _Moments,
@@ -310,6 +310,10 @@ def evolve(
     into the caller's field, into a field it has handed to
     ``on_snapshot``, or into the returned state's ``corotating``: after
     the last step the workspace belongs to the returned state alone.
+    The harmonic flow's plan is fetched only when the step length
+    changes: at the first step, at a clipped one and after it, and where
+    the rounding of the window-local clock moves the length in its last
+    bits.
 
     Steps never straddle window seams: the last step of each window is
     clipped, the window-local clock is re-based to zero and the energy
@@ -384,6 +388,7 @@ def evolve(
     scratch = np.empty_like(ahead)
     real = np.empty(grid.shape)
     step_count = 0
+    plan, plan_dt = None, None
 
     def phase(tau_: float, out: np.ndarray) -> np.ndarray:
         """``N(tau_) w`` into ``out``, once ``max |w|`` has passed the guard."""
@@ -446,7 +451,8 @@ def evolve(
         if dt_step <= _TIME_EPS:
             break
 
-        plan = splitting_plan(grid, params, dt_step, config.m)
+        if dt_step != plan_dt:  # the first step, a clipped one, or a last-bit change
+            plan, plan_dt = splitting_plan(grid, params, dt_step, config.m), dt_step
         phase(tau + 0.5 * dt_step, phased)
         w = plan.harmonic(phased, out=ahead, scratch=phased)
         theta += params.omega * dt_step
@@ -485,16 +491,83 @@ def _node_lp(data: np.ndarray, grid, rho: float) -> float:
     return float((np.sum(np.abs(data) ** rho) * grid.cell_volume) ** (1.0 / rho))
 
 
-def _dressed_magnitude(
-    f: Field,
+def _lp_from_sq(sq: np.ndarray, grid: GridSpec, rho: float) -> float:
+    """``||f||_rho`` from ``sq = |f|^2``, which is overwritten.
+
+    At ``rho = 4`` the norm is the sum of the squared ``sq``; any other
+    exponent takes :func:`_node_lp` of ``sqrt(sq)``.
+    """
+    if rho == 4.0:
+        np.multiply(sq, sq, out=sq)
+        return float((sq.sum() * grid.cell_volume) ** 0.25)
+    np.maximum(sq, 0.0, out=sq)
+    return _node_lp(np.sqrt(sq, out=sq), grid, rho)
+
+
+def _node_norms(
+    grid: GridSpec,
+    d: np.ndarray,
     t: float,
     params: PhysicsParams,
-    which: str,
-    derivs: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    op = galilean_momentum if which == "J" else galilean_position
-    comps = op(f, t, params, derivs)
-    return np.sqrt(sum(np.abs(c.data) ** 2 for c in comps))
+    rho: float,
+    work: np.ndarray,
+) -> tuple[float, float, float]:
+    """``||d||_rho``, ``||J(t) d||_rho`` and ``||H(t) d||_rho`` of one node.
+
+    The transverse mix of the dressed operators
+    (:mod:`rotor_gpe.galilean`) rotates the vectors ``x d`` and
+    ``grad d`` and so leaves their pointwise magnitudes alone.  With
+    ``c, s = cos, sin(omega t)`` and ``X = sum_j x_j Im(conj(d) d_j d)``::
+
+        |J(t) d|^2 = |omega s x d - i c grad d|^2
+                   = (omega s)^2 |x|^2 |d|^2 + c^2 |grad d|^2 + 2 omega s c X
+        |H(t) d|^2 = |omega c x d + i s grad d|^2
+                   = (omega c)^2 |x|^2 |d|^2 + s^2 |grad d|^2 - 2 omega s c X
+
+    All three squared moduli come from one gradient of ``d`` and are
+    written into ``work``, five real arrays of the field's shape; no
+    ``Field`` and no dressed component is built.  ``d`` is only read.
+    """
+    abs2, grad2, cross, tmp, tmp2 = work
+    _modulus_sq(d, abs2, tmp)
+    grad2.fill(0.0)
+    cross.fill(0.0)
+    for dj, xj in zip(gradient_arrays(grid, d), (grid.x1, grid.x2, grid.x3)):
+        grad2 += _modulus_sq(dj, tmp, tmp2)
+        np.multiply(d.real, dj.imag, out=tmp)
+        tmp -= np.multiply(d.imag, dj.real, out=tmp2)
+        tmp *= xj
+        cross += tmp
+    np.multiply(grid.r2, abs2, out=tmp)
+    plain = _lp_from_sq(abs2, grid, rho)
+    w = params.omega
+    c, s = np.cos(w * t), np.sin(w * t)
+    mixed = 2.0 * w * s * c
+    np.multiply(tmp, (w * s) ** 2, out=abs2)
+    abs2 += np.multiply(grad2, c * c, out=tmp2)
+    abs2 += np.multiply(cross, mixed, out=tmp2)
+    dressed_j = _lp_from_sq(abs2, grid, rho)
+    np.multiply(tmp, (w * c) ** 2, out=abs2)
+    abs2 += np.multiply(grad2, s * s, out=tmp2)
+    abs2 -= np.multiply(cross, mixed, out=tmp2)
+    return plain, dressed_j, _lp_from_sq(abs2, grid, rho)
+
+
+def _distance(
+    grid: GridSpec,
+    nodes: Iterable[tuple[np.ndarray, float, float]],
+    rho: float,
+    params: PhysicsParams,
+) -> float:
+    """The workspace distance of ``(difference, time, weight)`` nodes."""
+    gamma = admissible_gamma(rho)
+    work = np.empty((5,) + grid.shape)
+    sums = [0.0, 0.0, 0.0]
+    for d, t, weight in nodes:
+        for k, norm in enumerate(_node_norms(grid, d, t, params, rho, work)):
+            sums[k] += weight * norm**gamma
+    inv = 1.0 / gamma
+    return sums[0] ** inv + sums[1] ** inv + sums[2] ** inv
 
 
 def workspace_distance(
@@ -512,25 +585,27 @@ def workspace_distance(
     ``d_i = u_i - v_i`` plus the same expression with ``d_i`` replaced by
     the pointwise magnitude of ``J(t_i) d_i`` and of ``H(t_i) d_i``;
     ``gamma`` is the admissible exponent paired with ``rho``.  The
-    dressed operators are evaluated at the (window-local) node times,
-    both from one gradient of ``d_i``.
+    dressed operators are evaluated at the (window-local) node times.
+    Their squared magnitudes come from one gradient of ``d_i`` in closed
+    form (:func:`_node_norms`), so no dressed component is built.
+
+    Each magnitude is a rotation covariant: for ``d = d_co o R`` it is
+    the rotated pattern of the co-rotating one.  So in the continuum the
+    distance is the same in the lab and in the co-rotating frame, and
+    :func:`picard_solve` measures it on co-rotating nodes.  On the grid
+    the two differ by the shear rotation's band-limit gap.
     """
     if not len(u_traj) == len(v_traj) == len(time_weights) == len(times):
         raise ValueError("workspace_distance: trajectories must share one node set")
-    gamma = admissible_gamma(rho)
-    plain = 0.0
-    dressed_j = 0.0
-    dressed_h = 0.0
-    for u_i, v_i, w_i, t_i in zip(u_traj, v_traj, time_weights, times):
-        delta = Field(u_i.grid, u_i.data - v_i.data)
-        plain += w_i * _node_lp(delta.data, delta.grid, rho) ** gamma
-        derivs = gradient_arrays(delta.grid, delta.data)
-        jmag = _dressed_magnitude(delta, t_i, params, "J", derivs)
-        hmag = _dressed_magnitude(delta, t_i, params, "H", derivs)
-        dressed_j += w_i * _node_lp(jmag, delta.grid, rho) ** gamma
-        dressed_h += w_i * _node_lp(hmag, delta.grid, rho) ** gamma
-    inv = 1.0 / gamma
-    return plain**inv + dressed_j**inv + dressed_h**inv
+    if not u_traj:
+        return 0.0
+    grid = u_traj[0].grid
+    diff = np.empty(grid.shape, dtype=np.complex128)
+    nodes = (
+        (np.subtract(u_i.data, v_i.data, out=diff), t_i, w_i)
+        for u_i, v_i, w_i, t_i in zip(u_traj, v_traj, time_weights, times)
+    )
+    return _distance(grid, nodes, rho, params)
 
 
 @dataclass(frozen=True)
@@ -554,16 +629,23 @@ def picard_solve(
 
     Trapezoid nodes ``t_i = i T/(N-1)``.  The iteration runs in the
     co-rotating frame, where the kernel over a node gap is the harmonic
-    flow ``H(T/(N-1))`` alone; each iterate's node ``i`` is rotated once,
-    by ``omega t_i``, into the lab field that the workspace distance and
-    the result see.  The Duhamel sum is carried from node to node by a
-    linear recurrence, so one iteration costs ``N - 1`` applications of
-    ``H`` and ``N`` rotations, i.e. ``O(N)``.  The initial iterate is
-    the free evolution; the stopping metric is the workspace distance
-    between consecutive iterates.  Raises :class:`NoContraction` after
-    three consecutive non-decreasing distances (the smallness condition
-    on ``T`` and the data is violated), :class:`WindowViolation` if
-    ``T`` exceeds one window.
+    flow ``H(T/(N-1))`` alone, and it measures the workspace distance
+    between consecutive iterates on the co-rotating node differences:
+    the distance is a rotation invariant up to the shear rotation's
+    band-limit gap (see :func:`workspace_distance`).  Only the returned
+    nodes are rotated, node ``i`` once by ``omega t_i``, into the lab
+    fields of the result.
+
+    The Duhamel sum is carried from node to node by a linear recurrence,
+    so one iteration costs ``N - 1`` applications of ``H``, i.e.
+    ``O(N)``.  An iteration sweeps the nodes once: it proposes node
+    ``k``, adds its difference to the distance and overwrites the
+    current node in place, so it holds the free evolution and the
+    current iterate (two fields per node) and a fixed workspace.  The
+    initial iterate is the free evolution.  Raises :class:`NoContraction`
+    after three consecutive non-decreasing distances (the smallness
+    condition on ``T`` and the data is violated), :class:`WindowViolation`
+    if ``T`` exceeds one window.
     """
     if not 0.0 < T <= params.window + _TIME_EPS:
         raise WindowViolation(
@@ -579,61 +661,72 @@ def picard_solve(
     grid = u0.grid
     step = splitting_plan(grid, params, delta, config.m).harmonic
 
-    def to_lab(nodes: list[np.ndarray]) -> list[Field]:
-        return [
-            Field(grid, rotate_pattern(grid, v, params.omega * t))
+    def result(nodes: list[np.ndarray], distances: Sequence[float]) -> PicardResult:
+        fields = tuple(
+            Field(grid, rotate_pattern(grid, v, params.omega * t, out=v))
             for v, t in zip(nodes, times)
-        ]
-
-    # Free evolution H(t_i) u0, built incrementally along the node set.
-    free: list[np.ndarray] = [u0.data]
-    for _ in range(n_nodes - 1):
-        free.append(step(free[-1]))
-    free_lab = to_lab(free)
-
-    if params.beta == 0.0:
+        )
         return PicardResult(
             times=times,
-            fields=tuple(free_lab),
-            distances=(0.0,),
-            iterations=1,
-            sup_l2=max(lp_norm(f, 2) for f in free_lab),
+            fields=fields,
+            distances=tuple(distances),
+            iterations=len(distances),
+            sup_l2=max(lp_norm(f, 2) for f in fields),
         )
 
-    current, current_lab = free, free_lab
+    # Free evolution H(t_i) u0, built incrementally along the node set.
+    free: list[np.ndarray] = [u0.data.copy()]
+    for _ in range(n_nodes - 1):
+        free.append(step(free[-1]))
+    if params.beta == 0.0:
+        return result(free, (0.0,))
+
+    # Node 0 never moves (its Duhamel sum is empty), so it is shared.
+    current = [free[0]] + [v.copy() for v in free[1:]]
+    proposed = np.empty_like(free[0])
+    carried = np.empty_like(proposed)
+    scratch = np.empty_like(proposed)
+    cubic = (np.empty_like(proposed), np.empty_like(proposed))
+    real = np.empty(grid.shape)
+
+    def sweep():
+        """Propose every node in turn; yield its change for the distance.
+
+        ``duhamel[k] = sum_{j <= k} w_kj H((k-j) delta) cubic_j`` with
+        trapezoid weights over ``[0, t_k]``.  The ``j < k`` part is
+        carried as ``A_k = H(delta)(A_{k-1} + w_{k-1} cubic_{k-1})``,
+        ``A_0 = 0``, which is the same sum by linearity of ``H``.  Node
+        ``k``'s cubic term is taken before the node is overwritten.
+        """
+        nonlocal proposed
+        carried.fill(0.0)
+        for k in range(n_nodes):
+            cub = cubic[k % 2]
+            abs2 = np.abs(current[k], out=real)
+            abs2 *= abs2
+            np.multiply(abs2, current[k], out=cub)
+            if k == 0:
+                continue
+            np.multiply(0.5 * delta if k == 1 else delta, cubic[(k - 1) % 2], out=scratch)
+            np.add(carried, scratch, out=scratch)
+            step(scratch, out=carried, scratch=scratch)
+            np.multiply(0.5 * delta, cub, out=scratch)
+            np.add(carried, scratch, out=scratch)
+            np.multiply(1j * params.beta, scratch, out=scratch)
+            np.subtract(free[k], scratch, out=proposed)
+            yield np.subtract(proposed, current[k], out=scratch), times[k], weights[k]
+            current[k], proposed = proposed, current[k]
+
     distances: list[float] = []
     rising = 0
     for iteration in range(1, pc.max_iter + 1):
-        cubic = [np.abs(v) ** 2 * v for v in current]
-        # duhamel[k] = sum_{j <= k} w_kj H((k-j) delta) cubic_j with
-        # trapezoid weights over [0, t_k].  The j < k part is carried as
-        # A_k = H(delta)(A_{k-1} + w_{k-1} cubic_{k-1}), A_0 = 0, which is
-        # the same sum by linearity of H.
-        duhamel: list[np.ndarray] = [np.zeros_like(u0.data)]
-        carried = np.zeros_like(u0.data)
-        for k in range(1, n_nodes):
-            w_prev = 0.5 * delta if k == 1 else delta
-            carried = step(carried + w_prev * cubic[k - 1])
-            duhamel.append(carried + 0.5 * delta * cubic[k])
-        proposed = [
-            free_i - 1j * params.beta * duh for free_i, duh in zip(free, duhamel)
-        ]
-        proposed_lab = to_lab(proposed)
-        dist = workspace_distance(
-            proposed_lab,
-            current_lab,
-            pc.rho,
-            weights,
-            times=times,
-            params=params,
-        )
+        dist = _distance(grid, sweep(), pc.rho, params)
         distances.append(dist)
         logger.debug("fixed-point iteration %d: distance %.3e", iteration, dist)
         if len(distances) >= 2 and distances[-1] >= distances[-2]:
             rising += 1
         else:
             rising = 0
-        current, current_lab = proposed, proposed_lab
         if dist < pc.tol:
             break
         if rising >= 3:
@@ -642,10 +735,4 @@ def picard_solve(
                 f"iterations (last {distances[-4:]}); T = {T} is too large "
                 "for this data size"
             )
-    return PicardResult(
-        times=times,
-        fields=tuple(current_lab),
-        distances=tuple(distances),
-        iterations=len(distances),
-        sup_l2=max(lp_norm(f, 2) for f in current_lab),
-    )
+    return result(current, distances)

@@ -4,12 +4,20 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rotor_gpe import CSV_HEADER, ConfigInvalid, GridSpec, PhysicsParams, ground_state
+from rotor_gpe import (
+    CSV_HEADER,
+    BoundaryTruncation,
+    ConfigInvalid,
+    GridSpec,
+    PhysicsParams,
+    ground_state,
+)
 from rotor_gpe.config import build_initial_field, load_config
 from rotor_gpe.solver import evolve
 from rotor_gpe.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, entrypoint
@@ -131,10 +139,10 @@ def test_the_working_set_bound_is_twelve_fields_of_the_grid(tmp_path, monkeypatc
         config_module.parse_config(raw)
 
 
-def test_picard_nodes_add_eight_fields_each_to_the_working_set(tmp_path, monkeypatch):
+def test_picard_nodes_add_three_fields_each_to_the_working_set(tmp_path, monkeypatch):
     import rotor_gpe.config as config_module
 
-    monkeypatch.setattr(config_module, "_physical_memory", lambda: (12 + 8 * 33) * 16 * 16**3)
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: (12 + 3 * 33) * 16 * 16**3)
     raw = run_config(tmp_path)
     raw["evolve"] = {"scheme": "picard", "picard": {"quad_nodes": 33}}
     assert config_module.parse_config(raw).solver.picard.quad_nodes == 33
@@ -144,6 +152,38 @@ def test_picard_nodes_add_eight_fields_each_to_the_working_set(tmp_path, monkeyp
     # The nodes count only for the scheme that holds them.
     raw["evolve"]["scheme"] = "strang"
     assert config_module.parse_config(raw).solver.picard.quad_nodes == 34
+
+
+@pytest.mark.parametrize("section, key", [("evolve", "m"), ("compare", "substeps")])
+def test_a_substep_count_beyond_the_cap_exits_config_at_once(tmp_path, section, key):
+    # Unbounded, 2**70 substeps would loop in the plan build until killed,
+    # so the command runs in a child process that a timeout can end.
+    import rotor_gpe
+
+    raw = run_config(tmp_path)
+    raw.setdefault(section, {})[key] = 2**70
+    cfg = write_config(tmp_path, raw)
+    command = "run" if section == "evolve" else "propagator-compare"
+    src = str(Path(rotor_gpe.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys, time; sys.path.insert(0, {src!r});"
+            " from rotor_gpe.cli import entrypoint; start = time.perf_counter();"
+            f" code = entrypoint([{command!r}, {cfg!r}]);"
+            " print(time.perf_counter() - start); sys.exit(code)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert float(proc.stdout.strip().splitlines()[-1]) < 2.0
+    assert f"{section}.{key}: must be <= 4096" in proc.stderr
+    raw[section][key] = 4096
+    loaded = load_config(write_config(tmp_path, raw))
+    assert (loaded.solver.m if section == "evolve" else loaded.compare_substeps) == 4096
 
 
 @pytest.mark.parametrize(
@@ -273,6 +313,26 @@ def test_verify_default_battery_passes(capsys):
     assert "all 12 checks passed" in out
     assert "intertwining-momentum" in out
     assert "duality-pairing" in out
+
+
+def test_the_richardson_referee_meets_a_4096_step_strang_run():
+    # The referee of `verify`'s nonlinear row and of the picard study:
+    # (4 u_256 - u_128) / 3 at n = 16 from the ground state to t = pi/8.
+    # A 4096-step Strang run is itself 5.6e-10 from the limit.
+    from rotor_gpe.cli import REFEREE_STEPS, _strang_referee
+    from rotor_gpe.solver import SolverConfig
+
+    assert REFEREE_STEPS == (128, 256)
+    params = PhysicsParams(omega=1.0, beta=1.0)
+    u0 = ground_state(GridSpec(n=16, extent=5.0), params)
+    t = np.pi / 8.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryTruncation)
+        ref = _strang_referee(u0, t, params).data
+        fine = evolve(
+            u0, SolverConfig(scheme="strang", dt=t / 4096, t_end=t, m=1), params
+        ).final.field.data
+    assert np.linalg.norm(ref - fine) / np.linalg.norm(fine) < 1e-9
 
 
 def test_verify_skips_nonlinear_check_without_interaction(tmp_path, capsys):

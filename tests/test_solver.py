@@ -404,6 +404,33 @@ def test_corotating_evolution_meets_lab_frame_steps_under_refinement():
     assert gaps[48] < 1e-2 * gaps[32]
 
 
+def test_evolve_fetches_a_plan_only_when_the_step_length_changes(monkeypatch):
+    calls = []
+    real_plan = solver_module.splitting_plan
+
+    def counting(grid, params, t, *args):
+        calls.append(t)
+        return real_plan(grid, params, t, *args)
+
+    monkeypatch.setattr(solver_module, "splitting_plan", counting)
+    # A dyadic dt advances the window-local clock exactly, so 512 steps
+    # across a seam have three lengths: dt, the clipped step, dt again.
+    dt = 2.0**-9
+    cfg = SolverConfig(dt=dt, t_end=CUBIC.window + 109 * dt, diagnostics_every=1)
+    res = evolve(ground_state(GRID, CUBIC), cfg, CUBIC)
+    assert res.final.window_index == 1
+    assert len(res.records) == 1 + 512 + 1  # a record per step, two at the seam
+    assert calls == [dt, pytest.approx(CUBIC.window - 402 * dt), dt]
+    # Otherwise the clock's rounding moves the step length in its last
+    # bits now and then; each change, and only a change, fetches the plan
+    # of that length, so the steps are the parent's bit for bit.
+    calls.clear()
+    evolve(ground_state(GRID, CUBIC), SolverConfig(dt=1e-3, t_end=0.512), CUBIC)
+    assert 2 <= len(calls) < 20
+    assert all(a != b for a, b in zip(calls, calls[1:]))
+    assert calls == pytest.approx([1e-3] * len(calls), rel=1e-12)
+
+
 def test_evolve_streams_snapshots_to_a_callback():
     cfg = SolverConfig(scheme="strang", dt=1e-2, t_end=0.1)
     u = off_axis_state(GRID)
@@ -536,6 +563,73 @@ def test_one_picard_iteration_equals_the_direct_trapezoid_sum():
         )
         err = np.linalg.norm(res.fields[k].data - want) / np.linalg.norm(want)
         assert err < 1e-12
+
+
+@pytest.mark.parametrize("params", [CUBIC, LINEAR])
+def test_picard_rotates_each_returned_node_once(monkeypatch, params):
+    calls = []
+    real_rotate = solver_module.rotate_pattern
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_rotate(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "rotate_pattern", counting)
+    cfg = SolverConfig(scheme="picard", t_end=0.3, m=4, picard=PicardConfig(quad_nodes=9))
+    res = picard_solve(ground_state(GRID, params), 0.3, cfg, params)
+    assert res.iterations >= (5 if params.beta else 1)
+    assert len(calls) == 9
+
+
+def test_corotating_picard_distance_meets_the_lab_frame_distance_under_refinement():
+    # picard_solve measures its distances on co-rotating node differences.
+    # The lab-frame distance of the rotated differences (the returned
+    # iterates 3 and 2) differs by the shear rotation's band-limit gap
+    # alone, which falls with n: measured 3.3e-3, 1.9e-7 and 2.8e-11.
+    T, nodes = np.pi / 8.0, 9
+    delta = T / (nodes - 1)
+    weights = [0.5 * delta] + [delta] * (nodes - 2) + [0.5 * delta]
+    gaps = []
+    for n in (16, 32, 48):
+        u0 = ground_state(GridSpec(n, 5.0), CUBIC)
+        runs = [
+            picard_solve(
+                u0,
+                T,
+                SolverConfig(scheme="picard", t_end=T, picard=PicardConfig(quad_nodes=nodes, max_iter=k)),
+                CUBIC,
+            )
+            for k in (2, 3)
+        ]
+        lab = workspace_distance(
+            runs[1].fields, runs[0].fields, 4.0, weights, times=runs[1].times, params=CUBIC
+        )
+        gaps.append(abs(runs[1].distances[-1] - lab) / lab)
+    assert gaps[1] < 1e-4
+    assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_picard_holds_at_most_the_guarded_fields_per_node():
+    # The working-set guard counts config.PICARD_NODE_FIELDS per node;
+    # the tracemalloc peak's slope in the node count must not exceed it
+    # (measured 2.01 fields per node at n = 16).
+    from rotor_gpe.config import PICARD_NODE_FIELDS
+
+    u0 = ground_state(GRID, CUBIC)
+    peaks = {}
+    for nodes in (17, 33):
+        cfg = SolverConfig(scheme="picard", t_end=0.3, picard=PicardConfig(quad_nodes=nodes))
+        picard_solve(u0, np.pi / 8.0, cfg, CUBIC)  # builds the plan outside the measurement
+        tracemalloc.start()
+        try:
+            res = picard_solve(u0, np.pi / 8.0, cfg, CUBIC)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 7
+        peaks[nodes] = peak / u0.data.nbytes
+    slope = (peaks[33] - peaks[17]) / 16
+    assert 1.0 < slope <= PICARD_NODE_FIELDS
 
 
 def test_picard_rejects_multi_window_horizons():
