@@ -89,8 +89,6 @@ EXIT_IO = 4
 COMPARE_BOUND = 1e-6
 #: Substep count at which the fast backend's splitting error is below the bound.
 COMPARE_SUBSTEPS = 512
-#: Step counts of the Strang runs whose Richardson pair is the nonlinear referee.
-REFEREE_STEPS = (128, 256)
 
 
 def _rel_l2(a: Field, b: Field) -> float:
@@ -108,12 +106,13 @@ def _strang_referee(u0: Field, t: float, params: PhysicsParams) -> Field:
     ``dt^2`` and the pair cancels the leading term.  At n = 16, from the
     ground state to ``t = pi/8``, the pair is 1.4e-10 (relative L2) from
     8192 plain steps, which is that run's own error, and 4.6e-13 from the
-    pair of 256 and 512 steps; it costs 384 steps.
+    pair of 256 and 512 steps; it costs 384 steps.  The weights hold only
+    for a fine run of twice the coarse run's steps.
     """
     coarse, fine = (
         evolve(u0, SolverConfig(scheme="strang", dt=t / k, t_end=t, m=1), params)
         .final.field.data
-        for k in REFEREE_STEPS
+        for k in (128, 256)
     )
     return Field(u0.grid, (4.0 * fine - coarse) / 3.0)
 

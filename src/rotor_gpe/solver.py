@@ -494,14 +494,12 @@ def _node_lp(data: np.ndarray, grid, rho: float) -> float:
 def _lp_from_sq(sq: np.ndarray, grid: GridSpec, rho: float) -> float:
     """``||f||_rho`` from ``sq = |f|^2``, which is overwritten.
 
-    At ``rho = 4`` the norm is the sum of the squared ``sq``; any other
-    exponent takes :func:`_node_lp` of ``sqrt(sq)``.
+    ``abs`` drops the rounding-level negatives of the closed-form dressed
+    moduli; at ``rho = 4`` the in-place power is NumPy's exact square.
     """
-    if rho == 4.0:
-        np.multiply(sq, sq, out=sq)
-        return float((sq.sum() * grid.cell_volume) ** 0.25)
-    np.maximum(sq, 0.0, out=sq)
-    return _node_lp(np.sqrt(sq, out=sq), grid, rho)
+    np.abs(sq, out=sq)
+    sq **= 0.5 * rho
+    return float((sq.sum() * grid.cell_volume) ** (1.0 / rho))
 
 
 def _node_norms(

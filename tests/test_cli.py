@@ -319,10 +319,9 @@ def test_the_richardson_referee_meets_a_4096_step_strang_run():
     # The referee of `verify`'s nonlinear row and of the picard study:
     # (4 u_256 - u_128) / 3 at n = 16 from the ground state to t = pi/8.
     # A 4096-step Strang run is itself 5.6e-10 from the limit.
-    from rotor_gpe.cli import REFEREE_STEPS, _strang_referee
+    from rotor_gpe.cli import _strang_referee
     from rotor_gpe.solver import SolverConfig
 
-    assert REFEREE_STEPS == (128, 256)
     params = PhysicsParams(omega=1.0, beta=1.0)
     u0 = ground_state(GridSpec(n=16, extent=5.0), params)
     t = np.pi / 8.0

@@ -696,6 +696,31 @@ def test_workspace_distance_takes_one_gradient_per_node(monkeypatch):
     assert got == want
 
 
+@pytest.mark.parametrize("rho", [2.5, 3.0, 5.5])
+def test_workspace_distance_matches_the_dressed_construction_off_rho_4(rho):
+    # The closed-form moduli hold for every admissible exponent, not only
+    # the rho = 4 of the picard runs.
+    rng = np.random.default_rng(64)
+    times = (0.0, 0.05, 0.1)
+    weights = (0.025, 0.05, 0.025)
+    u = [random_smooth_field(GRID, rng, width=GRID.extent / 6.0) for _ in times]
+    v = [random_smooth_field(GRID, rng, width=GRID.extent / 6.0) for _ in times]
+    gamma = admissible_gamma(rho)
+    sums = [0.0, 0.0, 0.0]
+    for u_i, v_i, w_i, t_i in zip(u, v, weights, times):
+        delta = Field(GRID, u_i.data - v_i.data)
+        mags = [
+            delta.data,
+            np.sqrt(sum(np.abs(c.data) ** 2 for c in galilean_momentum(delta, t_i, CUBIC))),
+            np.sqrt(sum(np.abs(c.data) ** 2 for c in galilean_position(delta, t_i, CUBIC))),
+        ]
+        for k, mag in enumerate(mags):
+            sums[k] += w_i * solver_module._node_lp(mag, GRID, rho) ** gamma
+    want = sum(s ** (1.0 / gamma) for s in sums)
+    got = workspace_distance(u, v, rho, weights, times=times, params=CUBIC)
+    assert got == pytest.approx(want, rel=1e-13)
+
+
 def test_workspace_distance_is_a_homogeneous_metric():
     rng = np.random.default_rng(62)
     times = (0.0, 0.05, 0.1)
