@@ -343,7 +343,6 @@ def _verify_battery(cfg: RunConfig) -> list[CheckRow]:
         scheme="strang",
         dt=min(cfg.solver.dt, 2e-3 / w),
         t_end=min(cfg.solver.t_end, 0.2 / w),
-        m=cfg.solver.m,
         picard=cfg.solver.picard,
         diagnostics_every=25,
         blowup_factor=cfg.solver.blowup_factor,
@@ -446,14 +445,13 @@ def cmd_convergence(cfg: RunConfig, scheme: str, levels: int) -> int:
                 "physics.beta: the strang study measures the splitting error"
                 " of the nonlinearity; it needs beta > 0"
             )
-        m_pin = cfg.solver.m if cfg.solver.m is not None else 1
         dts = [t_end / (25.0 * 2**k) for k in range(levels)]
-        ref_cfg = SolverConfig(scheme="strang", dt=dts[-1] / 4.0, t_end=t_end, m=m_pin)
+        ref_cfg = SolverConfig(scheme="strang", dt=dts[-1] / 4.0, t_end=t_end, m=1)
         ref = evolve(u0, ref_cfg, params).final.field
         errors = []
         for dt in dts:
             out = evolve(
-                u0, SolverConfig(scheme="strang", dt=dt, t_end=t_end, m=m_pin), params
+                u0, SolverConfig(scheme="strang", dt=dt, t_end=t_end, m=1), params
             ).final.field
             errors.append(_rel_l2(out, ref))
         labels = dts
@@ -581,17 +579,18 @@ def cmd_propagator_compare(cfg: RunConfig) -> int:
         if cfg.compare_pairs is not None
         else [("ground", 0.6 / w), ("vortex_plus", 0.6 / w)]
     )
-    substeps = cfg.compare_substeps or COMPARE_SUBSTEPS
     lines = [header.strip()]
     worst = 0.0
     for kind, t in pairs:
         u0 = make_state(cfg.grid, params, kind)
         dense = propagate_oracle(u0, t, params)
-        fast = propagate_fast(u0, t, params, substeps=substeps)
+        fast = propagate_fast(u0, t, params, substeps=COMPARE_SUBSTEPS)
         ratio = _rel_l2(fast, dense)
         worst = max(worst, ratio)
-        lines.append(f"{_fmt(t)},{_fmt(float(substeps))},{_fmt(ratio)},{_fmt(COMPARE_BOUND)}")
-        print(f"{kind:>12}  t = {t:.4f}  m = {substeps}  discrepancy = {ratio:.3e}")
+        lines.append(
+            f"{_fmt(t)},{_fmt(float(COMPARE_SUBSTEPS))},{_fmt(ratio)},{_fmt(COMPARE_BOUND)}"
+        )
+        print(f"{kind:>12}  t = {t:.4f}  m = {COMPARE_SUBSTEPS}  discrepancy = {ratio:.3e}")
     _write_text(path, "\n".join(lines) + "\n")
     _write_manifest(cfg, "propagator-compare", [path.name], start,
                     "manifest_propagator_compare.json")

@@ -17,7 +17,7 @@ Optional sections (defaults in parentheses)::
                "params": {...}}                     (ground)
               coherent params: center, kick (3-vectors)
               file params:     path (snapshot stem or file)
-    evolve:   {"scheme": "strang" | "picard", "dt", "t_end", "m",
+    evolve:   {"scheme": "strang" | "picard", "dt", "t_end",
                "blowup_factor",
                "picard": {"rho", "tol", "max_iter", "quad_nodes"}}
               (strang, dt = 1e-3, t_end = one window)
@@ -28,16 +28,14 @@ Optional sections (defaults in parentheses)::
     verify:   {"tolerance": float >= 0} — when present, replaces every
               tolerance of the `verify` subcommand (0 fails everything)
     scan:     {"pairs": [[t, s], ...]} for `dispersive-scan`
-    compare:  {"pairs": [[state, t], ...], "substeps": int}
-              for `propagator-compare`
+    compare:  {"pairs": [[state, t], ...]} for `propagator-compare`
 
 A grid whose working set, ``WORKING_SET_FIELDS`` complex fields of
 ``16 n^3`` bytes each, exceeds the machine's physical memory is rejected
 as ``grid.n`` before anything is allocated.  The ``picard`` scheme adds
 ``PICARD_NODE_FIELDS`` fields per quadrature node; a node count that
 pushes the total past physical memory is rejected as
-``evolve.picard.quad_nodes``.  ``evolve.m`` and ``compare.substeps``
-are capped at ``MAX_SUBSTEPS``, so a plan build is bounded work.
+``evolve.picard.quad_nodes``.
 """
 
 from __future__ import annotations
@@ -77,12 +75,6 @@ WORKING_SET_FIELDS = 12
 #: 77.0 fields with 33 nodes and 44.8 with 17: 2.01 per node on top of
 #: about 10.6, rounded up.
 PICARD_NODE_FIELDS = 3
-
-#: Largest accepted ``evolve.m`` and ``compare.substeps``.  A plan build
-#: costs ``2 m`` one-axis transforms of an ``n x n`` matrix; the program
-#: itself uses at most 512 (``propagator-compare``'s default), 256 in
-#: ``verify`` and 128 in ``convergence --scheme linear``.
-MAX_SUBSTEPS = 4096
 
 
 def _require_mapping(obj: Any, path: str) -> dict:
@@ -136,13 +128,6 @@ def _as_int(value: Any, path: str) -> int:
     return value
 
 
-def _as_substeps(value: Any, path: str) -> int:
-    number = _as_int(value, path)
-    if number > MAX_SUBSTEPS:
-        raise ConfigInvalid(f"{path}: must be <= {MAX_SUBSTEPS}, got {number}")
-    return number
-
-
 def _as_str(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigInvalid(f"{path}: expected a string, got {value!r}")
@@ -170,7 +155,6 @@ class RunConfig:
     verify_tolerance: float | None
     scan_pairs: tuple[tuple[float, float], ...] | None
     compare_pairs: tuple[tuple[str, float], ...] | None
-    compare_substeps: int | None
     echo: dict
 
 
@@ -236,7 +220,7 @@ def _parse_picard(section: Any) -> PicardConfig:
 
 def _parse_evolve(section: Any, window: float, diagnostics_every: int) -> SolverConfig:
     section = _require_mapping(section, "evolve")
-    allowed = ("scheme", "dt", "t_end", "m", "blowup_factor", "picard")
+    allowed = ("scheme", "dt", "t_end", "blowup_factor", "picard")
     _reject_unknown(section, allowed, "evolve")
     kwargs: dict[str, Any] = {"diagnostics_every": diagnostics_every}
     if "scheme" in section:
@@ -246,8 +230,6 @@ def _parse_evolve(section: Any, window: float, diagnostics_every: int) -> Solver
     kwargs["t_end"] = (
         _as_float(section["t_end"], "evolve.t_end") if "t_end" in section else window
     )
-    if "m" in section and section["m"] is not None:
-        kwargs["m"] = _as_substeps(section["m"], "evolve.m")
     if "blowup_factor" in section:
         kwargs["blowup_factor"] = _as_float(
             section["blowup_factor"], "evolve.blowup_factor"
@@ -292,9 +274,9 @@ def _parse_scan(section: Any) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
-def _parse_compare(section: Any) -> tuple[tuple[tuple[str, float], ...], int | None]:
+def _parse_compare(section: Any) -> tuple[tuple[str, float], ...]:
     section = _require_mapping(section, "compare")
-    _reject_unknown(section, ("pairs", "substeps"), "compare")
+    _reject_unknown(section, ("pairs",), "compare")
     raw = section.get("pairs", [])
     if not isinstance(raw, list):
         raise ConfigInvalid(f"compare.pairs: expected a list, got {raw!r}")
@@ -309,12 +291,7 @@ def _parse_compare(section: Any) -> tuple[tuple[tuple[str, float], ...], int | N
                 f" got {kind!r}"
             )
         pairs.append((kind, _as_float(item[1], f"compare.pairs[{i}][1]")))
-    substeps = None
-    if "substeps" in section:
-        substeps = _as_substeps(section["substeps"], "compare.substeps")
-        if substeps < 1:
-            raise ConfigInvalid(f"compare.substeps: must be >= 1, got {substeps}")
-    return tuple(pairs), substeps
+    return tuple(pairs)
 
 
 def parse_config(data: Any) -> RunConfig:
@@ -386,9 +363,7 @@ def parse_config(data: Any) -> RunConfig:
                 )
 
     scan_pairs = _parse_scan(data["scan"]) if "scan" in data else None
-    compare_pairs, compare_substeps = (
-        _parse_compare(data["compare"]) if "compare" in data else (None, None)
-    )
+    compare_pairs = _parse_compare(data["compare"]) if "compare" in data else None
 
     return RunConfig(
         grid=grid,
@@ -402,7 +377,6 @@ def parse_config(data: Any) -> RunConfig:
         verify_tolerance=verify_tolerance,
         scan_pairs=scan_pairs,
         compare_pairs=compare_pairs,
-        compare_substeps=compare_substeps,
         echo=data,
     )
 

@@ -63,6 +63,18 @@ __all__ = [
 ]
 
 
+def _mixed_gradient(
+    c: float, s: float, derivs: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> list[np.ndarray]:
+    """``(cos grad + sin grad_twist) f`` from the partials ``(d1, d2, d3)`` of ``f``.
+
+    ``c, s = cos, sin(theta)``; the third coefficient
+    ``cos + sin*tan(theta/2)`` is identically 1 (half-angle identity).
+    """
+    d1, d2, d3 = derivs
+    return [c * d1 - s * d2, c * d2 + s * d1, d3]
+
+
 def _dressed_arrays(
     f: Field,
     t: float,
@@ -72,26 +84,21 @@ def _dressed_arrays(
     """Shared kernel of both dressed operators.
 
     Returns ``(mix_x, mix_d)`` where ``mix_x[j] = (cos x + sin x_twist)_j f``
-    and ``mix_d[j] = (cos grad + sin grad_twist)_j f``.  The third
-    coefficient ``cos + sin*tan(theta/2)`` is identically 1 (half-angle
-    identity), so it is not spelled out.
+    and ``mix_d[j] = (cos grad + sin grad_twist)_j f`` (:func:`_mixed_gradient`);
+    the third coefficient of each is identically 1.
     """
     grid = f.grid
     theta = params.omega * t
     c, s = np.cos(theta), np.sin(theta)
-    d1, d2, d3 = derivs if derivs is not None else gradient_arrays(grid, f.data)
     u = f.data
     mix_x = [
         (c * grid.x1 - s * grid.x2) * u,
         (c * grid.x2 + s * grid.x1) * u,
         grid.x3 * u,
     ]
-    mix_d = [
-        c * d1 - s * d2,
-        c * d2 + s * d1,
-        d3,
-    ]
-    return mix_x, mix_d
+    if derivs is None:
+        derivs = gradient_arrays(grid, u)
+    return mix_x, _mixed_gradient(c, s, derivs)
 
 
 def galilean_momentum(
@@ -158,13 +165,6 @@ def chirp_pair(grid: GridSpec, params: PhysicsParams, t: float) -> tuple[np.ndar
     return m_phase, q_phase
 
 
-def _carrier_derivatives(f: Field, theta: float) -> list[np.ndarray]:
-    """Apply ``cos(theta) grad + sin(theta) grad_twist`` to a field's data."""
-    c, s = np.cos(theta), np.sin(theta)
-    d1, d2, d3 = gradient_arrays(f.grid, f.data)
-    return [c * d1 - s * d2, c * d2 + s * d1, d3]
-
-
 def galilean_momentum_chirped(f: Field, t: float, params: PhysicsParams) -> tuple[Field, Field, Field]:
     """Dressed momentum via the tangent-chirp factorization (regular at t = 0)."""
     grid = f.grid
@@ -174,8 +174,8 @@ def galilean_momentum_chirped(f: Field, t: float, params: PhysicsParams) -> tupl
         raise ValueError(f"tangent chirp undefined at t = {t!r}")
     w = params.omega
     m_phase = np.exp(-0.5j * w * np.tan(theta) * grid.r2)
-    inner_field = Field(grid, np.conj(m_phase) * f.data)  # M(-t) f
-    carried = _carrier_derivatives(inner_field, theta)
+    inner = np.conj(m_phase) * f.data  # M(-t) f
+    carried = _mixed_gradient(c, np.sin(theta), gradient_arrays(grid, inner))
     return tuple(Field(grid, -1j * c * m_phase * arr) for arr in carried)
 
 
@@ -190,8 +190,8 @@ def galilean_position_chirped(f: Field, t: float, params: PhysicsParams) -> tupl
         )
     w = params.omega
     q_phase = np.exp(0.5j * w * (np.cos(theta) / s) * grid.r2)
-    inner_field = Field(grid, np.conj(q_phase) * f.data)  # Q(-t) f
-    carried = _carrier_derivatives(inner_field, theta)
+    inner = np.conj(q_phase) * f.data  # Q(-t) f
+    carried = _mixed_gradient(np.cos(theta), s, gradient_arrays(grid, inner))
     return tuple(Field(grid, 1j * s * q_phase * arr) for arr in carried)
 
 

@@ -36,14 +36,15 @@ Two independent implementations of the same one-window flow operator:
   Strang-split into kinetic/potential substeps; every multiplier and
   the FFT are separable, so the whole split-step composition is the
   tensor product of one (n x n) matrix with itself along the three
-  axes.  That matrix is built once per plan by running the 1D
-  composition on the identity, so the substep count costs nothing per
-  application.  The rotation is applied exactly on the grid by three
-  FFT shears, in the sense the oracle's closed-form kernel fixes (the
-  pattern turns clockwise, ``u(t, x) = v(t, R(omega t) x)``).  The
-  two parts are exposed separately (:meth:`PropagatorPlan.harmonic`,
-  :func:`rotate_pattern`) so the nonlinear solvers can step in the
-  co-rotating frame and rotate only the fields they observe.
+  axes.  That matrix (:func:`splitting_plan`) is built once per time
+  and substep count by running the 1D composition on the identity, and
+  cached, so the substep count costs nothing per application.  The
+  rotation is applied exactly on the grid by three FFT shears, in the
+  sense the oracle's closed-form kernel fixes (the pattern turns
+  clockwise, ``u(t, x) = v(t, R(omega t) x)``).  The two parts are
+  exposed separately (:func:`harmonic_flow`, :func:`rotate_pattern`)
+  so the nonlinear solvers can step in the co-rotating frame and rotate
+  only the fields they observe.
 
 The dual propagator (transpose under the unconjugated pairing
 ``sum(f*g)``) has the same kernel with the transverse rotation
@@ -75,9 +76,9 @@ __all__ = [
     "ORACLE_SIZE_CAP",
     "DEFAULT_OVERSAMPLE",
     "KernelMatrices",
-    "PropagatorPlan",
     "kernel_matrices",
     "splitting_plan",
+    "harmonic_flow",
     "propagate_oracle",
     "propagate_fast",
     "propagate",
@@ -119,7 +120,7 @@ def _alias_guard(grid: GridSpec, params: PhysicsParams, t: float, oversample: in
             f"at quadrature step h_q = h/{oversample}; quadrature ghosts enter the box "
             f"(n = {grid.n}, extent = {grid.extent}, t = {t:.4g})",
             AliasRisk,
-            stacklevel=3,
+            stacklevel=4,  # past _flow and the public entry point
         )
 
 
@@ -284,45 +285,6 @@ def _oracle_tables(
     return k_transverse, k_axial
 
 
-def _oracle_apply(
-    grid: GridSpec,
-    params: PhysicsParams,
-    data: np.ndarray,
-    t: float,
-    reverse: bool,
-    oversample: int,
-) -> np.ndarray:
-    n = grid.n
-    k_transverse, k_axial = _oracle_tables(
-        n, grid.extent, params.omega, t, int(oversample)
-    )
-    if reverse:
-        k_transverse, k_axial = k_transverse.T, k_axial.T
-    # contract the axial index first: tmp[i1, i2, z_out]
-    tmp = np.tensordot(data, k_axial, axes=([2], [1]))
-    out = k_transverse @ tmp.reshape(n * n, n)
-    return np.ascontiguousarray(out.reshape(n, n, n))
-
-
-def _check_oracle_size(n: int) -> None:
-    if n > ORACLE_SIZE_CAP:
-        raise GridTooLarge(
-            f"kernel quadrature is O(n^5) and capped at n = {ORACLE_SIZE_CAP}; got n = {n}"
-        )
-
-
-def propagate_oracle(
-    f: Field, t: float, params: PhysicsParams, oversample: int = DEFAULT_OVERSAMPLE
-) -> Field:
-    """One-window flow by dense quadrature of the closed-form kernel."""
-    _check_window(t, params)
-    _check_oracle_size(f.grid.n)
-    _alias_guard(f.grid, params, t, oversample)
-    return Field(
-        f.grid, _oracle_apply(f.grid, params, f.data, t, reverse=False, oversample=oversample)
-    )
-
-
 # --------------------------------------------------------------------------
 # fast backend: split-step harmonic flow + exact shear rotation
 # --------------------------------------------------------------------------
@@ -387,71 +349,39 @@ def rotate_pattern(
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class PropagatorPlan:
-    """Precomputed fast-backend application of the one-window flow.
+def harmonic_flow(
+    mat: np.ndarray,
+    data: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Non-rotating harmonic flow: the 1D matrix ``mat`` along each axis.
 
-    Built by :func:`splitting_plan`; apply with :meth:`apply`.  A plan
-    stores one (n x n) matrix, the 1D harmonic flow, so plans are cheap
-    to cache even on large grids.  The oracle backend has no plan: its
-    cached kernel tables play that role.
+    ``mat`` is a :func:`splitting_plan` matrix.  This is the flow in the
+    frame co-rotating with the trap; the same matrix acts on every axis,
+    so it commutes with the dual's swap.  Each contraction is one matrix
+    product over the leading axis of a C-ordered array; the middle axis
+    is brought to the front and back by two copies, which costs less
+    than a batched product.
+
+    The products and copies ping-pong between ``out`` and ``scratch``
+    (C-contiguous complex arrays of the field's shape; fresh ones when
+    not given), and the result lands in ``out``.  ``data`` is read by
+    the first product only, so ``scratch`` may be ``data`` (which is
+    then overwritten); ``out`` must not be ``data``.
     """
-
-    grid: GridSpec
-    params: PhysicsParams
-    t: float
-    substeps: int
-    rotation_angle: float
-    reverse: bool
-    _harmonic_1d: np.ndarray = field(repr=False)
-
-    def apply_data(self, data: np.ndarray) -> np.ndarray:
-        if self.reverse:
-            data = np.ascontiguousarray(np.swapaxes(data, 0, 1))
-        data = self.harmonic(data)
-        data = rotate_pattern(self.grid, data, self.rotation_angle, out=data)
-        if self.reverse:
-            data = np.ascontiguousarray(np.swapaxes(data, 0, 1))
-        return data
-
-    def apply(self, f: Field) -> Field:
-        if f.grid != self.grid:
-            raise ValueError("field grid does not match the plan's grid")
-        return Field(self.grid, self.apply_data(f.data))
-
-    def harmonic(
-        self,
-        data: np.ndarray,
-        out: np.ndarray | None = None,
-        scratch: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Non-rotating harmonic flow of a fast plan: the 1D matrix along each axis.
-
-        This is the flow in the frame co-rotating with the trap; the same
-        matrix acts on every axis, so it commutes with the dual's swap.
-        Each contraction is one matrix product over the leading axis of a
-        C-ordered array; the middle axis is brought to the front and back
-        by two copies, which costs less than a batched product.
-
-        The products and copies ping-pong between ``out`` and ``scratch``
-        (C-contiguous complex arrays of the field's shape; fresh ones
-        when not given), and the result lands in ``out``.  ``data`` is
-        read by the first product only, so ``scratch`` may be ``data``
-        (which is then overwritten); ``out`` must not be ``data``.
-        """
-        n = self.grid.n
-        mat = self._harmonic_1d
-        if out is None:
-            out = np.empty((n, n, n), dtype=np.complex128)
-        if scratch is None:
-            scratch = np.empty_like(out)
-        wide, tall = (n, n * n), (n * n, n)
-        np.matmul(mat, data.reshape(wide), out=out.reshape(wide))
-        np.copyto(scratch, out.transpose(1, 0, 2))
-        np.matmul(mat, scratch.reshape(wide), out=out.reshape(wide))
-        np.copyto(scratch, out.transpose(1, 0, 2))
-        np.matmul(scratch.reshape(tall), mat.T, out=out.reshape(tall))
-        return out
+    n = mat.shape[0]
+    if out is None:
+        out = np.empty((n, n, n), dtype=np.complex128)
+    if scratch is None:
+        scratch = np.empty_like(out)
+    wide, tall = (n, n * n), (n * n, n)
+    np.matmul(mat, data.reshape(wide), out=out.reshape(wide))
+    np.copyto(scratch, out.transpose(1, 0, 2))
+    np.matmul(mat, scratch.reshape(wide), out=out.reshape(wide))
+    np.copyto(scratch, out.transpose(1, 0, 2))
+    np.matmul(scratch.reshape(tall), mat.T, out=out.reshape(tall))
+    return out
 
 
 def splitting_plan(
@@ -459,18 +389,23 @@ def splitting_plan(
     params: PhysicsParams,
     t: float,
     substeps: int | None = None,
-    reverse: bool = False,
-) -> PropagatorPlan:
-    """Plan a fast one-window application of the flow (or its dual)."""
+) -> np.ndarray:
+    """The fast backend's 1D harmonic flow over ``t``, for :func:`harmonic_flow`.
+
+    ``substeps`` Strang substeps (:func:`default_substeps` when not
+    given).  The (n x n) matrix is cached and read-only; the forward
+    flow and its dual share it.
+    """
     _check_window(t, params)
     if substeps is None:
         substeps = default_substeps(t, params)
     substeps = int(substeps)
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    return _cached_splitting_plan(grid, params, float(t), substeps, bool(reverse))
+    return _harmonic_matrix(grid, params, float(t), substeps)
 
 
+@lru_cache(maxsize=64)
 def _harmonic_matrix(
     grid: GridSpec, params: PhysicsParams, t: float, substeps: int
 ) -> np.ndarray:
@@ -494,32 +429,66 @@ def _harmonic_matrix(
     return mat
 
 
-@lru_cache(maxsize=64)
-def _cached_splitting_plan(
-    grid: GridSpec, params: PhysicsParams, t: float, substeps: int, reverse: bool
-) -> PropagatorPlan:
-    return PropagatorPlan(
-        grid=grid,
-        params=params,
-        t=t,
-        substeps=substeps,
-        rotation_angle=params.omega * t,
-        reverse=reverse,
-        _harmonic_1d=_harmonic_matrix(grid, params, t, substeps),
-    )
-
-
 def default_substeps(t: float, params: PhysicsParams) -> int:
     """Default Strang substep count: ``SUBSTEPS_PER_WINDOW`` per full window."""
     return max(1, int(np.ceil(SUBSTEPS_PER_WINDOW * t / params.window)))
+
+
+# --------------------------------------------------------------------------
+# one entry path: the flow and its dual on either backend
+# --------------------------------------------------------------------------
+
+
+def _flow(
+    f: Field,
+    t: float,
+    params: PhysicsParams,
+    backend: str,
+    substeps: int | None,
+    oversample: int,
+    dual: bool,
+) -> Field:
+    """The one-window flow, or its dual (:func:`propagate_dual`), on either backend."""
+    _check_window(t, params)
+    grid, n = f.grid, f.grid.n
+    if backend == "oracle":
+        if n > ORACLE_SIZE_CAP:
+            raise GridTooLarge(
+                f"kernel quadrature is O(n^5) and capped at n = {ORACLE_SIZE_CAP}; got n = {n}"
+            )
+        _alias_guard(grid, params, t, oversample)
+        k_transverse, k_axial = _oracle_tables(n, grid.extent, params.omega, t, int(oversample))
+        if dual:
+            k_transverse, k_axial = k_transverse.T, k_axial.T
+        # contract the axial index first: tmp[i1, i2, z_out]
+        tmp = np.tensordot(f.data, k_axial, axes=([2], [1]))
+        out = k_transverse @ tmp.reshape(n * n, n)
+        return Field(grid, np.ascontiguousarray(out.reshape(n, n, n)))
+    if backend == "fast":
+        mat = splitting_plan(grid, params, t, substeps)
+        data = f.data
+        if dual:
+            data = np.ascontiguousarray(np.swapaxes(data, 0, 1))
+        data = harmonic_flow(mat, data)
+        data = rotate_pattern(grid, data, params.omega * t, out=data)
+        if dual:
+            data = np.ascontiguousarray(np.swapaxes(data, 0, 1))
+        return Field(grid, data)
+    raise ValueError(f"unknown backend {backend!r}; expected 'fast' or 'oracle'")
+
+
+def propagate_oracle(
+    f: Field, t: float, params: PhysicsParams, oversample: int = DEFAULT_OVERSAMPLE
+) -> Field:
+    """One-window flow by dense quadrature of the closed-form kernel."""
+    return _flow(f, t, params, "oracle", None, oversample, dual=False)
 
 
 def propagate_fast(
     f: Field, t: float, params: PhysicsParams, substeps: int | None = None
 ) -> Field:
     """One-window flow by split-step harmonic evolution plus shear rotation."""
-    plan = splitting_plan(f.grid, params, t, substeps)
-    return plan.apply(f)
+    return _flow(f, t, params, "fast", substeps, DEFAULT_OVERSAMPLE, dual=False)
 
 
 def propagate(
@@ -531,11 +500,7 @@ def propagate(
     oversample: int = DEFAULT_OVERSAMPLE,
 ) -> Field:
     """Dispatch to one of the two backends (``"fast"`` or ``"oracle"``)."""
-    if backend == "fast":
-        return propagate_fast(f, t, params, substeps)
-    if backend == "oracle":
-        return propagate_oracle(f, t, params, oversample)
-    raise ValueError(f"unknown backend {backend!r}; expected 'fast' or 'oracle'")
+    return _flow(f, t, params, backend, substeps, oversample, dual=False)
 
 
 def propagate_dual(
@@ -555,18 +520,7 @@ def propagate_dual(
     conjugating with the swap ``x1 <-> x2`` (a reflection, which
     reverses rotations and commutes with the harmonic flow).
     """
-    _check_window(t, params)
-    if backend == "oracle":
-        _check_oracle_size(f.grid.n)
-        _alias_guard(f.grid, params, t, oversample)
-        return Field(
-            f.grid,
-            _oracle_apply(f.grid, params, f.data, t, reverse=True, oversample=oversample),
-        )
-    if backend == "fast":
-        plan = splitting_plan(f.grid, params, t, substeps, reverse=True)
-        return plan.apply(f)
-    raise ValueError(f"unknown backend {backend!r}; expected 'fast' or 'oracle'")
+    return _flow(f, t, params, backend, substeps, oversample, dual=True)
 
 
 def propagate_inverse(

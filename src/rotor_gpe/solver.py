@@ -44,6 +44,7 @@ import logging
 import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -66,7 +67,13 @@ from .grid import (
     gradient_arrays,
     lp_norm,
 )
-from .propagator import propagate_fast, rotate_pattern, splitting_plan, strichartz_exponent
+from .propagator import (
+    harmonic_flow,
+    propagate_fast,
+    rotate_pattern,
+    splitting_plan,
+    strichartz_exponent,
+)
 
 __all__ = [
     "PicardConfig",
@@ -310,7 +317,7 @@ def evolve(
     into the caller's field, into a field it has handed to
     ``on_snapshot``, or into the returned state's ``corotating``: after
     the last step the workspace belongs to the returned state alone.
-    The harmonic flow's plan is fetched only when the step length
+    The harmonic flow's matrix is fetched only when the step length
     changes: at the first step, at a clipped one and after it, and where
     the rounding of the window-local clock moves the length in its last
     bits.
@@ -388,7 +395,7 @@ def evolve(
     scratch = np.empty_like(ahead)
     real = np.empty(grid.shape)
     step_count = 0
-    plan, plan_dt = None, None
+    mat, mat_dt = None, None
 
     def phase(tau_: float, out: np.ndarray) -> np.ndarray:
         """``N(tau_) w`` into ``out``, once ``max |w|`` has passed the guard."""
@@ -451,10 +458,10 @@ def evolve(
         if dt_step <= _TIME_EPS:
             break
 
-        if dt_step != plan_dt:  # the first step, a clipped one, or a last-bit change
-            plan, plan_dt = splitting_plan(grid, params, dt_step, config.m), dt_step
+        if dt_step != mat_dt:  # the first step, a clipped one, or a last-bit change
+            mat, mat_dt = splitting_plan(grid, params, dt_step, config.m), dt_step
         phase(tau + 0.5 * dt_step, phased)
-        w = plan.harmonic(phased, out=ahead, scratch=phased)
+        w = harmonic_flow(mat, phased, out=ahead, scratch=phased)
         theta += params.omega * dt_step
         tau = 0.5 * dt_step
         at_seam = next_local >= window - _TIME_EPS
@@ -485,10 +492,6 @@ def evolve(
 # --------------------------------------------------------------------------
 # Duhamel fixed-point iteration
 # --------------------------------------------------------------------------
-
-
-def _node_lp(data: np.ndarray, grid, rho: float) -> float:
-    return float((np.sum(np.abs(data) ** rho) * grid.cell_volume) ** (1.0 / rho))
 
 
 def _lp_from_sq(sq: np.ndarray, grid: GridSpec, rho: float) -> float:
@@ -657,7 +660,7 @@ def picard_solve(
         0.5 * delta if i in (0, n_nodes - 1) else delta for i in range(n_nodes)
     )
     grid = u0.grid
-    step = splitting_plan(grid, params, delta, config.m).harmonic
+    step = partial(harmonic_flow, splitting_plan(grid, params, delta, config.m))
 
     def result(nodes: list[np.ndarray], distances: Sequence[float]) -> PicardResult:
         fields = tuple(

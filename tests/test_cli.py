@@ -99,7 +99,6 @@ def test_run_picard_scheme(tmp_path, capsys):
         "scheme": "picard",
         "dt": 1e-3,
         "t_end": 0.2,
-        "m": 4,
         "picard": {"quad_nodes": 9},
     }
     cfg = write_config(tmp_path, raw)
@@ -155,9 +154,10 @@ def test_picard_nodes_add_three_fields_each_to_the_working_set(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("section, key", [("evolve", "m"), ("compare", "substeps")])
-def test_a_substep_count_beyond_the_cap_exits_config_at_once(tmp_path, section, key):
-    # Unbounded, 2**70 substeps would loop in the plan build until killed,
-    # so the command runs in a child process that a timeout can end.
+def test_a_substep_count_is_an_unknown_key_and_exits_config_at_once(tmp_path, section, key):
+    # The substep count is the propagator's decision, not a config key.
+    # Were it read, 2**70 substeps would loop in the matrix build until
+    # killed, so the command runs in a child process that a timeout can end.
     import rotor_gpe
 
     raw = run_config(tmp_path)
@@ -180,10 +180,7 @@ def test_a_substep_count_beyond_the_cap_exits_config_at_once(tmp_path, section, 
     )
     assert proc.returncode == EXIT_CONFIG
     assert float(proc.stdout.strip().splitlines()[-1]) < 2.0
-    assert f"{section}.{key}: must be <= 4096" in proc.stderr
-    raw[section][key] = 4096
-    loaded = load_config(write_config(tmp_path, raw))
-    assert (loaded.solver.m if section == "evolve" else loaded.compare_substeps) == 4096
+    assert proc.stderr.startswith(f"config error: {section}.{key}: unknown key")
 
 
 @pytest.mark.parametrize(
@@ -453,13 +450,13 @@ def test_dispersive_scan_too_few_pairs_is_config_error(tmp_path, capsys):
 
 
 def test_propagator_compare_cross_checks_backends(tmp_path, capsys):
-    # The dense-kernel referee has its own spatial resolution floor:
-    # ~1.2e-5 at n = 16, extent 5, so the comparison needs the finer
-    # 24 x 6 grid to land below the 1e-6 agreement bound.
+    # At n = 16, extent 5 both backends sit above the 1e-6 agreement bound
+    # against the closed form (fast 1.3e-5, dense kernel 4.3e-6), so the
+    # comparison needs the finer 24 x 6 grid.
     raw = {
         "grid": {"n": 24, "extent": 6.0},
         "physics": {"omega": 1.0, "beta": 0.0},
-        "compare": {"pairs": [["ground", 0.6]], "substeps": 512},
+        "compare": {"pairs": [["ground", 0.6]]},
         "output": {"dir": str(tmp_path / "cmp")},
     }
     cfg = write_config(tmp_path, raw)
@@ -517,11 +514,12 @@ def test_propagator_compare_rejects_uncheckable_grids(tmp_path, capsys):
             "manifest_dispersive_scan.json",
             EXIT_OK,
         ),
-        # At n = 16 the dense referee's own floor (about 1.5e-5) is above
-        # the agreement bound; the manifest is written all the same.
+        # At n = 16 the fast backend's own grid floor (1.3e-5 from the
+        # closed form) is above the agreement bound; the manifest is
+        # written all the same.
         (
             ["propagator-compare"],
-            {"compare": {"pairs": [["ground", 0.6]], "substeps": 64}},
+            {"compare": {"pairs": [["ground", 0.6]]}},
             "manifest_propagator_compare.json",
             EXIT_VERIFY,
         ),

@@ -82,12 +82,11 @@ def test_picard_scheme_block():
         "scheme": "picard",
         "dt": 1e-3,
         "t_end": 0.3,
-        "m": 8,
         "picard": {"quad_nodes": 17, "tol": 1e-9, "rho": 4.0, "max_iter": 20},
     }
     cfg = parse_config(raw)
     assert cfg.solver.scheme == "picard"
-    assert cfg.solver.m == 8
+    assert cfg.solver.m is None
     assert cfg.solver.picard.quad_nodes == 17
     assert cfg.solver.picard.tol == 1e-9
 
@@ -172,10 +171,9 @@ def test_verify_scan_compare_sections():
     with pytest.raises(ConfigInvalid, match="scan.pairs"):
         parse_config(raw)
     raw = minimal()
-    raw["compare"] = {"pairs": [["ground", 0.6]], "substeps": 128}
+    raw["compare"] = {"pairs": [["ground", 0.6]]}
     cfg = parse_config(raw)
     assert cfg.compare_pairs == (("ground", 0.6),)
-    assert cfg.compare_substeps == 128
     raw["compare"] = {"pairs": [["soliton", 0.6]]}
     with pytest.raises(ConfigInvalid, match="compare.pairs"):
         parse_config(raw)

@@ -1,7 +1,8 @@
 """Linear propagator backends: kernel algebra, unitarity, duality, decay."""
 
-import dataclasses
+import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,9 +39,11 @@ from rotor_gpe import (
 )
 from rotor_gpe.propagator import (
     _BRANCH_1D,
+    _harmonic_matrix,
     _interp_matrix,
     _oracle_tables,
     default_substeps,
+    harmonic_flow,
     rotate_pattern,
     splitting_plan,
 )
@@ -122,20 +125,29 @@ def test_oracle_rejects_large_grids_and_bad_times():
         propagate_oracle(g, WINDOW + 1e-3, PARAMS)
 
 
-def test_alias_guard_warns_on_undersampled_quadrature():
+@pytest.mark.parametrize(
+    "apply",
+    [
+        propagate_oracle,
+        functools.partial(propagate, backend="oracle"),
+        functools.partial(propagate_dual, backend="oracle"),
+    ],
+    ids=["propagate_oracle", "propagate", "propagate_dual"],
+)
+def test_alias_guard_warns_on_undersampled_quadrature(apply):
     # Early times steepen the kernel chirp; a coarse wide box cannot sample
-    # it: omega*cot(omega t)*extent*h_q crosses pi and the oracle warns.
+    # it: omega*cot(omega t)*extent*h_q crosses pi and the oracle warns,
+    # naming the line that called the propagator.
     coarse = GridSpec(16, 8.0)
     f = Field(coarse, np.exp(-coarse.r2) + 0j)
-    with pytest.warns(AliasRisk):
-        propagate_oracle(f, 0.3, PARAMS)
+    with pytest.warns(AliasRisk) as caught:
+        apply(f, 0.3, PARAMS)
+    assert [w.filename for w in caught] == [__file__]
     # The reference geometry at mid-window times is clean: no warning.
     g = ground_state(OGRID, PARAMS)
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error", AliasRisk)
-        propagate_oracle(g, 0.6, PARAMS)
+        apply(g, 0.6, PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +365,14 @@ def test_fast_rotation_sense_matches_the_oracle():
     t = 0.6
     u = vortex_state(OGRID, PARAMS, +1)
     oracle = propagate_oracle(u, t, PARAMS)
-    plan = splitting_plan(OGRID, PARAMS, t, substeps=4)
-    flipped = dataclasses.replace(plan, rotation_angle=-plan.rotation_angle)
-    err = rel_l2(plan.apply(u), oracle)
-    err_flipped = rel_l2(flipped.apply(u), oracle)
+    mat = splitting_plan(OGRID, PARAMS, t, substeps=4)
+
+    def flow(angle):
+        return Field(OGRID, rotate_pattern(OGRID, harmonic_flow(mat, u.data), angle))
+
+    assert np.array_equal(flow(PARAMS.omega * t).data, propagate_fast(u, t, PARAMS, 4).data)
+    err = rel_l2(flow(PARAMS.omega * t), oracle)
+    err_flipped = rel_l2(flow(-PARAMS.omega * t), oracle)
     assert err < 1e-2
     assert err < 1e-2 * err_flipped
 
@@ -434,6 +450,18 @@ def test_axis_matrix_flow_equals_the_split_step_loop(m):
             got = propagate_fast(f, t, PARAMS, substeps=m)
         want = _split_step_reference(grid, PARAMS, f.data, t, m, reverse)
         assert np.linalg.norm(got.data - want) / np.linalg.norm(want) < 1e-13
+
+
+def test_a_fast_forward_and_dual_build_one_matrix():
+    # The dual is the forward flow conjugated with a swap of x1 and x2, and
+    # the swap commutes with the harmonic flow: one matrix serves both.
+    f = random_smooth_field(GridSpec(16, 5.0), np.random.default_rng(15), width=1.0)
+    t = 0.4321  # a time no other test builds a matrix for
+    before = _harmonic_matrix.cache_info().misses
+    propagate_fast(f, t, PARAMS, 11)
+    propagate_dual(f, t, PARAMS, backend="fast", substeps=11)
+    propagate_inverse(f, t, PARAMS, backend="fast", substeps=11)
+    assert _harmonic_matrix.cache_info().misses == before + 1
 
 
 def test_default_substeps_scales_with_time():

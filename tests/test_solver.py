@@ -34,7 +34,7 @@ from rotor_gpe import (
 )
 import rotor_gpe.diagnostics as diagnostics_module
 import rotor_gpe.solver as solver_module
-from rotor_gpe.propagator import rotate_pattern, splitting_plan
+from rotor_gpe.propagator import harmonic_flow, rotate_pattern, splitting_plan
 from rotor_gpe.solver import admissible_gamma
 
 GRID = GridSpec(16, 5.0)
@@ -236,7 +236,7 @@ def reference_observations(u, dt, t_end, params):
             start, t_local = start + window, 0.0
         dt_step = min(dt, window - t_local, t_end - start - t_local)
         phase = np.exp(-1j * beta * (tau + 0.5 * dt_step) * np.abs(w) ** 2)
-        w = splitting_plan(grid, params, dt_step).harmonic(phase * w)
+        w = harmonic_flow(splitting_plan(grid, params, dt_step), phase * w)
         theta += params.omega * dt_step
         tau = 0.5 * dt_step
         t_local += dt_step
@@ -285,7 +285,7 @@ def allocating_evolve(u, cfg, params, snapshot_every):
     """``evolve``'s step and observation sequence with allocating calls only.
 
     Every step and observation builds fresh arrays through the allocating
-    forms of ``_phased``, ``PropagatorPlan.harmonic`` and
+    forms of ``_phased``, ``harmonic_flow`` and
     ``rotate_pattern``, and every record is :func:`record` of a fresh
     co-rotating field; the clock arithmetic is ``evolve``'s, so that each
     step uses the same plan.  The frame runs on across the seam, whose two
@@ -311,8 +311,8 @@ def allocating_evolve(u, cfg, params, snapshot_every):
         if next_local > end_local - 1e-13 and end_local <= window + 1e-13:
             next_local = min(end_local, window)
         dt_step = next_local - t_local
-        plan = splitting_plan(grid, params, dt_step, cfg.m)
-        w = plan.harmonic(phased(w, tau + 0.5 * dt_step, beta))
+        mat = splitting_plan(grid, params, dt_step, cfg.m)
+        w = harmonic_flow(mat, phased(w, tau + 0.5 * dt_step, beta))
         theta += params.omega * dt_step
         tau = 0.5 * dt_step
         at_seam = next_local >= window - 1e-13
@@ -543,11 +543,11 @@ def test_one_picard_iteration_equals_the_direct_trapezoid_sum():
     res = picard_solve(u0, T, cfg, CUBIC)
     assert res.iterations == 1
     delta = T / (n_nodes - 1)
-    harmonic = splitting_plan(grid, CUBIC, delta, m).harmonic
+    mat = splitting_plan(grid, CUBIC, delta, m)
 
     def flow(data, gaps):
         for _ in range(gaps):
-            data = harmonic(data)
+            data = harmonic_flow(mat, data)
         return data
 
     free = [flow(u0.data, k) for k in range(n_nodes)]
@@ -661,6 +661,11 @@ def test_picard_raises_when_the_iteration_diverges():
 # ---------------------------------------------------------------------------
 
 
+def node_lp(data: np.ndarray, grid: GridSpec, rho: float) -> float:
+    """``||data||_rho`` by the textbook sum: the reference for the closed-form norms."""
+    return float((np.sum(np.abs(data) ** rho) * grid.cell_volume) ** (1.0 / rho))
+
+
 def test_workspace_distance_takes_one_gradient_per_node(monkeypatch):
     # J and H share the node's gradient; each built from its own gradient,
     # as the dressed operators do when given none, the distance is the same
@@ -680,7 +685,7 @@ def test_workspace_distance_takes_one_gradient_per_node(monkeypatch):
             np.sqrt(sum(np.abs(c.data) ** 2 for c in galilean_position(delta, t_i, CUBIC))),
         ]
         for k, mag in enumerate(mags):
-            sums[k] += w_i * solver_module._node_lp(mag, GRID, 4.0) ** gamma
+            sums[k] += w_i * node_lp(mag, GRID, 4.0) ** gamma
     want = sum(s ** (1.0 / gamma) for s in sums)
 
     calls = []
@@ -715,7 +720,7 @@ def test_workspace_distance_matches_the_dressed_construction_off_rho_4(rho):
             np.sqrt(sum(np.abs(c.data) ** 2 for c in galilean_position(delta, t_i, CUBIC))),
         ]
         for k, mag in enumerate(mags):
-            sums[k] += w_i * solver_module._node_lp(mag, GRID, rho) ** gamma
+            sums[k] += w_i * node_lp(mag, GRID, rho) ** gamma
     want = sum(s ** (1.0 / gamma) for s in sums)
     got = workspace_distance(u, v, rho, weights, times=times, params=CUBIC)
     assert got == pytest.approx(want, rel=1e-13)
