@@ -58,7 +58,7 @@ from .errors import (
     WindowViolation,
 )
 from .galilean import galilean_momentum, galilean_position
-from .grid import Field, GridSpec, PhysicsParams, lp_norm, pairing
+from .grid import Field, GridSpec, PhysicsParams, _sum_sq, lp_norm, pairing
 from .propagator import (
     ORACLE_SIZE_CAP,
     default_scan_pairs,
@@ -92,8 +92,8 @@ COMPARE_SUBSTEPS = 512
 
 
 def _rel_l2(a: Field, b: Field) -> float:
-    diff = float(np.linalg.norm(a.data - b.data))
-    scale = float(np.linalg.norm(b.data))
+    diff = float(np.sqrt(_sum_sq(a.data - b.data)))
+    scale = float(np.sqrt(_sum_sq(b.data)))
     return diff / scale if scale > 0 else diff
 
 
@@ -274,7 +274,7 @@ def _check_intertwining(
             opst = dressed(ut, t, params)
             for g0, gt in zip(ops0, opst):
                 moved = propagate_fast(g0, t, params, substeps=substeps)
-                defect = float(np.linalg.norm(gt.data - moved.data))
+                defect = float(np.sqrt(_sum_sq(gt.data - moved.data)))
                 if bucket == "j":
                     worst_j = max(worst_j, defect)
                 else:
@@ -319,9 +319,10 @@ def _verify_battery(cfg: RunConfig) -> list[CheckRow]:
         ref = exact_linear_evolution(ogrid, params, kind, t_eig)
         rows.append(CheckRow(name, _rel_l2(out, ref), 1e-5))
 
-    # The dual is the literal transpose of the dense kernel quadrature,
-    # so the bilinear pairing identity must hold to rounding there (the
-    # fast backend's dual is only as good as its splitting).
+    # The oracle dual is the literal transpose of the dense kernel
+    # quadrature to rounding, so the bilinear pairing identity must hold
+    # to rounding there (the fast backend's dual is only as good as its
+    # splitting).
     phi = random_smooth_field(ogrid, rng, width=ogrid.extent / 6.0)
     psi = random_smooth_field(ogrid, rng, width=ogrid.extent / 6.0)
     t_dual = 0.55 / w

@@ -294,6 +294,16 @@ def lp_norm(f: Field, p: float) -> float:
     return float((np.sum(absdata**p) * f.grid.cell_volume) ** (1.0 / p))
 
 
+def _sum_sq(a: np.ndarray) -> float:
+    """``sum(|a|^2)`` of a C-contiguous complex array, unweighted.
+
+    Summed by ``einsum`` over the float64 view: ``np.linalg.norm`` and
+    ``np.vdot`` go to threaded BLAS dots, which can stall.
+    """
+    flat = a.view(np.float64).ravel()
+    return float(np.einsum("i,i->", flat, flat))
+
+
 class _Moments(NamedTuple):
     """``h^3``-weighted grid moments of a field ``u`` and its gradient.
 
@@ -338,16 +348,12 @@ def _moments(
     abs2 = np.abs(u, out=real)
     abs2 *= abs2
 
-    def sq(a: np.ndarray) -> float:
-        flat = a.view(np.float64).ravel()
-        return float(np.einsum("i,i->", flat, flat)) * vol
-
     # Partial sums of conj(u) d_j: over x3 for j = 1, 2 (indices x1, x2),
     # over x1 for j = 3 (indices x2, x3).
     grad_sq, partial = [], []
     for axis, spec in enumerate(("ijk,ijk->ij", "ijk,ijk->ij", "ijk,ijk->jk")):
         d = _partial(grid, u, axis, out=scratch)
-        grad_sq.append(sq(d))
+        grad_sq.append(_sum_sq(d) * vol)
         np.conjugate(d, out=d)
         partial.append(np.einsum(spec, u, d).conj())
     p1, p2, p3 = partial

@@ -13,19 +13,20 @@ Two independent implementations of the same one-window flow operator:
   valid for ``0 < t <= pi/(4 omega)``.  The phase splits into a
   transverse part (harmonic-oscillator kernel times the rotation cross
   term ``x1 y2 - x2 y1``) plus an axial harmonic-oscillator kernel, so
-  the quadrature contracts a dense (n^2 x n^2) transverse matrix and an
-  (n x n) axial matrix instead of an n^3 x n^3 monster.  With
+  the quadrature contracts a transverse and an (n x n) axial kernel
+  instead of an n^3 x n^3 monster.  With
   ``a(X, Y) = exp(i omega cot (X - Y)^2 / 2)`` the transverse kernel is
-  ``a(X1,Y1) a(X2,Y2) exp(-i omega X1 Y2) exp(i omega X2 Y1)``, so its
-  table is built from these 1D factors and a build peaks at ``4 n^4``
-  entries (default oversampling), not the sampled kernel's ``(2n)^4``.
+  ``a(X1,Y1) a(X2,Y2) exp(-i omega X1 Y2) exp(i omega X2 Y1)``, so it is
+  applied from cached factors of ``(oversample n)^2 n`` entries each,
+  ``4 n^5`` multiply-adds per application (default oversampling), and
+  no array of ``n^4`` entries is ever built.
   The rectangle rule on the quadratic chirp aliases once the ghost
   images it creates (momentum-boosted copies at distance
   ``2 pi sin(omega t)/(omega h_q)`` for quadrature step ``h_q``)
   re-enter the box.  Two mitigations:
   the input is trig-interpolated onto an ``oversample``-times finer
   quadrature grid (exact for band-limited grid data, and folded into
-  the cached kernel tables so applications stay O(n^5)), and a
+  the cached kernel factors so applications stay O(n^5)), and a
   :class:`AliasRisk` warning fires when
   ``omega * cot(omega t) * extent * h_q`` still exceeds pi.  The dense
   quadrature is capped at ``n <= ORACLE_SIZE_CAP``.
@@ -48,9 +49,11 @@ Two independent implementations of the same one-window flow operator:
 
 The dual propagator (transpose under the unconjugated pairing
 ``sum(f*g)``) has the same kernel with the transverse rotation
-reversed; discretely it is applied as the literal matrix transpose of
-the forward tables, which keeps the pairing identity exact at any
-oversampling.  The inverse (Hermitian adjoint) is ``conj . dual . conj``.
+reversed: both backends apply the flow conjugated by the swap
+``x1 <-> x2``.  The oracle's quadrature is symmetric, so there this is
+the literal matrix transpose of the forward kernel to rounding, and the
+pairing identity holds to rounding at any oversampling.  The inverse
+(Hermitian adjoint) is ``conj . dual . conj``.
 Only the inverse composes as a semigroup; the forward/dual composition
 instead contracts mass like ``sin(omega(t+s))^(-3/2)``, which is what
 the dispersive scan measures.
@@ -58,6 +61,7 @@ the dispersive scan measures.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -93,6 +97,8 @@ __all__ = [
 ]
 
 ORACLE_SIZE_CAP = 24
+#: fine ``X1`` rows per slab of an oracle application
+_ORACLE_SLAB = 8
 #: default trig-interpolation refinement of the oracle quadrature grid
 DEFAULT_OVERSAMPLE = 2
 #: substeps used per full window when the caller does not choose
@@ -115,12 +121,16 @@ def _alias_guard(grid: GridSpec, params: PhysicsParams, t: float, oversample: in
     h_q = grid.h / oversample
     budget = params.omega * cot * grid.extent * h_q
     if budget > np.pi * (1.0 + 1e-12):
+        # Name the first caller outside this module, however deep the entry point.
+        level, frame = 1, sys._getframe()
+        while frame is not None and frame.f_code.co_filename == __file__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"kernel chirp undersampled: omega*cot(omega t)*extent*h_q = {budget:.3f} > pi "
             f"at quadrature step h_q = h/{oversample}; quadrature ghosts enter the box "
             f"(n = {grid.n}, extent = {grid.extent}, t = {t:.4g})",
             AliasRisk,
-            stacklevel=4,  # past _flow and the public entry point
+            stacklevel=level,
         )
 
 
@@ -222,25 +232,23 @@ def _interp_matrix(n: int, oversample: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _oracle_tables(
+def _oracle_factors(
     n: int, extent: float, omega: float, t: float, oversample: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense kernel factors ``(k_transverse, k_axial)`` with weights folded in.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """1D factors ``(P, Q, restrict, k_axial)`` of the dense kernel, weights folded in.
 
-    ``k_transverse`` is (n^2, n^2) over flattened (x1, x2) output /
-    (y1, y2) input indices; ``k_axial`` is (n, n).  The kernel is
-    sampled on a grid refined ``oversample`` times on *both* sides:
-    the input index is preceded by trig interpolation (exact for
-    band-limited grid data; pushes the rectangle rule's ghost images
-    out of the box) and the output index is followed by the adjoint
-    restriction (band-limited projection back to the coarse grid), so
-    the returned factors stay coarse-indexed and the discretization is
-    symmetric.  Symmetry is what makes the dual kernel the literal
-    transpose of these factors: transposing swaps the interpolation
-    and restriction (adjoints of each other) and reverses the sign of
-    the antisymmetric rotation cross term, which is exactly the dual's
-    closed form -- so the dual is equally well-resolved and the
-    bilinear pairing identity holds to rounding.
+    The kernel is sampled on a grid refined ``oversample`` times on
+    *both* sides: the input index is preceded by trig interpolation
+    (exact for band-limited grid data; pushes the rectangle rule's ghost
+    images out of the box) and the output index is followed by the
+    adjoint restriction ``restrict`` (fine, coarse), the band-limited
+    projection back to the coarse grid.  Symmetry is what makes the
+    dual, the swap-conjugated forward flow (:func:`_flow`), the literal
+    transpose of this kernel: transposing swaps the interpolation and
+    restriction (adjoints of each other) and reverses the sign of the
+    antisymmetric rotation cross term, as the swap does -- so the dual is
+    equally well-resolved and the bilinear pairing identity holds to
+    rounding.
 
     The transverse kernel on the refined grid factors as
     ``a(X1,Y1) a(X2,Y2) exp(-i omega X1 Y2) exp(i omega X2 Y1)`` with
@@ -248,10 +256,9 @@ def _oracle_tables(
     folded into ``Y1`` against ``a(X1,Y1) exp(i omega X2 Y1)``, giving
     ``P[X1, X2, y1]``, and into ``Y2`` against
     ``a(X2,Y2) exp(-i omega X1 Y2)``, giving ``Q[X1, X2, y2]``; the
-    restriction then contracts ``X1`` and ``X2`` of ``P (x) Q``.  The
-    largest array, ``P (x) Q``, holds ``(oversample * n)^2 n^2``
-    entries -- ``4 n^4`` at the default oversample 2, 21 MB at n = 24 --
-    where sampling the kernel itself would take ``(oversample * n)^4``.
+    transverse kernel is ``restrict`` over ``X1`` and ``X2`` of the
+    outer product of ``P`` and ``Q``, which :func:`_oracle_apply` never
+    forms.  ``k_axial`` is the (n x n) axial matrix.
     """
     grid = GridSpec(n, extent)
     theta = omega * t
@@ -262,27 +269,46 @@ def _oracle_tables(
     c1 = np.sqrt(omega / (2.0 * np.pi * sin)) * _BRANCH_1D
     fine = -extent + h_q * np.arange(oversample * n)
     interp = _interp_matrix(n, oversample)  # (fine, coarse)
-    restrict = interp / oversample  # contracted over its fine index below
-    big = fine.size
+    restrict = interp / oversample
 
     chirp = (c1 * h_q) * np.exp(0.5j * omega * cot * np.subtract.outer(fine, fine) ** 2)
     cross = np.exp(1j * omega * np.multiply.outer(fine, fine))  # exp(i w X Y)
     p = (chirp[:, None, :] * cross[None, :, :]) @ interp  # (X1, X2, y1)
     q = (chirp[None, :, :] * cross.conj()[:, None, :]) @ interp  # (X1, X2, y2)
-    k_fold = p[:, :, :, None] * q[:, :, None, :]  # (X1, X2, y1, y2)
-    k_fold = np.tensordot(restrict, k_fold, axes=([0], [0]))  # (x1, X2, y1, y2)
-    k_fold = np.tensordot(restrict, k_fold, axes=([0], [1]))  # (x2, x1, y1, y2)
-    k_transverse = np.ascontiguousarray(
-        k_fold.transpose(1, 0, 2, 3).reshape(n * n, n * n)
-    )
 
-    xz = fine.reshape(big, 1)
-    yz = fine.reshape(1, big)
+    xz, yz = fine[:, None], fine[None, :]
     phase_z = omega * (0.5 * cot * (xz - yz) ** 2 - half * xz * yz)
-    k_axial = np.ascontiguousarray(
-        restrict.T @ ((c1 * h_q) * np.exp(1j * phase_z)) @ interp
-    )
-    return k_transverse, k_axial
+    k_axial = restrict.T @ ((c1 * h_q) * np.exp(1j * phase_z)) @ interp
+    for factor in (p, q, restrict, k_axial):
+        factor.flags.writeable = False
+    return p, q, restrict, k_axial
+
+
+def _oracle_apply(
+    data: np.ndarray, factors: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """The dense kernel applied from its 1D factors (:func:`_oracle_factors`).
+
+    The axial index is contracted first.  Then fine ``X1`` rows go
+    ``_ORACLE_SLAB`` at a time through buffers allocated once per call:
+    per slab ``Q`` takes one product, ``P`` one batched row product and
+    ``restrict`` runs over ``X2``; one last product restricts ``X1``.  No
+    array of ``n^4`` entries is built, and the ``Q`` products make the
+    ``4 n^5`` multiply-adds (default oversample) of an application.
+    """
+    p, q, restrict, k_axial = factors
+    big, n = restrict.shape
+    rows = min(_ORACLE_SLAB, big) * big
+    tmp = np.ascontiguousarray((data @ k_axial.T).transpose(1, 0, 2)).reshape(n, n * n)
+    qt = np.empty((rows, n * n), dtype=np.complex128)  # (X1 X2, y1 z)
+    pt = np.empty((rows, 1, n), dtype=np.complex128)  # (X1 X2, 1, z)
+    restricted = np.empty((big, n, n), dtype=np.complex128)  # (X1, x2, z)
+    for lo in range(0, big * big, rows):
+        hi = min(lo + rows, big * big)
+        np.matmul(q.reshape(-1, n)[lo:hi], tmp, out=qt[: hi - lo])
+        np.matmul(p.reshape(-1, 1, n)[lo:hi], qt[: hi - lo].reshape(-1, n, n), out=pt[: hi - lo])
+        np.matmul(restrict.T, pt[: hi - lo].reshape(-1, big, n), out=restricted[lo // big : hi // big])
+    return (restrict.T @ restricted.reshape(big, n * n)).reshape(n, n, n)
 
 
 # --------------------------------------------------------------------------
@@ -451,30 +477,20 @@ def _flow(
     """The one-window flow, or its dual (:func:`propagate_dual`), on either backend."""
     _check_window(t, params)
     grid, n = f.grid, f.grid.n
+    data = np.ascontiguousarray(np.swapaxes(f.data, 0, 1)) if dual else f.data
     if backend == "oracle":
         if n > ORACLE_SIZE_CAP:
             raise GridTooLarge(
                 f"kernel quadrature is O(n^5) and capped at n = {ORACLE_SIZE_CAP}; got n = {n}"
             )
         _alias_guard(grid, params, t, oversample)
-        k_transverse, k_axial = _oracle_tables(n, grid.extent, params.omega, t, int(oversample))
-        if dual:
-            k_transverse, k_axial = k_transverse.T, k_axial.T
-        # contract the axial index first: tmp[i1, i2, z_out]
-        tmp = np.tensordot(f.data, k_axial, axes=([2], [1]))
-        out = k_transverse @ tmp.reshape(n * n, n)
-        return Field(grid, np.ascontiguousarray(out.reshape(n, n, n)))
-    if backend == "fast":
-        mat = splitting_plan(grid, params, t, substeps)
-        data = f.data
-        if dual:
-            data = np.ascontiguousarray(np.swapaxes(data, 0, 1))
-        data = harmonic_flow(mat, data)
+        data = _oracle_apply(data, _oracle_factors(n, grid.extent, params.omega, t, int(oversample)))
+    elif backend == "fast":
+        data = harmonic_flow(splitting_plan(grid, params, t, substeps), data)
         data = rotate_pattern(grid, data, params.omega * t, out=data)
-        if dual:
-            data = np.ascontiguousarray(np.swapaxes(data, 0, 1))
-        return Field(grid, data)
-    raise ValueError(f"unknown backend {backend!r}; expected 'fast' or 'oracle'")
+    else:
+        raise ValueError(f"unknown backend {backend!r}; expected 'fast' or 'oracle'")
+    return Field(grid, np.swapaxes(data, 0, 1) if dual else data)
 
 
 def propagate_oracle(
@@ -514,11 +530,12 @@ def propagate_dual(
     """Transpose of the flow under the unconjugated pairing ``sum(f*g) h^3``.
 
     Continuum picture: the same kernel with the transverse rotation
-    reversed.  On the oracle backend the cached forward tables are
-    applied transposed, so the pairing identity holds to rounding by
-    construction; on the fast backend the reversal is realized by
-    conjugating with the swap ``x1 <-> x2`` (a reflection, which
-    reverses rotations and commutes with the harmonic flow).
+    reversed.  Both backends realize the reversal by conjugating the
+    forward flow with the swap ``x1 <-> x2`` (a reflection, which
+    reverses rotations and commutes with the harmonic flow).  On the
+    oracle backend, whose quadrature is symmetric, that is the literal
+    transpose of the forward kernel to rounding, so the pairing identity
+    holds to rounding.
     """
     return _flow(f, t, params, backend, substeps, oversample, dual=True)
 

@@ -63,8 +63,8 @@ from .grid import (
     PhysicsParams,
     _moments,
     _Moments,
+    _partial,
     boundary_mass_fraction,
-    gradient_arrays,
     lp_norm,
 )
 from .propagator import (
@@ -512,6 +512,7 @@ def _node_norms(
     params: PhysicsParams,
     rho: float,
     work: np.ndarray,
+    dj: np.ndarray,
 ) -> tuple[float, float, float]:
     """``||d||_rho``, ``||J(t) d||_rho`` and ``||H(t) d||_rho`` of one node.
 
@@ -525,15 +526,18 @@ def _node_norms(
         |H(t) d|^2 = |omega c x d + i s grad d|^2
                    = (omega c)^2 |x|^2 |d|^2 + s^2 |grad d|^2 - 2 omega s c X
 
-    All three squared moduli come from one gradient of ``d`` and are
-    written into ``work``, five real arrays of the field's shape; no
-    ``Field`` and no dressed component is built.  ``d`` is only read.
+    All three squared moduli come from one gradient of ``d``, its
+    partials taken in turn into ``dj`` (a complex array of the field's
+    shape), and are written into ``work``, five real arrays of that
+    shape; no ``Field`` and no dressed component is built.  ``d`` is
+    only read.
     """
     abs2, grad2, cross, tmp, tmp2 = work
     _modulus_sq(d, abs2, tmp)
     grad2.fill(0.0)
     cross.fill(0.0)
-    for dj, xj in zip(gradient_arrays(grid, d), (grid.x1, grid.x2, grid.x3)):
+    for axis, xj in enumerate((grid.x1, grid.x2, grid.x3)):
+        _partial(grid, d, axis, out=dj)
         grad2 += _modulus_sq(dj, tmp, tmp2)
         np.multiply(d.real, dj.imag, out=tmp)
         tmp -= np.multiply(d.imag, dj.real, out=tmp2)
@@ -563,9 +567,10 @@ def _distance(
     """The workspace distance of ``(difference, time, weight)`` nodes."""
     gamma = admissible_gamma(rho)
     work = np.empty((5,) + grid.shape)
+    dj = np.empty(grid.shape, dtype=np.complex128)
     sums = [0.0, 0.0, 0.0]
     for d, t, weight in nodes:
-        for k, norm in enumerate(_node_norms(grid, d, t, params, rho, work)):
+        for k, norm in enumerate(_node_norms(grid, d, t, params, rho, work, dj)):
             sums[k] += weight * norm**gamma
     inv = 1.0 / gamma
     return sums[0] ** inv + sums[1] ** inv + sums[2] ** inv

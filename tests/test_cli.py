@@ -312,6 +312,20 @@ def test_verify_default_battery_passes(capsys):
     assert "duality-pairing" in out
 
 
+def test_verify_battery_sums_its_norms_without_a_blas_dot(monkeypatch):
+    # np.linalg.norm of a complex array is two threaded BLAS dots, which
+    # can stall a cold process; the battery's L2 norms sum by einsum.
+    from rotor_gpe.cli import _verify_battery
+    from rotor_gpe.config import default_config_dict, parse_config
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    rows = _verify_battery(parse_config(default_config_dict()))
+    assert len(rows) == 12 and all(r.passed for r in rows)
+
+
 def test_the_richardson_referee_meets_a_4096_step_strang_run():
     # The referee of `verify`'s nonlinear row and of the picard study:
     # (4 u_256 - u_128) / 3 at n = 16 from the ground state to t = pi/8.

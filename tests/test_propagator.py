@@ -41,7 +41,7 @@ from rotor_gpe.propagator import (
     _BRANCH_1D,
     _harmonic_matrix,
     _interp_matrix,
-    _oracle_tables,
+    _oracle_factors,
     default_substeps,
     harmonic_flow,
     rotate_pattern,
@@ -126,23 +126,38 @@ def test_oracle_rejects_large_grids_and_bad_times():
 
 
 @pytest.mark.parametrize(
-    "apply",
+    "apply, calls",
     [
-        propagate_oracle,
-        functools.partial(propagate, backend="oracle"),
-        functools.partial(propagate_dual, backend="oracle"),
+        (propagate_oracle, 1),
+        (functools.partial(propagate, backend="oracle"), 1),
+        (functools.partial(propagate_dual, backend="oracle"), 1),
+        (propagate_inverse, 1),
+        (lambda f, t, params: compose_propagators(f, t, 0.9 * t, params), 2),
+        (
+            lambda f, t, params: dispersive_scan(
+                f, params, [(t, 0.8 * t), (t, 0.9 * t), (0.9 * t, 0.8 * t)], backend="oracle"
+            ),
+            6,
+        ),
     ],
-    ids=["propagate_oracle", "propagate", "propagate_dual"],
+    ids=[
+        "propagate_oracle",
+        "propagate",
+        "propagate_dual",
+        "propagate_inverse",
+        "compose_propagators",
+        "dispersive_scan",
+    ],
 )
-def test_alias_guard_warns_on_undersampled_quadrature(apply):
+def test_alias_guard_warns_on_undersampled_quadrature(apply, calls):
     # Early times steepen the kernel chirp; a coarse wide box cannot sample
     # it: omega*cot(omega t)*extent*h_q crosses pi and the oracle warns,
-    # naming the line that called the propagator.
+    # once per kernel application, naming the line that called the propagator.
     coarse = GridSpec(16, 8.0)
     f = Field(coarse, np.exp(-coarse.r2) + 0j)
     with pytest.warns(AliasRisk) as caught:
         apply(f, 0.3, PARAMS)
-    assert [w.filename for w in caught] == [__file__]
+    assert [w.filename for w in caught] == [__file__] * calls
     # The reference geometry at mid-window times is clean: no warning.
     g = ground_state(OGRID, PARAMS)
     with warnings.catch_warnings():
@@ -151,16 +166,17 @@ def test_alias_guard_warns_on_undersampled_quadrature(apply):
 
 
 # ---------------------------------------------------------------------------
-# oracle kernel tables
+# oracle kernel factors
 # ---------------------------------------------------------------------------
 
 
-def _sampled_transverse_table(n, extent, omega, t, oversample):
-    """Transverse oracle table from the kernel sampled on all four refined indices.
+def _sampled_kernel_tables(n, extent, omega, t, oversample):
+    """Transverse and axial oracle tables from the kernel sampled on the refined grid.
 
     Samples ``K[X1, X2, Y1, Y2]`` as one (oversample*n)^4 array, then folds
     the interpolation into the input indices and the restriction into the
-    output indices by four contractions.
+    output indices by four contractions; the axial kernel is sampled and
+    folded the same way.
     """
     grid = GridSpec(n, extent)
     theta = omega * t
@@ -181,28 +197,48 @@ def _sampled_transverse_table(n, extent, omega, t, oversample):
     k = np.tensordot(k, interp, axes=([2], [0]))  # (X1, X2, y1, y2)
     k = np.tensordot(k, restrict, axes=([0], [0]))  # (X2, y1, y2, x1)
     k = np.tensordot(k, restrict, axes=([0], [0]))  # (y1, y2, x1, x2)
-    return k.transpose(2, 3, 0, 1).reshape(n * n, n * n)
+    transverse = k.transpose(2, 3, 0, 1).reshape(n * n, n * n)
+    xz, yz = fine[:, None], fine[None, :]
+    phase_z = omega * (0.5 * cot * (xz - yz) ** 2 - np.tan(0.5 * theta) * xz * yz)
+    axial = restrict.T @ ((c1 * h_q) * np.exp(1j * phase_z)) @ interp
+    return transverse, axial
 
 
 @pytest.mark.parametrize("oversample", [2, 3])
 @pytest.mark.parametrize("n", [8, 12])
 def test_factored_oracle_tables_equal_the_sampled_kernel(n, oversample):
+    # The factored applications, forward and dual, against the sampled
+    # kernel applied densely: the dual is its literal transpose.
+    grid = GridSpec(n, 6.0)
+    rng = np.random.default_rng(n + oversample)
+    data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    f = Field(grid, data)
     for t in (0.55, WINDOW):
-        k_transverse, _ = _oracle_tables(n, 6.0, PARAMS.omega, t, oversample)
-        want = _sampled_transverse_table(n, 6.0, PARAMS.omega, t, oversample)
-        assert np.max(np.abs(k_transverse - want)) <= 1e-13 * np.max(np.abs(want))
+        transverse, axial = _sampled_kernel_tables(n, 6.0, PARAMS.omega, t, oversample)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasRisk)
+            forward = propagate_oracle(f, t, PARAMS, oversample=oversample).data
+            dual = propagate_dual(f, t, PARAMS, backend="oracle", oversample=oversample).data
+        want = (transverse @ (data @ axial.T).reshape(n * n, n)).reshape(grid.shape)
+        assert np.max(np.abs(forward - want)) <= 1e-13 * np.max(np.abs(want))
+        want = (transverse.T @ (data @ axial).reshape(n * n, n)).reshape(grid.shape)
+        assert np.max(np.abs(dual - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_oracle_table_build_never_holds_the_sampled_kernel():
-    # The sampled (2n)^4 kernel alone is 85 MB at n = 24; the factored
-    # build's largest array, P (x) Q, is 4 n^4 entries (21 MB).
+@pytest.mark.parametrize("dual", [False, True], ids=["forward", "dual"])
+def test_oracle_table_build_never_holds_the_sampled_kernel(dual):
+    # The sampled (2n)^4 kernel alone is 85 MB at n = 24, and a transverse
+    # table built from P (x) Q peaks at 34 MB; one application from the
+    # 1D factors, their build included, stays far below either.
+    g = ground_state(OGRID, PARAMS)
+    _oracle_factors.cache_clear()
     tracemalloc.start()
     try:
-        _oracle_tables.__wrapped__(24, 6.0, 1.0, 0.55, 2)
+        propagate_dual(g, 0.55, PARAMS, backend="oracle") if dual else propagate_oracle(g, 0.55, PARAMS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64e6
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------

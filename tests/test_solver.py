@@ -667,9 +667,9 @@ def node_lp(data: np.ndarray, grid: GridSpec, rho: float) -> float:
 
 
 def test_workspace_distance_takes_one_gradient_per_node(monkeypatch):
-    # J and H share the node's gradient; each built from its own gradient,
-    # as the dressed operators do when given none, the distance is the same
-    # bit for bit.
+    # J and H share the node's gradient, three partials taken in turn into
+    # one workspace array; each built from its own gradient, as the dressed
+    # operators do when given none, the distance is the same bit for bit.
     rng = np.random.default_rng(63)
     times = (0.0, 0.05, 0.1)
     weights = (0.025, 0.05, 0.025)
@@ -689,15 +689,15 @@ def test_workspace_distance_takes_one_gradient_per_node(monkeypatch):
     want = sum(s ** (1.0 / gamma) for s in sums)
 
     calls = []
-    real_gradient = solver_module.gradient_arrays
+    real_partial = solver_module._partial
 
-    def counting(grid, data):
-        calls.append(1)
-        return real_gradient(grid, data)
+    def counting(grid, data, axis, out=None):
+        calls.append(axis)
+        return real_partial(grid, data, axis, out=out)
 
-    monkeypatch.setattr(solver_module, "gradient_arrays", counting)
+    monkeypatch.setattr(solver_module, "_partial", counting)
     got = workspace_distance(u, v, 4.0, weights, times=times, params=CUBIC)
-    assert len(calls) == len(times)
+    assert calls == [0, 1, 2] * len(times)
     assert got == want
 
 
