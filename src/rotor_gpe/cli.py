@@ -127,9 +127,17 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_manifest(
-    cfg: RunConfig, command: str, outputs: list[str], start: float, name: str
+    cfg: RunConfig,
+    command: str,
+    outputs: list[str],
+    start: float,
+    name: str,
+    extra: dict | None = None,
 ) -> float:
-    """Write the manifest with the wall time since ``start``; return that time."""
+    """Write the manifest with the wall time since ``start``; return that time.
+
+    ``extra`` holds further entries, such as a run's loop health.
+    """
     wall = time.perf_counter() - start
     manifest = {
         "command": command,
@@ -137,6 +145,7 @@ def _write_manifest(
         "version": __version__,
         "wall_time_seconds": wall,
         "outputs": outputs,
+        **(extra or {}),
     }
     path = cfg.output_dir / name
     _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -167,6 +176,7 @@ def cmd_run(cfg: RunConfig) -> int:
             for t, f in zip(result.times, result.fields)
         ]
         final_field, final_t = result.fields[-1], result.times[-1]
+        health = {"max_phase_per_step": None, "guard_margin": None}
         print(
             f"picard: {result.iterations} iterations, final workspace"
             f" distance {result.distances[-1]:.3e}"
@@ -188,6 +198,10 @@ def cmd_run(cfg: RunConfig) -> int:
         )
         records = list(result.records)
         final_field, final_t = result.final.field, result.final.t_global
+        health = {
+            "max_phase_per_step": result.max_phase_per_step,
+            "guard_margin": result.guard_margin,
+        }
 
     write_csv(records, cfg.output_dir / "diagnostics.csv")
     outputs.append("diagnostics.csv")
@@ -195,7 +209,7 @@ def cmd_run(cfg: RunConfig) -> int:
     write_snapshot(cfg.output_dir / "snapshot_final", final_field, final_t, cfg.params)
     outputs.extend(["snapshot_final.bin", "snapshot_final.json"])
 
-    wall = _write_manifest(cfg, "run", outputs, start, "manifest.json")
+    wall = _write_manifest(cfg, "run", outputs, start, "manifest.json", health)
     drift = drift_report(records)
     print(f"run: {len(records)} diagnostics records to t = {final_t:.6f}")
     print(

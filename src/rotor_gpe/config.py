@@ -65,8 +65,9 @@ _INITIAL_TYPES = STATE_KINDS + ("file",)
 
 #: Working set of a subcommand, in complex fields of ``16 n^3`` bytes: the
 #: peak RSS above the imported package of a ``run`` recording every step
-#: and snapshotting every second one read 11.5 fields at n = 48 and 10.6
-#: at n = 64 (``dispersive-scan`` 9.8 and 9.2).
+#: and snapshotting every second one read 8.4 fields at n = 48 and 7.5
+#: at n = 64 (``dispersive-scan`` 9.7 and 9.1).  The constant is a guard,
+#: so it keeps its margin over those.
 WORKING_SET_FIELDS = 12
 
 #: Fields per quadrature node that ``solver.picard_solve`` holds at its

@@ -11,16 +11,20 @@ Derivatives are spectral.  Odd symbols (single derivatives) zero the
 Nyquist mode so that the discrete operator stays skew-adjoint; even
 symbols (the Laplacian, phase multipliers) keep it.  A partial ``d_j``
 is the real ``n x n`` matrix :attr:`GridSpec.derivative_matrix` applied
-along axis ``j`` only: one real matrix product on the field's float64
-view, with no transform.
+along axis ``j`` only: one matrix product, with no transform (on the
+field's float64 view for the first two axes, with a cached complex
+``D^T`` for the last).  A moments pass takes the partials into the
+bytes of its real ``|u|^2`` array once that array's sums are taken, so
+it needs no complex scratch.
 
 Transforms are ``numpy.fft`` (pocketfft, one thread), so the package
 imports nothing beyond numpy.  The functions on the Strang loop's hot
 path take ``out=`` (and scratch) arrays, and ``solver.evolve`` steps
-through one workspace per call without allocating.  A function given
-``out`` writes only there and into the scratch it is given, never into
-its input unless its docstring allows it; the caller never hands a
-workspace array to code that keeps it.
+through one workspace per call, two complex arrays and a real one,
+without allocating.  A function given ``out`` writes only there and
+into the scratch it is given, never into its input unless its
+docstring allows it; the caller never hands a workspace array to code
+that keeps it.
 """
 
 from __future__ import annotations
@@ -131,9 +135,9 @@ class GridSpec:
         return out
 
     @cached_property
-    def _derivative_pairs(self) -> np.ndarray:
-        """``kron(D^T, I_2)``: the last-axis partial on interleaved re/im pairs."""
-        out = np.kron(self.derivative_matrix.T, np.eye(2))
+    def _derivative_t(self) -> np.ndarray:
+        """``D^T`` as a complex array: the last-axis partial as one product."""
+        out = self.derivative_matrix.T.astype(np.complex128)
         out.flags.writeable = False
         return out
 
@@ -183,7 +187,10 @@ class Field:
             raise ValueError(
                 f"field data has shape {data.shape}, expected {self.grid.shape}"
             )
-        if not np.isfinite(data.view(np.float64)).all():
+        # min and max propagate NaN, so both are finite exactly when every
+        # entry is; unlike ``isfinite(...).all()`` they allocate nothing.
+        flat = data.view(np.float64)
+        if not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
             raise ValueError("field data contains NaN or Inf amplitudes")
         object.__setattr__(self, "data", data)
 
@@ -226,32 +233,39 @@ class PhysicsParams:
 
 
 def _partial(
-    grid: GridSpec, data: np.ndarray, axis: int, out: np.ndarray | None = None
+    grid: GridSpec,
+    data: np.ndarray,
+    axis: int,
+    out: np.ndarray | None = None,
+    rows: slice = slice(None),
 ) -> np.ndarray:
-    """Spectral partial along ``axis``: one real product with ``D``.
+    """Spectral partial along ``axis``: one matrix product with ``D``.
 
     ``D`` (:attr:`GridSpec.derivative_matrix`) is real, so it acts on the
-    real and imaginary parts alike, and the product runs on the field's
+    real and imaginary parts alike.  Axes 0 and 1 run on the field's
     float64 view ``v`` of shape ``(n, n, 2n)``: ``D @ v`` as one
-    ``(n, 2n^2)`` matrix for axis 0, batched over ``x1`` for axis 1, and
-    ``v @ kron(D^T, I_2)`` batched over ``x1`` for axis 2 (the batched
-    form keeps BLAS from packing a tall ``(n^2, 2n)`` copy of the field).
-    A non-contiguous or non-complex ``data`` is first copied to a
-    C-contiguous complex array.  Written into ``out`` (a C-contiguous
-    complex array of the field's shape, not ``data``) when given, else
-    into a fresh array.
+    ``(n, 2n^2)`` matrix for axis 0 and batched over ``x1`` for axis 1.
+    Axis 2 is one complex product ``data.reshape(n^2, n) @ D^T`` with the
+    cached complex ``D^T``, which is bit for bit the real product with
+    ``kron(D^T, I_2)`` on the float64 view.  ``rows`` (a slice of ``x1``
+    rows) selects those rows of the whole field's partial, and only they
+    are computed.  A non-contiguous or non-complex ``data`` is
+    first copied to a C-contiguous complex array.  Written into ``out``
+    (a C-contiguous complex array of the selected rows' shape, not
+    ``data``) when given, else into a fresh array.
     """
     n = grid.n
-    v = np.ascontiguousarray(data, dtype=np.complex128).view(np.float64)
+    data = np.ascontiguousarray(data, dtype=np.complex128)
+    v = data.view(np.float64)
     if out is None:
-        out = np.empty(grid.shape, dtype=np.complex128)
+        out = np.empty_like(data[rows])
     w = out.view(np.float64)
     if axis == 0:
-        np.matmul(grid.derivative_matrix, v.reshape(n, 2 * n * n), out=w.reshape(n, 2 * n * n))
+        np.matmul(grid.derivative_matrix[rows], v.reshape(n, 2 * n * n), out=w.reshape(-1, 2 * n * n))
     elif axis == 1:
-        np.matmul(grid.derivative_matrix, v, out=w)
+        np.matmul(grid.derivative_matrix, v[rows], out=w)
     else:
-        np.matmul(v, grid._derivative_pairs, out=w)
+        np.matmul(data[rows].reshape(-1, n), grid._derivative_t, out=out.reshape(-1, n))
     return out
 
 
@@ -323,50 +337,60 @@ class _Moments(NamedTuple):
     lz: complex
 
 
-def _moments(
-    grid: GridSpec,
-    u: np.ndarray,
-    scratch: np.ndarray | None = None,
-    real: np.ndarray | None = None,
-) -> _Moments:
+def _moments(grid: GridSpec, u: np.ndarray, real: np.ndarray | None = None) -> _Moments:
     """One gradient and a handful of fused reductions: see :class:`_Moments`.
 
     Every energy, norm and balance-law quantity of the package is a
     combination of these numbers.  ``|u|^2`` is written into ``real`` (a
-    float array of the field's shape) and each partial ``d_j`` in turn
-    into ``scratch`` (a C-contiguous complex one, not ``u``), each by one
-    real matrix product (:func:`_partial`), with no transform; fresh
-    arrays stand in when they are not given, and ``u`` is only read.
-    The coordinate-weighted sums contract ``u conj(d_j)`` over one axis
-    (``einsum``, with ``d_j`` conjugated in place) and then weight the
-    remaining ``n x n`` partial sums by the 1D axis, so no weighted or
-    conjugated copy of the field is built; the reductions make no
-    threaded BLAS call, the three partials one each.
+    C-contiguous float array of the field's shape; a fresh one when not
+    given) and its sums are taken first.  ``real`` is then free, and its
+    bytes, viewed as a complex array of half the field's ``x1`` rows,
+    take each partial ``d_j`` (:func:`_partial`, one matrix product, no
+    transform) in two row halves.  So the pass needs no complex scratch,
+    and ``u`` is only read.  The coordinate-weighted sums contract
+    ``u conj(d_j)`` over the axes no weight depends on (``einsum``, with
+    ``d_j`` conjugated in place) and then weight the remaining ``n x n``
+    or ``n`` partial sums by the 1D axis, so no weighted or conjugated
+    copy of the field is built; the reductions make no threaded BLAS
+    call, the partials one each.
     """
-    vol = grid.cell_volume
+    n, vol = grid.n, grid.cell_volume
     ax = grid.axis
     abs2 = np.abs(u, out=real)
     abs2 *= abs2
+    mass = float(abs2.sum()) * vol
+    l4_4 = float(np.einsum("ijk,ijk->", abs2, abs2)) * vol
+    linf = float(np.sqrt(abs2.max()))
+    x_sq = tuple(float(np.einsum(f"ijk,{x}->", abs2, ax**2)) * vol for x in "ijk")
 
-    # Partial sums of conj(u) d_j: over x3 for j = 1, 2 (indices x1, x2),
-    # over x1 for j = 3 (indices x2, x3).
-    grad_sq, partial = [], []
-    for axis, spec in enumerate(("ijk,ijk->ij", "ijk,ijk->ij", "ijk,ijk->jk")):
-        d = _partial(grid, u, axis, out=scratch)
-        grad_sq.append(_sum_sq(d) * vol)
-        np.conjugate(d, out=d)
-        partial.append(np.einsum(spec, u, d).conj())
-    p1, p2, p3 = partial
-    virial = (ax @ p1.sum(1), ax @ p2.sum(0), p3.sum(0) @ ax)
+    # Sums of conj(u) d_j: over x3 for j = 1, 2 (indexed by x1, x2), over
+    # x1 and x2 for j = 3 (indexed by x3), one half of the x1 rows at a time.
+    half = n // 2
+    slab = abs2.view(np.complex128).reshape(half, n, n)
+    p1, p2 = np.empty((2, n, n), dtype=np.complex128)
+    p3 = np.zeros(n, dtype=np.complex128)
+    grad_sq = []
+    for axis in range(3):
+        total = 0.0
+        for rows in (slice(0, half), slice(half, n)):
+            d = _partial(grid, u, axis, out=slab, rows=rows)
+            total += _sum_sq(d)
+            np.conjugate(d, out=d)
+            if axis < 2:
+                np.einsum("ijk,ijk->ij", u[rows], d, out=(p1, p2)[axis][rows])
+            else:
+                p3 += np.einsum("ijk,ijk->k", u[rows], d)
+        grad_sq.append(total * vol)
+    for p in (p1, p2, p3):
+        np.conjugate(p, out=p)
+    virial = (ax @ p1.sum(1), ax @ p2.sum(0), p3 @ ax)
     lz = -1j * (ax @ p2.sum(1) - ax @ p1.sum(0))
 
     return _Moments(
-        mass=float(abs2.sum()) * vol,
-        l4_4=float(np.einsum("ijk,ijk->", abs2, abs2)) * vol,
-        linf=float(np.sqrt(abs2.max())),
-        x_sq=tuple(
-            float(np.einsum(f"ijk,{x}->", abs2, ax**2)) * vol for x in "ijk"
-        ),
+        mass=mass,
+        l4_4=l4_4,
+        linf=linf,
+        x_sq=x_sq,
         grad_sq=tuple(grad_sq),
         virial=tuple(float(v.imag) * vol for v in virial),
         lz=complex(lz) * vol,

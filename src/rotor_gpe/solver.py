@@ -280,11 +280,20 @@ def strang_step(
 
 @dataclass(frozen=True)
 class EvolveResult:
-    """Final state, diagnostics stream, and the snapshots not streamed to a callback."""
+    """Final state, diagnostics stream, and the snapshots not streamed to a callback.
+
+    Two health figures of the loop: ``max_phase_per_step`` is the largest
+    nonlinear angle a step applied, ``beta (tau + dt/2) max |w|^2`` (a
+    step whose angle is far above 1 resolves nothing of the phase), and
+    ``guard_margin`` is the final ``max |w|`` over the blow-up guard (1
+    is the guard).
+    """
 
     final: TrajectoryState
     records: tuple[DiagnosticsRecord, ...]
     snapshots: tuple[tuple[float, Field], ...]
+    max_phase_per_step: float
+    guard_margin: float
 
 
 def evolve(
@@ -307,16 +316,18 @@ def evolve(
     a snapshot and at the end, where the record is taken from the same
     array before it is rotated.
 
-    The loop writes only a workspace allocated once per call: three
+    The loop writes only a workspace allocated once per call: two
     complex arrays and one real one, each of the field's shape.  The
-    phase goes into one complex array, the harmonic flow into another
+    phase goes into one complex array, the harmonic flow into the other
     with the first as its scratch, and ``|w|^2`` into the real one; a
-    record phases into the first and takes its moments with the third as
-    scratch.  So a step, and a step that only records, allocates
-    nothing; a handed-out field is a fresh array.  The loop never writes
-    into the caller's field, into a field it has handed to
-    ``on_snapshot``, or into the returned state's ``corotating``: after
-    the last step the workspace belongs to the returned state alone.
+    record phases into the first and takes its moments through the real
+    one.  So a step, and a step that only records, allocates nothing.
+    The end state is phased, recorded and rotated in the first complex
+    array, and ``w`` (the second) becomes its ``corotating``; a mid-run
+    snapshot is a fresh array.  The loop never writes into the caller's
+    field, into a field it has handed to ``on_snapshot`` before the end,
+    or into the returned state's ``corotating``: after the last step the
+    workspace belongs to the returned state alone.
     The harmonic flow's matrix is fetched only when the step length
     changes: at the first step, at a clipped one and after it, and where
     the rounding of the window-local clock moves the length in its last
@@ -344,7 +355,9 @@ def evolve(
     :class:`BoundaryTruncation` when the initial field keeps more than
     1e-10 of its mass within two cells of the box boundary.  The guard
     reads the ``|w|^2`` that the next phase computes anyway, so a field
-    is checked before it is stepped on or handed out.
+    is checked before it is stepped on or handed out; the same maximum
+    gives :attr:`EvolveResult.max_phase_per_step` and
+    :attr:`EvolveResult.guard_margin`.
     """
     window = params.window
     bare = not isinstance(u0, TrajectoryState)
@@ -387,18 +400,19 @@ def evolve(
     # The workspace: a step phases w into ``phased``, then the harmonic
     # flow takes it into ``ahead`` (with ``phased`` as its scratch), and w
     # becomes ``ahead``; a record phases into ``phased`` and takes its
-    # moments with ``scratch``.  Only these four arrays are ever written;
+    # moments through ``real``.  Only these three arrays are ever written;
     # w may also be the caller's field or a returned ``corotating``,
     # which are only read.
     ahead = np.empty(grid.shape, dtype=np.complex128)
     phased = np.empty_like(ahead)
-    scratch = np.empty_like(ahead)
     real = np.empty(grid.shape)
     step_count = 0
     mat, mat_dt = None, None
+    peak_sq, max_phase = 0.0, 0.0
 
     def phase(tau_: float, out: np.ndarray) -> np.ndarray:
         """``N(tau_) w`` into ``out``, once ``max |w|`` has passed the guard."""
+        nonlocal peak_sq
         abs2 = _modulus_sq(w, real, out.real)
         peak_sq = float(abs2.max())
         if peak_sq > guard * guard:
@@ -412,9 +426,9 @@ def evolve(
     records: list[DiagnosticsRecord] = []
     moments: _Moments | None = None
 
-    def take_record(data: np.ndarray, scratch_: np.ndarray) -> None:
+    def take_record(data: np.ndarray) -> None:
         nonlocal moments
-        moments = _moments(grid, data, scratch=scratch_, real=real)
+        moments = _moments(grid, data, real=real)
         records.append(
             record_from_moments(moments, t_global, params, e0_window, t_local=t_local)
         )
@@ -425,21 +439,22 @@ def evolve(
         records.append(record_from_moments(moments, t_global, params, None, t_local=0.0))
         e0_window = records[-1].e0
 
-    def handed_out(record_it: bool) -> TrajectoryState:
-        lab = phase(tau, np.empty_like(ahead))
+    def handed_out(record_it: bool, end: bool) -> TrajectoryState:
+        """The lab field; the end state is built in ``phased``, a snapshot fresh."""
+        lab = phase(tau, phased if end else np.empty_like(ahead))
         if record_it:
-            take_record(lab, phased)
+            take_record(lab)
         rotate_pattern(grid, lab, theta, out=lab)
         return TrajectoryState(
             Field(grid, lab), t_global, window_index, t_local, e0_window, w, theta, tau
         )
 
     if bare:
-        moments = _moments(grid, phase(tau, phased), scratch=scratch, real=real)
+        moments = _moments(grid, phase(tau, phased), real=real)
         open_window()
         state = replace(state, e0_window=e0_window)
     else:
-        take_record(phase(tau, phased), scratch)
+        take_record(phase(tau, phased))
     while t_global < config.t_end - _TIME_EPS:
         if window - t_local <= _TIME_EPS:
             # Seam: bookkeeping only.  The opening record reads the
@@ -461,6 +476,7 @@ def evolve(
         if dt_step != mat_dt:  # the first step, a clipped one, or a last-bit change
             mat, mat_dt = splitting_plan(grid, params, dt_step, config.m), dt_step
         phase(tau + 0.5 * dt_step, phased)
+        max_phase = max(max_phase, beta * (tau + 0.5 * dt_step) * peak_sq)
         w = harmonic_flow(mat, phased, out=ahead, scratch=phased)
         theta += params.omega * dt_step
         tau = 0.5 * dt_step
@@ -476,16 +492,20 @@ def evolve(
         )
         snapshot_hit = snapshot_every > 0 and (step_count % snapshot_every == 0 or done)
         if snapshot_hit or done:
-            state = handed_out(record_hit)
+            state = handed_out(record_hit, end=done)
             if snapshot_hit:
                 on_snapshot(t_global, state.field)
         elif record_hit:
-            take_record(phase(tau, phased), scratch)
+            take_record(phase(tau, phased))
 
     if state.t_global != t_global:  # left by a final step too short to take
-        state = handed_out(False)
+        state = handed_out(False, end=True)
     return EvolveResult(
-        final=state, records=tuple(records), snapshots=tuple(snapshots)
+        final=state,
+        records=tuple(records),
+        snapshots=tuple(snapshots),
+        max_phase_per_step=max_phase,
+        guard_margin=float(np.sqrt(peak_sq)) / guard if guard > 0.0 else 0.0,
     )
 
 

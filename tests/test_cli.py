@@ -64,6 +64,30 @@ def test_run_writes_csv_snapshots_and_manifest(tmp_path, capsys):
     assert "diagnostics records" in captured
 
 
+@pytest.mark.filterwarnings("ignore::rotor_gpe.errors.BoundaryTruncation")
+def test_a_run_manifest_flags_a_phase_far_above_one_per_step(tmp_path):
+    # beta = 1e300 still conserves mass and exits 0, but each step turns
+    # the phase by about 1e296 radians, which the manifest shows.
+    raw = run_config(
+        tmp_path,
+        grid={"n": 16, "extent": 5.0},
+        physics={"omega": 1.0, "beta": 1e300},
+        initial={"type": "ground"},
+        evolve={"scheme": "strang", "dt": 1e-3, "t_end": 0.01},
+    )
+    assert entrypoint(["run", write_config(tmp_path, raw)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["max_phase_per_step"] > 1e290
+    assert 0.0 < manifest["guard_margin"] < 1.0
+
+    raw["physics"]["beta"] = 1.0
+    raw["output"]["dir"] = str(tmp_path / "calm")
+    assert entrypoint(["run", write_config(tmp_path, raw, "calm.json")]) == EXIT_OK
+    manifest = json.loads((tmp_path / "calm" / "manifest.json").read_text())
+    assert 0.0 < manifest["max_phase_per_step"] < 1e-3
+    assert manifest["guard_margin"] == pytest.approx(1e-3, rel=0.1)
+
+
 def test_run_writes_each_snapshot_as_the_evolution_collects_it(tmp_path):
     path = write_config(tmp_path, run_config(tmp_path))
     assert entrypoint(["run", path]) == EXIT_OK

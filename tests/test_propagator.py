@@ -500,6 +500,66 @@ def test_a_fast_forward_and_dual_build_one_matrix():
     assert _harmonic_matrix.cache_info().misses == before + 1
 
 
+def _transposing_copy_flow(mat, data):
+    """The harmonic flow as two leading-axis products, two transposing
+    copies and a last-axis product: the contraction the axis-cycling
+    products replaced."""
+    n = mat.shape[0]
+    out, scratch = np.empty_like(data), np.empty_like(data)
+    wide, tall = (n, n * n), (n * n, n)
+    np.matmul(mat, data.reshape(wide), out=out.reshape(wide))
+    np.copyto(scratch, out.transpose(1, 0, 2))
+    np.matmul(mat, scratch.reshape(wide), out=out.reshape(wide))
+    np.copyto(scratch, out.transpose(1, 0, 2))
+    np.matmul(scratch.reshape(tall), mat.T, out=out.reshape(tall))
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 24, 48])
+def test_harmonic_flow_is_bit_equal_to_the_transposing_copy_loop(n):
+    grid = GridSpec(n, 5.0)
+    rng = np.random.default_rng(20 + n)
+    data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    bits = data.copy()
+    for m in (1, 7, 64):
+        mat = splitting_plan(grid, PARAMS, 0.3, m)
+        want = _transposing_copy_flow(mat, data)
+        assert np.array_equal(harmonic_flow(mat, data), want)
+        out, scratch = np.empty_like(data), np.empty_like(data)
+        assert harmonic_flow(mat, data, out=out, scratch=scratch) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(data, bits)  # read only
+        # scratch may be the input, which is then overwritten
+        assert np.array_equal(harmonic_flow(mat, bits.copy(), out=out, scratch=scratch), want)
+        spent = bits.copy()
+        assert np.array_equal(harmonic_flow(mat, spent, out=out, scratch=spent), want)
+
+
+def test_harmonic_flow_equals_a_three_axis_einsum():
+    grid = GridSpec(24, 5.0)
+    rng = np.random.default_rng(31)
+    data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    mat = splitting_plan(grid, PARAMS, 0.45, 5)
+    want = np.einsum("ai,bj,ck,ijk->abc", mat, mat, mat, data, optimize=True)
+    got = harmonic_flow(mat, data)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_harmonic_flow_with_its_workspace_allocates_under_a_hundredth_of_a_field():
+    grid = GridSpec(32, 5.0)
+    data = random_smooth_field(grid, np.random.default_rng(32), width=1.0).data
+    mat = splitting_plan(grid, PARAMS, 0.25, 3)
+    out, scratch = np.empty_like(data), np.empty_like(data)
+    harmonic_flow(mat, data, out=out, scratch=scratch)
+    tracemalloc.start()
+    try:
+        harmonic_flow(mat, data, out=out, scratch=scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * data.nbytes
+
+
 def test_default_substeps_scales_with_time():
     assert default_substeps(WINDOW, PARAMS) == 64
     assert default_substeps(WINDOW / 2.0, PARAMS) == 32

@@ -366,13 +366,10 @@ def test_workspace_evolve_is_bit_equal_to_allocating_steps_and_aliases_nothing()
     assert np.array_equal(resumed.final.corotating, res.final.corotating)
 
 
-def test_evolve_recording_every_step_peaks_at_five_and_a_half_fields():
-    # Three complex workspace arrays and a real one, plus the final lab
-    # field: measured 4.8 fields at n = 32 (8.1 when every record rotated
-    # a fresh lab field and built a conjugate copy).
+def _evolve_peak(cfg):
+    """``tracemalloc`` peak of an ``evolve`` call at n = 32, in fields."""
     grid = GridSpec(32, 8.0)
     u = off_axis_state(grid)
-    cfg = SolverConfig(dt=1e-3, t_end=20e-3, diagnostics_every=1)
     evolve(u, cfg, CUBIC)  # builds the plans outside the measurement
     tracemalloc.start()
     try:
@@ -380,8 +377,39 @@ def test_evolve_recording_every_step_peaks_at_five_and_a_half_fields():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return res, peak / u.data.nbytes
+
+
+def test_evolve_recording_every_step_peaks_at_two_point_six_fields():
+    # Two complex workspace arrays and a real one, the end state built in
+    # the workspace: measured 2.61 fields at n = 32 (4.8 with a third
+    # complex array and a fresh end field, 8.1 when every record rotated
+    # a fresh lab field and built a conjugate copy).
+    res, peak = _evolve_peak(SolverConfig(dt=1e-3, t_end=20e-3, diagnostics_every=1))
     assert len(res.records) == 21
-    assert peak <= 5.5 * u.data.nbytes
+    assert peak <= 1.1 * 2.61
+
+
+def test_a_record_free_evolve_peaks_at_two_and_a_half_fields():
+    # The workspace is 2.5 fields, and the end state lives in it.
+    res, peak = _evolve_peak(SolverConfig(dt=1e-3, t_end=20e-3))
+    assert len(res.records) == 2
+    assert peak <= 2.6
+
+
+def test_evolve_reports_its_largest_phase_and_its_guard_margin():
+    u = off_axis_state(GRID)
+    cfg = SolverConfig(dt=1e-3, t_end=5e-3)
+    res = evolve(u, cfg, CUBIC)
+    # The first step phases the bare field over dt/2, every later step
+    # over dt; the largest angle is beta dt max|w|^2 of some step.
+    peak_sq = np.max(np.abs(u.data)) ** 2
+    assert 0.5 * cfg.dt * peak_sq <= res.max_phase_per_step <= 1.01 * cfg.dt * peak_sq
+    guard = cfg.blowup_factor * np.max(np.abs(u.data))
+    assert res.guard_margin == pytest.approx(np.max(np.abs(res.final.corotating)) / guard, rel=1e-14)
+    assert evolve(u, cfg, PhysicsParams(omega=1.0)).max_phase_per_step == 0.0
+    zero = evolve(Field(GRID, np.zeros(GRID.shape)), cfg, CUBIC)  # a zero guard
+    assert (zero.max_phase_per_step, zero.guard_margin) == (0.0, 0.0)
 
 
 def test_corotating_evolution_meets_lab_frame_steps_under_refinement():
