@@ -3,11 +3,12 @@
 The model is the 3D cubic Gross-Pitaevskii equation in an isotropic
 harmonic trap that rotates about the x3 axis at exactly the trap
 frequency.  The package provides two independent linear propagator
-backends (a dense closed-form kernel quadrature and a fast split-step
-spectral method), Galilean-type dressed operators with their chirp
-factorizations, conservation-law diagnostics, a windowed nonlinear
-solver, and a Duhamel fixed-point solver, plus a CLI that drives
-verification batteries against closed-form references.
+backends (a dense closed-form kernel quadrature and a fast spectral
+method built on the exact flow of the grid's 1D oscillator),
+Galilean-type dressed operators with their chirp factorizations,
+conservation-law diagnostics, a windowed nonlinear solver, and a
+Duhamel fixed-point solver, plus a CLI that drives verification
+batteries against closed-form references.
 
 Each module's ``__all__`` is its public surface, and the package
 re-exports the union of them; ``cli`` stays out, since it imports

@@ -176,10 +176,15 @@ def cmd_run(cfg: RunConfig) -> int:
             for t, f in zip(result.times, result.fields)
         ]
         final_field, final_t = result.fields[-1], result.times[-1]
-        health = {"max_phase_per_step": None, "guard_margin": None}
+        health = {
+            "iterations": result.iterations,
+            "final_distance": result.distances[-1],
+            "converged": result.converged,
+        }
         print(
             f"picard: {result.iterations} iterations, final workspace"
             f" distance {result.distances[-1]:.3e}"
+            + ("" if result.converged else f", not converged (tol {cfg.solver.picard.tol:.1e})")
         )
     else:
         numbers = itertools.count()
@@ -271,9 +276,7 @@ def _check_matrix_identities(params: PhysicsParams, rng: np.random.Generator) ->
     return worst
 
 
-def _check_intertwining(
-    grid: GridSpec, params: PhysicsParams, t: float, substeps: int
-) -> tuple[float, float]:
+def _check_intertwining(grid: GridSpec, params: PhysicsParams, t: float) -> tuple[float, float]:
     """Worst commutation defect of the two dressed vector operators.
 
     Propagating then dressing must equal dressing with the t = 0
@@ -282,12 +285,12 @@ def _check_intertwining(
     """
     worst_j = worst_h = 0.0
     for u0 in (ground_state(grid, params), vortex_state(grid, params, charge=1)):
-        ut = propagate_fast(u0, t, params, substeps=substeps)
+        ut = propagate_fast(u0, t, params)
         for dressed, bucket in ((galilean_momentum, "j"), (galilean_position, "h")):
             ops0 = dressed(u0, 0.0, params)
             opst = dressed(ut, t, params)
             for g0, gt in zip(ops0, opst):
-                moved = propagate_fast(g0, t, params, substeps=substeps)
+                moved = propagate_fast(g0, t, params)
                 defect = float(np.sqrt(_sum_sq(gt.data - moved.data)))
                 if bucket == "j":
                     worst_j = max(worst_j, defect)
@@ -335,8 +338,8 @@ def _verify_battery(cfg: RunConfig) -> list[CheckRow]:
 
     # The oracle dual is the literal transpose of the dense kernel
     # quadrature to rounding, so the bilinear pairing identity must hold
-    # to rounding there (the fast backend's dual is only as good as its
-    # splitting).
+    # to rounding there (the fast backend's dual pairs only to the
+    # spectral tail of its shear rotation).
     phi = random_smooth_field(ogrid, rng, width=ogrid.extent / 6.0)
     psi = random_smooth_field(ogrid, rng, width=ogrid.extent / 6.0)
     t_dual = 0.55 / w
@@ -349,7 +352,7 @@ def _verify_battery(cfg: RunConfig) -> list[CheckRow]:
     # the dressed operators carry coordinate weights, which amplify the
     # wrap-around of whatever mass sits near the periodic seam.
     igrid = GridSpec(n=32, extent=7.0 / np.sqrt(w))
-    worst_j, worst_h = _check_intertwining(igrid, params, 0.6 / w, substeps=256)
+    worst_j, worst_h = _check_intertwining(igrid, params, 0.6 / w)
     rows.append(CheckRow("intertwining-momentum", worst_j, 1e-5))
     rows.append(CheckRow("intertwining-position", worst_h, 1e-5))
 

@@ -135,7 +135,12 @@ class PicardConfig:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Scheme selection and stepping parameters for :func:`evolve`."""
+    """Scheme selection and stepping parameters for :func:`evolve`.
+
+    ``m`` is the harmonic flow's Strang substep count; ``None`` (the
+    default, and the only value a configuration file can give) takes
+    the exact flow (:func:`~rotor_gpe.propagator.splitting_plan`).
+    """
 
     scheme: str = "strang"
     dt: float = 1e-3
@@ -328,10 +333,10 @@ def evolve(
     field, into a field it has handed to ``on_snapshot`` before the end,
     or into the returned state's ``corotating``: after the last step the
     workspace belongs to the returned state alone.
-    The harmonic flow's matrix is fetched only when the step length
-    changes: at the first step, at a clipped one and after it, and where
-    the rounding of the window-local clock moves the length in its last
-    bits.
+    Every step that is not clipped is ``config.dt`` long, whatever the
+    rounding of the window-local clock, so the harmonic flow's matrix is
+    fetched only at the first step, at a step clipped to a seam or to
+    the end, and after it.
 
     Steps never straddle window seams: the last step of each window is
     clipped, the window-local clock is re-based to zero and the energy
@@ -465,15 +470,16 @@ def evolve(
             open_window()
             continue
 
-        next_local = min(t_local + config.dt, window)
+        unclipped = t_local + config.dt
+        next_local = min(unclipped, window)
         end_local = config.t_end - window_index * window
         if next_local > end_local - _TIME_EPS and end_local <= window + _TIME_EPS:
             next_local = min(end_local, window)
-        dt_step = next_local - t_local
+        dt_step = config.dt if next_local == unclipped else next_local - t_local
         if dt_step <= _TIME_EPS:
             break
 
-        if dt_step != mat_dt:  # the first step, a clipped one, or a last-bit change
+        if dt_step != mat_dt:  # the first step, a clipped one, or the one after it
             mat, mat_dt = splitting_plan(grid, params, dt_step, config.m), dt_step
         phase(tau + 0.5 * dt_step, phased)
         max_phase = max(max_phase, beta * (tau + 0.5 * dt_step) * peak_sq)
@@ -636,13 +642,19 @@ def workspace_distance(
 
 @dataclass(frozen=True)
 class PicardResult:
-    """Converged node trajectory of the Duhamel iteration."""
+    """Node trajectory of the Duhamel iteration, converged or not.
+
+    ``converged`` is whether the last distance fell below the tolerance;
+    a run that spent ``max_iter`` iterations without it returns its last
+    iterate with ``converged`` false.
+    """
 
     times: tuple[float, ...]
     fields: tuple[Field, ...]
     distances: tuple[float, ...]
     iterations: int
     sup_l2: float
+    converged: bool
 
 
 def picard_solve(
@@ -668,7 +680,9 @@ def picard_solve(
     ``k``, adds its difference to the distance and overwrites the
     current node in place, so it holds the free evolution and the
     current iterate (two fields per node) and a fixed workspace.  The
-    initial iterate is the free evolution.  Raises :class:`NoContraction`
+    initial iterate is the free evolution.  The iteration stops when the
+    distance falls below ``tol`` or after ``max_iter`` iterations, which
+    :attr:`PicardResult.converged` tells apart.  Raises :class:`NoContraction`
     after three consecutive non-decreasing distances (the smallness
     condition on ``T`` and the data is violated), :class:`WindowViolation`
     if ``T`` exceeds one window.
@@ -698,6 +712,7 @@ def picard_solve(
             distances=tuple(distances),
             iterations=len(distances),
             sup_l2=max(lp_norm(f, 2) for f in fields),
+            converged=distances[-1] < pc.tol,
         )
 
     # Free evolution H(t_i) u0, built incrementally along the node set.

@@ -133,6 +133,35 @@ def test_run_picard_scheme(tmp_path, capsys):
     assert (tmp_path / "out" / "diagnostics.csv").exists()
 
 
+def test_a_picard_run_that_misses_its_tolerance_is_named_in_summary_and_manifest(
+    tmp_path, capsys
+):
+    # Two iterations cannot reach 1e-30: the run keeps its last iterate
+    # and exits 0, and both the summary line and the manifest say so.
+    raw = run_config(tmp_path)
+    raw["evolve"] = {
+        "scheme": "picard",
+        "dt": 1e-3,
+        "t_end": 0.2,
+        "picard": {"quad_nodes": 9, "max_iter": 2, "tol": 1e-30},
+    }
+    assert entrypoint(["run", write_config(tmp_path, raw)]) == EXIT_OK
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.startswith("picard: 2 iterations") and "not converged" in summary
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["iterations"] == 2
+    assert manifest["converged"] is False
+    assert manifest["final_distance"] > 1e-30
+    assert "guard_margin" not in manifest
+
+    raw["evolve"]["picard"] = {"quad_nodes": 9}
+    assert entrypoint(["run", write_config(tmp_path, raw)]) == EXIT_OK
+    assert "not converged" not in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["converged"] is True
+    assert manifest["final_distance"] < 1e-10
+
+
 def test_run_missing_omega_exits_config(tmp_path, capsys):
     raw = run_config(tmp_path)
     del raw["physics"]["omega"]

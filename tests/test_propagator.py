@@ -1,8 +1,11 @@
 """Linear propagator backends: kernel algebra, unitarity, duality, decay."""
 
 import functools
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +45,6 @@ from rotor_gpe.propagator import (
     _harmonic_matrix,
     _interp_matrix,
     _oracle_factors,
-    default_substeps,
     harmonic_flow,
     rotate_pattern,
     splitting_plan,
@@ -451,6 +453,21 @@ def test_a_quarter_turn_is_an_index_permutation():
     assert np.array_equal(rotate_pattern(grid, u, -2.0 * np.pi), u)
 
 
+def test_a_quarter_turn_in_place_needs_no_field_of_scratch():
+    # Past pi/4 the rotation takes a quarter turn; it moves slabs in place
+    # (an overlapping gather buffered two fields here).
+    grid = GridSpec(32, 8.0)
+    a = coherent_state(grid, PARAMS, center=(1.0, 0.5, 0.2), kick=(0.3, -0.5, 0.2)).data
+    rotate_pattern(grid, a, 2.0, out=a)
+    tracemalloc.start()
+    try:
+        rotate_pattern(grid, a, 2.0, out=a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * a.nbytes
+
+
 def _split_step_reference(grid, params, data, t, m, reverse):
     """The 3D Strang split-step loop: m x (FFT, kinetic, inverse FFT, potential)."""
     n = grid.n
@@ -498,6 +515,80 @@ def test_a_fast_forward_and_dual_build_one_matrix():
     propagate_dual(f, t, PARAMS, backend="fast", substeps=11)
     propagate_inverse(f, t, PARAMS, backend="fast", substeps=11)
     assert _harmonic_matrix.cache_info().misses == before + 1
+
+
+# ---------------------------------------------------------------------------
+# the exact harmonic flow (the default matrix)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, t", [("ground", WINDOW), ("vortex_plus", 0.6)])
+def test_default_flow_meets_the_closed_form_to_the_grid_floor(kind, t):
+    # The Strang split at its old default (64 substeps per window) read
+    # 1.79e-5 (ground) and 1.92e-5 (vortex) here; the exact flow of the
+    # grid oscillator 8.2e-13 and 9.7e-13.
+    grid = GridSpec(48, 8.0)
+    u0 = exact_linear_evolution(grid, PARAMS, kind, 0.0)
+    got = propagate_fast(u0, t, PARAMS)
+    assert rel_l2(got, exact_linear_evolution(grid, PARAMS, kind, t)) <= 1e-11
+
+
+@pytest.mark.parametrize("n, extent", [(24, 6.0), (64, 8.0)])
+def test_default_matrix_is_unitary_to_rounding(n, extent):
+    mat = splitting_plan(GridSpec(n, extent), PARAMS, 0.6)
+    assert np.max(np.abs(mat.conj().T @ mat - np.eye(n))) <= 2e-15
+
+
+def test_default_forward_and_dual_flows_are_swap_conjugates():
+    grid = GridSpec(16, 5.0)
+    f = random_smooth_field(grid, np.random.default_rng(16), width=1.0)
+    t = 0.55
+    swapped = Field(grid, np.ascontiguousarray(np.swapaxes(f.data, 0, 1)))
+    want = np.swapaxes(propagate_fast(swapped, t, PARAMS).data, 0, 1)
+    assert np.array_equal(propagate_dual(f, t, PARAMS, backend="fast").data, want)
+
+
+def _strang_split_matrix(grid, params, t, substeps):
+    """The Strang-split 1D flow by the loop the exact flow replaced as default."""
+    delta = t / substeps
+    kin = np.exp(-0.5j * delta * grid.freq**2)[:, None]
+    pot_half = np.exp(-0.25j * delta * params.omega**2 * grid.axis**2)[:, None]
+    pot_full = pot_half**2
+    mat = pot_half * np.eye(grid.n)
+    for step in range(substeps):
+        hat = kin * np.fft.fft(mat, axis=0, norm="ortho")
+        pot = pot_full if step < substeps - 1 else pot_half
+        mat = pot * np.fft.ifft(hat, axis=0, norm="ortho")
+    return mat
+
+
+@pytest.mark.parametrize("m", [1, 7, 64])
+def test_an_explicit_substep_count_keeps_the_split_matrix_bit_for_bit(m):
+    grid = GridSpec(24, 6.0)
+    mat = splitting_plan(grid, PARAMS, 0.45, m)
+    assert np.array_equal(mat, _strang_split_matrix(grid, PARAMS, 0.45, m))
+    assert not np.array_equal(mat, splitting_plan(grid, PARAMS, 0.45))
+
+
+def test_default_matrix_is_byte_identical_across_processes():
+    import rotor_gpe
+
+    src = str(Path(rotor_gpe.__file__).resolve().parent.parent)
+    script = (
+        f"import sys, hashlib; sys.path.insert(0, {src!r});"
+        " from rotor_gpe import GridSpec, PhysicsParams;"
+        " from rotor_gpe.propagator import splitting_plan;"
+        " mat = splitting_plan(GridSpec(24, 6.0), PhysicsParams(omega=1.0), 0.3);"
+        " print(hashlib.sha1(mat.tobytes()).hexdigest())"
+    )
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        ).stdout
+        for _ in range(2)
+    ]
+    assert len(digests[0].strip()) == 40
+    assert digests[0] == digests[1]
 
 
 def _transposing_copy_flow(mat, data):
@@ -558,13 +649,6 @@ def test_harmonic_flow_with_its_workspace_allocates_under_a_hundredth_of_a_field
     finally:
         tracemalloc.stop()
     assert peak < 0.01 * data.nbytes
-
-
-def test_default_substeps_scales_with_time():
-    assert default_substeps(WINDOW, PARAMS) == 64
-    assert default_substeps(WINDOW / 2.0, PARAMS) == 32
-    assert default_substeps(1e-9, PARAMS) == 1
-    assert default_substeps(0.3, PARAMS) <= default_substeps(0.6, PARAMS)
 
 
 def test_fast_substep_refinement_converges_at_second_order():

@@ -306,11 +306,12 @@ def allocating_evolve(u, cfg, params, snapshot_every):
             e0 = records[-1].e0
             records.append(record(Field(grid, corotating), t_global, params, e0, t_local=0.0))
             continue
-        next_local = min(t_local + cfg.dt, window)
+        unclipped = t_local + cfg.dt
+        next_local = min(unclipped, window)
         end_local = cfg.t_end - k * window
         if next_local > end_local - 1e-13 and end_local <= window + 1e-13:
             next_local = min(end_local, window)
-        dt_step = next_local - t_local
+        dt_step = cfg.dt if next_local == unclipped else next_local - t_local
         mat = splitting_plan(grid, params, dt_step, cfg.m)
         w = harmonic_flow(mat, phased(w, tau + 0.5 * dt_step, beta))
         theta += params.omega * dt_step
@@ -432,7 +433,9 @@ def test_corotating_evolution_meets_lab_frame_steps_under_refinement():
     assert gaps[48] < 1e-2 * gaps[32]
 
 
-def test_evolve_fetches_a_plan_only_when_the_step_length_changes(monkeypatch):
+@pytest.fixture
+def calls(monkeypatch):
+    """The step lengths ``evolve`` asks ``splitting_plan`` for, in order."""
     calls = []
     real_plan = solver_module.splitting_plan
 
@@ -441,6 +444,10 @@ def test_evolve_fetches_a_plan_only_when_the_step_length_changes(monkeypatch):
         return real_plan(grid, params, t, *args)
 
     monkeypatch.setattr(solver_module, "splitting_plan", counting)
+    return calls
+
+
+def test_evolve_fetches_a_plan_only_when_the_step_length_changes(calls):
     # A dyadic dt advances the window-local clock exactly, so 512 steps
     # across a seam have three lengths: dt, the clipped step, dt again.
     dt = 2.0**-9
@@ -449,14 +456,33 @@ def test_evolve_fetches_a_plan_only_when_the_step_length_changes(monkeypatch):
     assert res.final.window_index == 1
     assert len(res.records) == 1 + 512 + 1  # a record per step, two at the seam
     assert calls == [dt, pytest.approx(CUBIC.window - 402 * dt), dt]
-    # Otherwise the clock's rounding moves the step length in its last
-    # bits now and then; each change, and only a change, fetches the plan
-    # of that length, so the steps are the parent's bit for bit.
+    # A dt the clock cannot add exactly: every unclipped step is still dt
+    # long, so only the step snapped to the end may fetch another length.
     calls.clear()
     evolve(ground_state(GRID, CUBIC), SolverConfig(dt=1e-3, t_end=0.512), CUBIC)
-    assert 2 <= len(calls) < 20
-    assert all(a != b for a, b in zip(calls, calls[1:]))
+    assert calls[0] == 1e-3 and len(calls) <= 2
     assert calls == pytest.approx([1e-3] * len(calls), rel=1e-12)
+
+
+def test_a_two_window_run_fetches_dt_one_length_per_seam_and_one_for_the_end(calls):
+    # dt = 0.03 is not dyadic, so the window-local clock rounds as it
+    # runs; the steps it does not clip are still exactly dt, and the run
+    # is the allocating replay's bit for bit.
+    dt, window = 0.03, CUBIC.window
+    cfg = SolverConfig(dt=dt, t_end=2.1 * window, diagnostics_every=5)
+    u = off_axis_state(GRID)
+    res = evolve(u, cfg, CUBIC, snapshot_every=4)
+    assert res.final.window_index == 2
+    seam = window - 26 * dt
+    end = 0.1 * window - 2 * dt
+    assert calls == [dt, pytest.approx(seam), dt, pytest.approx(seam), dt, pytest.approx(end)]
+    assert max(calls) <= dt
+    records, snapshots, final = allocating_evolve(u, cfg, CUBIC, 4)
+    assert res.records == tuple(records)
+    assert [t for t, _ in res.snapshots] == [t for t, _ in snapshots]
+    for (_, got), (_, want) in zip(res.snapshots, snapshots):
+        assert np.array_equal(got.data, want)
+    assert np.array_equal(res.final.field.data, final)
 
 
 def test_evolve_streams_snapshots_to_a_callback():
