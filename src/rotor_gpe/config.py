@@ -71,11 +71,11 @@ _INITIAL_TYPES = STATE_KINDS + ("file",)
 WORKING_SET_FIELDS = 12
 
 #: Fields per quadrature node that ``solver.picard_solve`` holds at its
-#: peak: the free evolution and the current iterate, which each sweep
-#: overwrites node by node.  Its ``tracemalloc`` peak at n = 16 read
-#: 77.0 fields with 33 nodes and 44.8 with 17: 2.01 per node on top of
-#: about 10.6, rounded up.
-PICARD_NODE_FIELDS = 3
+#: peak: the current iterate, which each sweep overwrites node by node.
+#: Its ``tracemalloc`` peak at n = 16 read 43.1 fields with 33 nodes and
+#: 27.1 with 17: 1.00 per node on top of about 10.1.  The constant is a
+#: guard, so it keeps a margin over that.
+PICARD_NODE_FIELDS = 2
 
 
 def _require_mapping(obj: Any, path: str) -> dict:

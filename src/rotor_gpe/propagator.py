@@ -525,7 +525,8 @@ def _flow(
     if backend == "oracle":
         if n > ORACLE_SIZE_CAP:
             raise GridTooLarge(
-                f"kernel quadrature is O(n^5) and capped at n = {ORACLE_SIZE_CAP}; got n = {n}"
+                f"grid.n: kernel quadrature is O(n^5) and capped at n = {ORACLE_SIZE_CAP};"
+                f" got n = {n}"
             )
         _alias_guard(grid, params, t, oversample)
         data = _oracle_apply(data, _oracle_factors(n, grid.extent, params.omega, t, int(oversample)))

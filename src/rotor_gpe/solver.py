@@ -678,10 +678,10 @@ def picard_solve(
     so one iteration costs ``N - 1`` applications of ``H``, i.e.
     ``O(N)``.  An iteration sweeps the nodes once: it proposes node
     ``k``, adds its difference to the distance and overwrites the
-    current node in place, so it holds the free evolution and the
-    current iterate (two fields per node) and a fixed workspace.  The
-    initial iterate is the free evolution.  The iteration stops when the
-    distance falls below ``tol`` or after ``max_iter`` iterations, which
+    current node in place, so it holds the current iterate (one field
+    per node) and a fixed workspace.  The initial iterate is the free
+    evolution.  The iteration stops when the distance falls below
+    ``tol`` or after ``max_iter`` iterations, which
     :attr:`PicardResult.converged` tells apart.  Raises :class:`NoContraction`
     after three consecutive non-decreasing distances (the smallness
     condition on ``T`` and the data is violated), :class:`WindowViolation`
@@ -715,16 +715,14 @@ def picard_solve(
             converged=distances[-1] < pc.tol,
         )
 
-    # Free evolution H(t_i) u0, built incrementally along the node set.
-    free: list[np.ndarray] = [u0.data.copy()]
+    # The initial iterate: the free evolution H(t_i) u0, built along the node set.
+    current: list[np.ndarray] = [u0.data.copy()]
     for _ in range(n_nodes - 1):
-        free.append(step(free[-1]))
+        current.append(step(current[-1]))
     if params.beta == 0.0:
-        return result(free, (0.0,))
+        return result(current, (0.0,))
 
-    # Node 0 never moves (its Duhamel sum is empty), so it is shared.
-    current = [free[0]] + [v.copy() for v in free[1:]]
-    proposed = np.empty_like(free[0])
+    proposed = np.empty_like(current[0])
     carried = np.empty_like(proposed)
     scratch = np.empty_like(proposed)
     cubic = (np.empty_like(proposed), np.empty_like(proposed))
@@ -733,14 +731,16 @@ def picard_solve(
     def sweep():
         """Propose every node in turn; yield its change for the distance.
 
-        ``duhamel[k] = sum_{j <= k} w_kj H((k-j) delta) cubic_j`` with
-        trapezoid weights over ``[0, t_k]``.  The ``j < k`` part is
-        carried as ``A_k = H(delta)(A_{k-1} + w_{k-1} cubic_{k-1})``,
-        ``A_0 = 0``, which is the same sum by linearity of ``H``.  Node
-        ``k``'s cubic term is taken before the node is overwritten.
+        ``proposed_k = H(t_k) u0 - i beta sum_{j <= k} w_kj H((k-j) delta)
+        cubic_j`` with trapezoid weights over ``[0, t_k]``.  All but the
+        ``j = k`` term is carried as ``Z_k = H(delta)(Z_{k-1} - i beta
+        w_{k-1} cubic_{k-1})``, ``Z_0 = u0``, which is the same sum by
+        linearity of ``H``; then ``proposed_k = Z_k - i beta (delta/2)
+        cubic_k``.  Node 0 never moves (its Duhamel sum is empty), and
+        node ``k``'s cubic term is taken before the node is overwritten.
         """
         nonlocal proposed
-        carried.fill(0.0)
+        np.copyto(carried, current[0])
         for k in range(n_nodes):
             cub = cubic[k % 2]
             abs2 = np.abs(current[k], out=real)
@@ -748,13 +748,12 @@ def picard_solve(
             np.multiply(abs2, current[k], out=cub)
             if k == 0:
                 continue
-            np.multiply(0.5 * delta if k == 1 else delta, cubic[(k - 1) % 2], out=scratch)
+            weight = 0.5 * delta if k == 1 else delta
+            np.multiply(-1j * params.beta * weight, cubic[(k - 1) % 2], out=scratch)
             np.add(carried, scratch, out=scratch)
             step(scratch, out=carried, scratch=scratch)
-            np.multiply(0.5 * delta, cub, out=scratch)
-            np.add(carried, scratch, out=scratch)
-            np.multiply(1j * params.beta, scratch, out=scratch)
-            np.subtract(free[k], scratch, out=proposed)
+            np.multiply(-0.5j * params.beta * delta, cub, out=scratch)
+            np.add(carried, scratch, out=proposed)
             yield np.subtract(proposed, current[k], out=scratch), times[k], weights[k]
             current[k], proposed = proposed, current[k]
 

@@ -191,10 +191,10 @@ def test_the_working_set_bound_is_twelve_fields_of_the_grid(tmp_path, monkeypatc
         config_module.parse_config(raw)
 
 
-def test_picard_nodes_add_three_fields_each_to_the_working_set(tmp_path, monkeypatch):
+def test_picard_nodes_add_two_fields_each_to_the_working_set(tmp_path, monkeypatch):
     import rotor_gpe.config as config_module
 
-    monkeypatch.setattr(config_module, "_physical_memory", lambda: (12 + 3 * 33) * 16 * 16**3)
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: (12 + 2 * 33) * 16 * 16**3)
     raw = run_config(tmp_path)
     raw["evolve"] = {"scheme": "picard", "picard": {"quad_nodes": 33}}
     assert config_module.parse_config(raw).solver.picard.quad_nodes == 33
@@ -382,7 +382,7 @@ def test_verify_battery_sums_its_norms_without_a_blas_dot(monkeypatch):
 def test_the_richardson_referee_meets_a_4096_step_strang_run():
     # The referee of `verify`'s nonlinear row and of the picard study:
     # (4 u_256 - u_128) / 3 at n = 16 from the ground state to t = pi/8.
-    # A 4096-step Strang run is itself 5.6e-10 from the limit.
+    # A 4096-step Strang run is itself 1.6e-10 from the limit.
     from rotor_gpe.cli import _strang_referee
     from rotor_gpe.solver import SolverConfig
 
@@ -393,9 +393,20 @@ def test_the_richardson_referee_meets_a_4096_step_strang_run():
         warnings.simplefilter("ignore", BoundaryTruncation)
         ref = _strang_referee(u0, t, params).data
         fine = evolve(
-            u0, SolverConfig(scheme="strang", dt=t / 4096, t_end=t, m=1), params
+            u0, SolverConfig(scheme="strang", dt=t / 4096, t_end=t), params
         ).final.field.data
     assert np.linalg.norm(ref - fine) / np.linalg.norm(fine) < 1e-9
+
+
+def test_the_matrix_identity_row_reads_rounding_at_every_seed():
+    # Each identity's defect is relative to its own scale (csc^2 reaches
+    # 650 at the earliest time drawn), so the seed's random times do not
+    # set the row.
+    from rotor_gpe.cli import _check_matrix_identities
+
+    params = PhysicsParams(omega=1.0, beta=1.0)
+    for seed in range(11):
+        assert _check_matrix_identities(params, np.random.default_rng(seed)) <= 1e-15
 
 
 def test_verify_skips_nonlinear_check_without_interaction(tmp_path, capsys):
@@ -529,7 +540,7 @@ def test_propagator_compare_cross_checks_backends(tmp_path, capsys):
     cfg = write_config(tmp_path, raw)
     assert entrypoint(["propagator-compare", cfg]) == EXIT_OK
     lines = (tmp_path / "cmp" / "propagator_compare.csv").read_text().strip().splitlines()
-    assert lines[0] == "t,s,ratio,bound"
+    assert lines[0] == "t,ratio,bound"
     assert len(lines) == 2
     assert "within" in capsys.readouterr().out
     manifest = json.loads(
@@ -547,7 +558,7 @@ def test_propagator_compare_empty_pairs(tmp_path):
     }
     cfg = write_config(tmp_path, raw)
     assert entrypoint(["propagator-compare", cfg]) == EXIT_OK
-    assert (tmp_path / "cmp" / "propagator_compare.csv").read_text() == "t,s,ratio,bound\n"
+    assert (tmp_path / "cmp" / "propagator_compare.csv").read_text() == "t,ratio,bound\n"
 
 
 def test_propagator_compare_rejects_uncheckable_grids(tmp_path, capsys):
@@ -559,6 +570,59 @@ def test_propagator_compare_rejects_uncheckable_grids(tmp_path, capsys):
     cfg = write_config(tmp_path, raw)
     assert entrypoint(["propagator-compare", cfg]) == EXIT_CONFIG
     assert "grid.n" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one linear flow
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args, overrides, split",
+    [
+        (["run"], {}, False),
+        (["verify"], None, False),
+        (
+            ["propagator-compare"],
+            {
+                "grid": {"n": 24, "extent": 6.0},
+                "physics": {"omega": 1.0, "beta": 0.0},
+                "compare": {"pairs": [["ground", 0.6]]},
+            },
+            False,
+        ),
+        (["convergence", "--scheme", "strang", "--levels", "2"], {}, False),
+        (
+            ["convergence", "--scheme", "picard", "--levels", "2"],
+            {"physics": {"omega": 1.0, "beta": 0.5}},
+            False,
+        ),
+        (["convergence", "--scheme", "linear", "--levels", "2"], {}, True),
+    ],
+    ids=["run", "verify", "propagator-compare", "strang", "picard", "linear"],
+)
+def test_only_the_linear_study_names_a_substep_count(tmp_path, monkeypatch, args, overrides, split):
+    # Every harmonic matrix is built by propagator._harmonic_matrix; its
+    # substep count is None for the exact flow and an integer for the split.
+    import rotor_gpe.propagator as propagator
+
+    counts = []
+    build = propagator._harmonic_matrix
+
+    def recording(grid, params, t, substeps):
+        counts.append(substeps)
+        return build(grid, params, t, substeps)
+
+    monkeypatch.setattr(propagator, "_harmonic_matrix", recording)
+    argv = list(args)
+    if overrides is not None:
+        argv.insert(1, write_config(tmp_path, run_config(tmp_path, **overrides)))
+    assert entrypoint(argv) == EXIT_OK
+    assert counts
+    if split:
+        assert all(isinstance(m, int) for m in counts)
+    else:
+        assert all(m is None for m in counts)
 
 
 # ---------------------------------------------------------------------------
