@@ -1,34 +1,20 @@
 """JSON run configuration: schema, defaults, validation, initial data.
 
-A run configuration is a single JSON object with the sections below;
-every failure is a :class:`ConfigInvalid` whose message starts with the
+A run configuration is a single JSON object.  The tables in this module
+are its schema: each section is one dict ``{key: (convert, default)}``
+that :func:`_section` reads, so a key is named once, beside its converter
+and default, and a table's key order is the ``allowed:`` list of its
+unknown-key message.  A default is a JSON value (converted like a given
+one), a :class:`_Required` (the key must be given; its text ends the
+message), or ``_LEAVE_OUT`` (an absent key takes the default of the
+class the section builds).  Ranges are checked by those classes:
+``GridSpec``, ``PhysicsParams``, ``SolverConfig`` and ``PicardConfig``.
+README's "Configuration schema" shows every key with its range and
+default.
+
+Every failure is a :class:`ConfigInvalid` whose message starts with the
 dotted path of the offending field, and unknown keys are rejected so
 typos cannot silently change a run.
-
-Required sections::
-
-    grid:     {"n": even int >= 4, "extent": positive float}
-    physics:  {"omega": float >= 1, "beta": float >= 0}   # omega required
-
-Optional sections (defaults in parentheses)::
-
-    initial:  {"type": "ground" | "vortex_plus" | "vortex_minus"
-                        | "coherent" | "file",
-               "params": {...}}                     (ground)
-              coherent params: center, kick (3-vectors)
-              file params:     path (snapshot stem or file)
-    evolve:   {"scheme": "strang" | "picard", "dt", "t_end",
-               "blowup_factor",
-               "picard": {"rho", "tol", "max_iter", "quad_nodes"}}
-              (strang, dt = 1e-3, t_end = one window)
-    output:   {"dir", "snapshot_every", "diagnostics_every"}
-              ("runs/out", 0, 0; 0 disables a cadence; diagnostics
-              are recorded at the start, window seams and end anyway)
-    seed:     integer >= 0 for randomized verification data (0)
-    verify:   {"tolerance": float >= 0} — when present, replaces every
-              tolerance of the `verify` subcommand (0 fails everything)
-    scan:     {"pairs": [[t, s], ...]} for `dispersive-scan`
-    compare:  {"pairs": [[state, t], ...]} for `propagator-compare`
 
 A grid whose working set, ``WORKING_SET_FIELDS`` complex fields of
 ``16 n^3`` bytes each, exceeds the machine's physical memory is rejected
@@ -43,7 +29,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -61,8 +49,6 @@ __all__ = [
     "build_initial_field",
 ]
 
-_INITIAL_TYPES = STATE_KINDS + ("file",)
-
 #: Working set of a subcommand, in complex fields of ``16 n^3`` bytes: the
 #: peak RSS above the imported package of a ``run`` recording every step
 #: and snapshotting every second one read 8.4 fields at n = 48 and 7.5
@@ -78,18 +64,42 @@ WORKING_SET_FIELDS = 12
 PICARD_NODE_FIELDS = 2
 
 
+class _Required(str):
+    """A table default that makes its key required; its text ends the message."""
+
+
+_REQUIRED = _Required("required")
+_SECTION = _Required("section required")
+_LEAVE_OUT = object()
+
+
 def _require_mapping(obj: Any, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigInvalid(f"{path}: expected a JSON object, got {type(obj).__name__}")
     return obj
 
 
-def _reject_unknown(section: dict, allowed: tuple[str, ...], path: str) -> None:
-    unknown = [k for k in section if k not in allowed]
+def _section(obj: Any, path: str, spec: dict) -> dict:
+    """``{key: convert(value, key_path)}`` of the JSON object at ``path``, by ``spec``.
+
+    Top-level keys carry no ``config.`` in their path.
+    """
+    obj = _require_mapping(obj, path)
+    unknown = [k for k in obj if k not in spec]
     if unknown:
         raise ConfigInvalid(
-            f"{path}.{unknown[0]}: unknown key (allowed: {', '.join(allowed)})"
+            f"{path}.{unknown[0]}: unknown key (allowed: {', '.join(spec)})"
         )
+    prefix = "" if path == "config" else f"{path}."
+    out = {}
+    for key, (convert, default) in spec.items():
+        if key in obj:
+            out[key] = convert(obj[key], prefix + key)
+        elif isinstance(default, _Required):
+            raise ConfigInvalid(f"{prefix}{key}: {default}")
+        elif default is not _LEAVE_OUT:
+            out[key] = convert(default, prefix + key)
+    return out
 
 
 def _physical_memory() -> int | None:
@@ -100,14 +110,23 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _gib(nbytes: int) -> str:
+    """``nbytes`` in GiB to 3 digits, also for integers beyond the float range."""
+    try:
+        return f"{nbytes / 2**30:.3g}"
+    except OverflowError:  # read off the integer's logarithm instead
+        exponent = math.log10(nbytes) - 30 * math.log10(2)
+        return f"{10 ** (exponent % 1):.3g}e+{math.floor(exponent)}"
+
+
 def _check_working_set(n: int, fields: int, path: str) -> None:
     need = fields * 16 * n**3
     have = _physical_memory()
     if have is not None and need > have:
         raise ConfigInvalid(
-            f"{path}: a run on a grid of n = {n} needs about {need / 2**30:.3g} GiB"
+            f"{path}: a run on a grid of n = {n} needs about {_gib(need)} GiB"
             f" ({fields} fields of 16 n^3 bytes), more than the"
-            f" {have / 2**30:.3g} GiB of physical memory"
+            f" {_gib(have)} GiB of physical memory"
         )
 
 
@@ -141,6 +160,122 @@ def _as_vec3(value: Any, path: str) -> tuple[float, float, float]:
     return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
+def _at_least_zero(convert: Callable) -> Callable:
+    """The converter ``convert``, then a check that the number is >= 0."""
+
+    def checked(value: Any, path: str):
+        number = convert(value, path)
+        if number < 0:
+            raise ConfigInvalid(f"{path}: must be >= 0, got {number}")
+        return number
+
+    return checked
+
+
+_as_count = _at_least_zero(_as_int)
+
+
+def _one_of(choices: tuple[str, ...]) -> Callable:
+    """A converter to one of the strings ``choices``."""
+
+    def convert(value: Any, path: str) -> str:
+        kind = _as_str(value, path)
+        if kind not in choices:
+            raise ConfigInvalid(
+                f"{path}: expected one of {', '.join(choices)}, got {kind!r}"
+            )
+        return kind
+
+    return convert
+
+
+def _pair_list(shape: str, first: Callable, second: Callable) -> Callable:
+    """A converter of a list of pairs ``shape``, entries by ``first``, ``second``."""
+
+    def convert(value: Any, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigInvalid(f"{path}: expected a list, got {value!r}")
+        pairs = []
+        for i, item in enumerate(value):
+            if not isinstance(item, (list, tuple)) or len(item) != 2:
+                raise ConfigInvalid(f"{path}[{i}]: expected {shape}, got {item!r}")
+            pairs.append(
+                (first(item[0], f"{path}[{i}][0]"), second(item[1], f"{path}[{i}][1]"))
+            )
+        return tuple(pairs)
+
+    return convert
+
+
+def _in_evolve(cls: type, kwargs: dict):
+    """``cls(**kwargs)`` for a solver class, whose messages start below ``evolve``."""
+    try:
+        return cls(**kwargs)
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"evolve.{exc}")
+
+
+_GRID = {"n": (_as_int, _REQUIRED), "extent": (_as_float, _REQUIRED)}
+_PHYSICS = {"omega": (_as_float, _REQUIRED), "beta": (_as_float, 0.0)}
+_INITIAL = {
+    "type": (_one_of(STATE_KINDS + ("file",)), _REQUIRED),
+    "params": (_require_mapping, {}),
+}
+_INITIAL_PARAMS = {  # by initial.type; the named states but coherent take none
+    "coherent": {"center": (_as_vec3, _LEAVE_OUT), "kick": (_as_vec3, _LEAVE_OUT)},
+    "file": {"path": (_as_str, _Required("required for initial.type 'file'"))},
+}
+_PICARD = {
+    "rho": (_as_float, _LEAVE_OUT),
+    "tol": (_as_float, _LEAVE_OUT),
+    "max_iter": (_as_int, _LEAVE_OUT),
+    "quad_nodes": (_as_int, _LEAVE_OUT),
+}
+_EVOLVE = {
+    "scheme": (_as_str, _LEAVE_OUT),
+    "dt": (_as_float, _LEAVE_OUT),
+    "t_end": (_as_float, _LEAVE_OUT),  # one window, which physics sets
+    "blowup_factor": (_as_float, _LEAVE_OUT),
+    "picard": (
+        lambda v, p: _in_evolve(PicardConfig, _section(v, p, _PICARD)), _LEAVE_OUT
+    ),
+}
+_OUTPUT = {
+    "dir": (lambda v, p: Path(_as_str(v, p)), "runs/out"),
+    "snapshot_every": (_as_count, 0),
+    "diagnostics_every": (_as_count, 0),
+}
+_VERIFY = {"tolerance": (_at_least_zero(_as_float), _LEAVE_OUT)}
+_SCAN = {"pairs": (_pair_list("[t, s]", _as_float, _as_float), [])}
+_COMPARE = {"pairs": (_pair_list("[state, t]", _one_of(STATE_KINDS), _as_float), [])}
+
+
+def _as_grid(value: Any, path: str) -> GridSpec:
+    grid = GridSpec(**_section(value, path, _GRID))
+    _check_working_set(grid.n, WORKING_SET_FIELDS, "grid.n")
+    return grid
+
+
+def _as_initial(value: Any, path: str) -> tuple[str, dict]:
+    section = _section(value, path, _INITIAL)
+    kind = section["type"]
+    spec = _INITIAL_PARAMS.get(kind, {})
+    return kind, _section(section["params"], f"{path}.params", spec)
+
+
+_CONFIG = {
+    "grid": (_as_grid, _SECTION),
+    "physics": (lambda v, p: PhysicsParams(**_section(v, p, _PHYSICS)), _SECTION),
+    "initial": (_as_initial, {"type": "ground"}),
+    "evolve": (partial(_section, spec=_EVOLVE), {}),
+    "output": (partial(_section, spec=_OUTPUT), {}),
+    "seed": (_as_count, 0),
+    "verify": (partial(_section, spec=_VERIFY), {}),
+    "scan": (partial(_section, spec=_SCAN), _LEAVE_OUT),
+    "compare": (partial(_section, spec=_COMPARE), _LEAVE_OUT),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated run description (see module docstring for schema)."""
@@ -171,213 +306,32 @@ def default_config_dict() -> dict:
     }
 
 
-def _parse_initial(section: Any) -> tuple[str, dict]:
-    section = _require_mapping(section, "initial")
-    _reject_unknown(section, ("type", "params"), "initial")
-    if "type" not in section:
-        raise ConfigInvalid("initial.type: required")
-    kind = _as_str(section["type"], "initial.type")
-    if kind not in _INITIAL_TYPES:
-        raise ConfigInvalid(
-            f"initial.type: expected one of {', '.join(_INITIAL_TYPES)}, got {kind!r}"
-        )
-    params = _require_mapping(section.get("params", {}), "initial.params")
-    if kind == "coherent":
-        _reject_unknown(params, ("center", "kick"), "initial.params")
-        out = {}
-        if "center" in params:
-            out["center"] = _as_vec3(params["center"], "initial.params.center")
-        if "kick" in params:
-            out["kick"] = _as_vec3(params["kick"], "initial.params.kick")
-        return kind, out
-    if kind == "file":
-        _reject_unknown(params, ("path",), "initial.params")
-        if "path" not in params:
-            raise ConfigInvalid("initial.params.path: required for initial.type 'file'")
-        return kind, {"path": _as_str(params["path"], "initial.params.path")}
-    _reject_unknown(params, (), "initial.params")
-    return kind, {}
-
-
-def _parse_picard(section: Any) -> PicardConfig:
-    section = _require_mapping(section, "evolve.picard")
-    _reject_unknown(section, ("rho", "tol", "max_iter", "quad_nodes"), "evolve.picard")
-    kwargs: dict[str, Any] = {}
-    if "rho" in section:
-        kwargs["rho"] = _as_float(section["rho"], "evolve.picard.rho")
-    if "tol" in section:
-        kwargs["tol"] = _as_float(section["tol"], "evolve.picard.tol")
-    if "max_iter" in section:
-        kwargs["max_iter"] = _as_int(section["max_iter"], "evolve.picard.max_iter")
-    if "quad_nodes" in section:
-        kwargs["quad_nodes"] = _as_int(
-            section["quad_nodes"], "evolve.picard.quad_nodes"
-        )
-    try:
-        return PicardConfig(**kwargs)
-    except ConfigInvalid as exc:
-        raise ConfigInvalid(f"evolve.{exc}")
-
-
-def _parse_evolve(section: Any, window: float, diagnostics_every: int) -> SolverConfig:
-    section = _require_mapping(section, "evolve")
-    allowed = ("scheme", "dt", "t_end", "blowup_factor", "picard")
-    _reject_unknown(section, allowed, "evolve")
-    kwargs: dict[str, Any] = {"diagnostics_every": diagnostics_every}
-    if "scheme" in section:
-        kwargs["scheme"] = _as_str(section["scheme"], "evolve.scheme")
-    if "dt" in section:
-        kwargs["dt"] = _as_float(section["dt"], "evolve.dt")
-    kwargs["t_end"] = (
-        _as_float(section["t_end"], "evolve.t_end") if "t_end" in section else window
-    )
-    if "blowup_factor" in section:
-        kwargs["blowup_factor"] = _as_float(
-            section["blowup_factor"], "evolve.blowup_factor"
-        )
-    if "picard" in section:
-        kwargs["picard"] = _parse_picard(section["picard"])
-    try:
-        return SolverConfig(**kwargs)
-    except ConfigInvalid as exc:
-        raise ConfigInvalid(f"evolve.{exc}")
-
-
-def _parse_output(section: Any) -> tuple[Path, int, int]:
-    section = _require_mapping(section, "output")
-    _reject_unknown(section, ("dir", "snapshot_every", "diagnostics_every"), "output")
-    out_dir = Path(_as_str(section.get("dir", "runs/out"), "output.dir"))
-    snap = _as_int(section.get("snapshot_every", 0), "output.snapshot_every")
-    if snap < 0:
-        raise ConfigInvalid(f"output.snapshot_every: must be >= 0, got {snap}")
-    diag = _as_int(section.get("diagnostics_every", 0), "output.diagnostics_every")
-    if diag < 0:
-        raise ConfigInvalid(f"output.diagnostics_every: must be >= 0, got {diag}")
-    return out_dir, snap, diag
-
-
-def _parse_scan(section: Any) -> tuple[tuple[float, float], ...]:
-    section = _require_mapping(section, "scan")
-    _reject_unknown(section, ("pairs",), "scan")
-    raw = section.get("pairs", [])
-    if not isinstance(raw, list):
-        raise ConfigInvalid(f"scan.pairs: expected a list, got {raw!r}")
-    pairs = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ConfigInvalid(f"scan.pairs[{i}]: expected [t, s], got {item!r}")
-        pairs.append(
-            (
-                _as_float(item[0], f"scan.pairs[{i}][0]"),
-                _as_float(item[1], f"scan.pairs[{i}][1]"),
-            )
-        )
-    return tuple(pairs)
-
-
-def _parse_compare(section: Any) -> tuple[tuple[str, float], ...]:
-    section = _require_mapping(section, "compare")
-    _reject_unknown(section, ("pairs",), "compare")
-    raw = section.get("pairs", [])
-    if not isinstance(raw, list):
-        raise ConfigInvalid(f"compare.pairs: expected a list, got {raw!r}")
-    pairs = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ConfigInvalid(f"compare.pairs[{i}]: expected [state, t], got {item!r}")
-        kind = _as_str(item[0], f"compare.pairs[{i}][0]")
-        if kind not in STATE_KINDS:
-            raise ConfigInvalid(
-                f"compare.pairs[{i}][0]: expected one of {', '.join(STATE_KINDS)},"
-                f" got {kind!r}"
-            )
-        pairs.append((kind, _as_float(item[1], f"compare.pairs[{i}][1]")))
-    return tuple(pairs)
-
-
 def parse_config(data: Any) -> RunConfig:
     """Validate a decoded JSON object into a :class:`RunConfig`."""
-    data = _require_mapping(data, "config")
-    allowed = (
-        "grid",
-        "physics",
-        "initial",
-        "evolve",
-        "output",
-        "seed",
-        "verify",
-        "scan",
-        "compare",
-    )
-    _reject_unknown(data, allowed, "config")
-
-    if "grid" not in data:
-        raise ConfigInvalid("grid: section required")
-    grid_section = _require_mapping(data["grid"], "grid")
-    _reject_unknown(grid_section, ("n", "extent"), "grid")
-    if "n" not in grid_section:
-        raise ConfigInvalid("grid.n: required")
-    if "extent" not in grid_section:
-        raise ConfigInvalid("grid.extent: required")
-    grid = GridSpec(
-        n=_as_int(grid_section["n"], "grid.n"),
-        extent=_as_float(grid_section["extent"], "grid.extent"),
-    )
-    _check_working_set(grid.n, WORKING_SET_FIELDS, "grid.n")
-
-    if "physics" not in data:
-        raise ConfigInvalid("physics: section required")
-    phys_section = _require_mapping(data["physics"], "physics")
-    _reject_unknown(phys_section, ("omega", "beta"), "physics")
-    if "omega" not in phys_section:
-        raise ConfigInvalid("physics.omega: required")
-    params = PhysicsParams(
-        omega=_as_float(phys_section["omega"], "physics.omega"),
-        beta=_as_float(phys_section.get("beta", 0.0), "physics.beta"),
-    )
-
-    initial_type, initial_params = _parse_initial(data.get("initial", {"type": "ground"}))
-    output_dir, snapshot_every, diagnostics_every = _parse_output(data.get("output", {}))
-    solver = _parse_evolve(data.get("evolve", {}), params.window, diagnostics_every)
+    top = _section(data, "config", _CONFIG)
+    grid, params, output = top["grid"], top["physics"], top["output"]
+    kwargs = {"t_end": params.window, **top["evolve"]}
+    kwargs["diagnostics_every"] = output["diagnostics_every"]
+    solver = _in_evolve(SolverConfig, kwargs)
     if solver.scheme == "picard":
         _check_working_set(
             grid.n,
             WORKING_SET_FIELDS + PICARD_NODE_FIELDS * solver.picard.quad_nodes,
             "evolve.picard.quad_nodes",
         )
-
-    seed = _as_int(data.get("seed", 0), "seed")
-    if seed < 0:
-        raise ConfigInvalid(f"seed: must be >= 0, got {seed}")
-
-    verify_tolerance = None
-    if "verify" in data:
-        verify_section = _require_mapping(data["verify"], "verify")
-        _reject_unknown(verify_section, ("tolerance",), "verify")
-        if "tolerance" in verify_section:
-            verify_tolerance = _as_float(
-                verify_section["tolerance"], "verify.tolerance"
-            )
-            if verify_tolerance < 0:
-                raise ConfigInvalid(
-                    f"verify.tolerance: must be >= 0, got {verify_tolerance}"
-                )
-
-    scan_pairs = _parse_scan(data["scan"]) if "scan" in data else None
-    compare_pairs = _parse_compare(data["compare"]) if "compare" in data else None
-
+    initial_type, initial_params = top["initial"]
     return RunConfig(
         grid=grid,
         params=params,
         initial_type=initial_type,
         initial_params=initial_params,
         solver=solver,
-        output_dir=output_dir,
-        snapshot_every=snapshot_every,
-        seed=seed,
-        verify_tolerance=verify_tolerance,
-        scan_pairs=scan_pairs,
-        compare_pairs=compare_pairs,
+        output_dir=output["dir"],
+        snapshot_every=output["snapshot_every"],
+        seed=top["seed"],
+        verify_tolerance=top["verify"].get("tolerance"),
+        scan_pairs=top["scan"]["pairs"] if "scan" in top else None,
+        compare_pairs=top["compare"]["pairs"] if "compare" in top else None,
         echo=data,
     )
 
@@ -386,12 +340,10 @@ def load_config(path: str | Path) -> RunConfig:
     """Read and validate a JSON config file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigInvalid(f"config: cannot read {path}: {exc}")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or past int()'s digit limit
         raise ConfigInvalid(f"config: {path} is not valid JSON: {exc}")
     return parse_config(data)
 

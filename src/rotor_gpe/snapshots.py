@@ -110,8 +110,12 @@ def read_snapshot(stem: str | Path) -> tuple[Field, dict]:
         raise SnapshotFormatError(f"binary file {bin_path} not found")
     try:
         sidecar = json.loads(json_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or past int()'s digit limit
         raise SnapshotFormatError(f"sidecar {json_path} is not valid JSON: {exc}")
+    if not isinstance(sidecar, dict):
+        raise SnapshotFormatError(
+            f"sidecar {json_path}: expected a JSON object, got {type(sidecar).__name__}"
+        )
     missing = [k for k in SIDECAR_KEYS if k not in sidecar]
     if missing:
         raise SnapshotFormatError(f"sidecar {json_path} lacks keys {missing}")

@@ -155,10 +155,14 @@ class SolverConfig:
             raise ConfigInvalid(
                 f"scheme: must be 'strang' or 'picard', got {self.scheme!r}"
             )
-        if self.dt <= 0:
-            raise ConfigInvalid(f"dt: must be > 0, got {self.dt}")
-        if self.t_end <= 0:
-            raise ConfigInvalid(f"t_end: must be > 0, got {self.t_end}")
+        for name in ("dt", "t_end"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigInvalid(f"{name}: must be > 0, got {value}")
+            if value <= _TIME_EPS:  # the stepping loop's time slack would swallow it
+                raise ConfigInvalid(
+                    f"{name}: must exceed the time slack {_TIME_EPS}, got {value}"
+                )
         if self.m is not None and self.m < 1:
             raise ConfigInvalid(f"m: must be >= 1 when given, got {self.m}")
         if self.diagnostics_every < 0:

@@ -13,6 +13,8 @@ system, which keeps it independent of the algebra it encodes.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import ResolutionTooLow
@@ -30,9 +32,6 @@ __all__ = [
     "generator_apply",
     "generator_expectation",
 ]
-
-STATE_KINDS = ("ground", "vortex_plus", "vortex_minus", "coherent")
-
 
 def _gaussian_envelope(grid: GridSpec, omega: float) -> np.ndarray:
     return np.exp(-0.5 * omega * grid.r2)
@@ -92,6 +91,17 @@ def vortex_state(grid: GridSpec, params: PhysicsParams, charge: int = +1) -> Fie
         * _gaussian_envelope(grid, w)
     )
     return Field(grid, data)
+
+
+#: The eigenstates among the named states: builder, and generator
+#: eigenvalue in units of omega.
+_EIGENSTATES = {
+    "ground": (ground_state, 1.5),
+    "vortex_plus": (partial(vortex_state, charge=+1), 1.5),
+    "vortex_minus": (partial(vortex_state, charge=-1), 3.5),
+}
+
+STATE_KINDS = (*_EIGENSTATES, "coherent")
 
 
 def coherent_state(
@@ -159,12 +169,8 @@ def random_smooth_field(
 
 def make_state(grid: GridSpec, params: PhysicsParams, kind: str, **kwargs) -> Field:
     """Build a named reference state (``ground``, ``vortex_plus``, ...)."""
-    if kind == "ground":
-        return ground_state(grid, params)
-    if kind == "vortex_plus":
-        return vortex_state(grid, params, +1)
-    if kind == "vortex_minus":
-        return vortex_state(grid, params, -1)
+    if kind in _EIGENSTATES:
+        return _EIGENSTATES[kind][0](grid, params)
     if kind == "coherent":
         return coherent_state(
             grid,
@@ -248,15 +254,9 @@ def exact_linear_evolution(
     orbit with the ground-state phase times the integrated action.
     """
     w = params.omega
-    if kind == "ground":
-        base = ground_state(grid, params)
-        return Field(grid, np.exp(-1.5j * w * t) * base.data)
-    if kind == "vortex_plus":
-        base = vortex_state(grid, params, +1)
-        return Field(grid, np.exp(-1.5j * w * t) * base.data)
-    if kind == "vortex_minus":
-        base = vortex_state(grid, params, -1)
-        return Field(grid, np.exp(-3.5j * w * t) * base.data)
+    if kind in _EIGENSTATES:
+        build, energy = _EIGENSTATES[kind]
+        return Field(grid, np.exp(-1j * energy * w * t) * build(grid, params).data)
     if kind == "coherent":
         q, p, theta = classical_orbit(params, center, kick, np.array([t]))
         moving = coherent_state(grid, params, tuple(q[0]), tuple(p[0]))

@@ -21,7 +21,7 @@ from rotor_gpe import (
 from rotor_gpe.config import build_initial_field, load_config
 from rotor_gpe.solver import evolve
 from rotor_gpe.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, entrypoint
-from rotor_gpe.snapshots import write_snapshot
+from rotor_gpe.snapshots import SIDECAR_KEYS, write_snapshot
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -172,11 +172,28 @@ def test_run_missing_omega_exits_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "verify", "dispersive-scan"])
 def test_a_grid_beyond_physical_memory_exits_config(tmp_path, capsys, command):
-    # Rejected while parsing: nothing of the grid's size is allocated.
+    # Rejected while parsing: nothing of the grid's size is allocated.  An
+    # integer beyond the float range is compared and reported exactly.
+    picard = {"scheme": "picard", "t_end": 0.05, "picard": {"quad_nodes": 10**400}}
+    for path, overrides in [
+        ("grid.n", {"grid": {"n": 100000, "extent": 5.0}}),
+        ("grid.n", {"grid": {"n": 10**400, "extent": 5.0}}),
+        ("evolve.picard.quad_nodes", {"evolve": picard}),
+    ]:
+        raw = run_config(tmp_path, **overrides)
+        assert entrypoint([command, write_config(tmp_path, raw)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
+@pytest.mark.parametrize("key", ["dt", "t_end"])
+def test_a_length_within_the_time_slack_exits_config(tmp_path, capsys, key):
+    # The stepping loop compares times with a 1e-13 slack: a dt of 1e-14
+    # took no step and exited 0, and a t_end of 1e-14 was named without
+    # its "evolve." prefix.
     raw = run_config(tmp_path)
-    raw["grid"]["n"] = 100000
-    assert entrypoint([command, write_config(tmp_path, raw)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: grid.n: ")
+    raw["evolve"][key] = 1e-14
+    assert entrypoint(["run", write_config(tmp_path, raw)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: evolve.{key}: ")
 
 
 def test_the_working_set_bound_is_twelve_fields_of_the_grid(tmp_path, monkeypatch):
@@ -300,6 +317,13 @@ def test_run_from_snapshot_with_nan_payload_exits_io(tmp_path, capsys):
     payload.tofile(stem.with_suffix(".bin"))
     assert entrypoint(["run", cfg]) == EXIT_IO
     assert "NaN" in capsys.readouterr().err
+
+
+def test_run_from_a_sidecar_that_is_not_an_object_exits_io(tmp_path, capsys):
+    cfg, stem = snapshot_start_config(tmp_path)
+    stem.with_suffix(".json").write_text(json.dumps(list(SIDECAR_KEYS)))
+    assert entrypoint(["run", cfg]) == EXIT_IO
+    assert "expected a JSON object, got list" in capsys.readouterr().err
 
 
 def test_run_from_snapshot_with_odd_grid_exits_io(tmp_path, capsys):

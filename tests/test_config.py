@@ -1,6 +1,8 @@
 """JSON run-configuration parsing: defaults, validation, path-named errors."""
 
+import copy
 import json
+import math
 import re
 from pathlib import Path
 
@@ -21,6 +23,64 @@ from rotor_gpe.config import default_config_dict
 
 def minimal() -> dict:
     return {"grid": {"n": 16, "extent": 5.0}, "physics": {"omega": 1.0}}
+
+
+def full() -> dict:
+    """A config that sets every section, and every key of each."""
+    return {
+        "grid": {"n": 16, "extent": 5.0},
+        "physics": {"omega": 1.0, "beta": 0.5},
+        "initial": {"type": "coherent", "params": {"center": [1.0, 0.0, 0.0], "kick": [0.0, 0.3, 0.0]}},
+        "evolve": {
+            "scheme": "picard",
+            "dt": 2e-3,
+            "t_end": 0.5,
+            "blowup_factor": 1e3,
+            "picard": {"rho": 4.0, "tol": 1e-10, "max_iter": 25, "quad_nodes": 17},
+        },
+        "output": {"dir": "runs/demo", "snapshot_every": 100, "diagnostics_every": 25},
+        "seed": 7,
+        "verify": {"tolerance": 1e-6},
+        "scan": {"pairs": [[0.4, 0.2], [0.5, 0.1]]},
+        "compare": {"pairs": [["ground", 0.6]]},
+    }
+
+
+#: The values that replace one node of a config in :func:`single_faults`.
+FAULT_VALUES = (None, True, "s", -1, 0, 1.5, math.nan, 10**400, [], {}, [1, 2], [1, 2, 3])
+DELETE, ADD_KEY = object(), object()
+
+
+def single_faults(base: dict):
+    """Yield ``(path, fault, config)`` for every single fault of ``base``.
+
+    At every key path (list indices included) each of ``FAULT_VALUES``
+    replaces the node, or the node is deleted; every object, the top
+    level included, also gains the key ``unknown_key``.
+    """
+
+    def walk(node, path):
+        yield path, node
+        if isinstance(node, (dict, list)):
+            for key in node if isinstance(node, dict) else range(len(node)):
+                yield from walk(node[key], path + (key,))
+
+    for path, node in walk(base, ()):
+        faults = [*FAULT_VALUES, DELETE] if path else []
+        if isinstance(node, dict):
+            faults.append(ADD_KEY)
+        for fault in faults:
+            raw = copy.deepcopy(base)
+            parent = raw
+            for key in path[:-1]:
+                parent = parent[key]
+            if fault is ADD_KEY:
+                (parent[path[-1]] if path else raw)["unknown_key"] = 0
+            elif fault is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(fault)
+            yield path, fault, raw
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +239,23 @@ def test_verify_scan_compare_sections():
         parse_config(raw)
 
 
+PATH_MESSAGE = re.compile(r"^[a-z_]+(\.[a-z_]+|\[\d+\])*: ")
+
+
+@pytest.mark.parametrize("base", [full, minimal])
+def test_every_single_fault_parses_or_names_its_path(base):
+    # Covers integers beyond the float range in grid.n and
+    # evolve.picard.quad_nodes, which once overflowed the working-set guard.
+    assert parse_config(base())
+    for path, fault, raw in single_faults(base()):
+        try:
+            parse_config(raw)
+        except ConfigInvalid as exc:
+            assert PATH_MESSAGE.match(str(exc)), (path, fault, str(exc))
+        except Exception as exc:  # anything else would end the CLI in a traceback
+            pytest.fail(f"{path} <- {fault!r}: {type(exc).__name__}: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # file loading and initial-field construction
 # ---------------------------------------------------------------------------
@@ -188,9 +265,10 @@ def test_load_config_maps_io_and_json_errors(tmp_path):
     with pytest.raises(ConfigInvalid):
         load_config(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{")
-    with pytest.raises(ConfigInvalid):
-        load_config(bad)
+    for content in [b"{", b'{"seed": \xff}', b'{"seed": ' + b"1" * 5000 + b"}"]:
+        bad.write_bytes(content)  # past int()'s 4300-digit limit in the last
+        with pytest.raises(ConfigInvalid, match="is not valid JSON"):
+            load_config(bad)
     good = tmp_path / "good.json"
     good.write_text(json.dumps(minimal()))
     assert load_config(good).grid.n == 16

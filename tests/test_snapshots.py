@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rotor_gpe import (
+    SIDECAR_KEYS,
     GridSpec,
     PhysicsParams,
     SnapshotFormatError,
@@ -98,11 +99,20 @@ def test_tampered_sidecar_raises(tmp_path, mutate):
         read_snapshot(stem)
 
 
+@pytest.mark.parametrize("sidecar", [5, None, list(SIDECAR_KEYS)])
+def test_a_sidecar_that_is_not_an_object_raises(tmp_path, sidecar):
+    _, stem, _, json_path = write_one(tmp_path)
+    json_path.write_text(json.dumps(sidecar))
+    with pytest.raises(SnapshotFormatError, match="expected a JSON object"):
+        read_snapshot(stem)
+
+
 def test_corrupt_json_raises(tmp_path):
     _, stem, _, json_path = write_one(tmp_path)
-    json_path.write_text("{not json")
-    with pytest.raises(SnapshotFormatError):
-        read_snapshot(stem)
+    for content in [b"{not json", b'{"n": \xff}', b'{"n": ' + b"1" * 5000 + b"}"]:
+        json_path.write_bytes(content)  # past int()'s 4300-digit limit in the last
+        with pytest.raises(SnapshotFormatError, match="is not valid JSON"):
+            read_snapshot(stem)
 
 
 def test_a_failed_rewrite_keeps_the_previous_snapshot(tmp_path, monkeypatch):
