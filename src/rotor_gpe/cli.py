@@ -24,7 +24,7 @@ Subcommands
     ``t,ratio,bound`` CSV.
 
 Exit codes: 0 success; 2 config error; 3 verification failure;
-4 I/O error.
+4 I/O error.  An error exits with its class's ``exit_code``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -44,19 +43,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, build_initial_field, default_config_dict, load_config, parse_config
 from .diagnostics import drift_report, energy_e0, record, write_csv
-from .errors import (
-    BlowupDetected,
-    BoundaryTruncation,
-    ConfigInvalid,
-    GridTooLarge,
-    InvalidExponent,
-    NoContraction,
-    QFactorizationSingular,
-    ResolutionTooLow,
-    RotorGpeError,
-    SnapshotFormatError,
-    WindowViolation,
-)
+from .errors import BoundaryTruncation, ConfigInvalid, RotorGpeError
 from .galilean import galilean_momentum, galilean_position
 from .grid import Field, GridSpec, PhysicsParams, _sum_sq, lp_norm, pairing
 from .propagator import (
@@ -83,6 +70,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
+#: The stderr prefix of an error's message, by its exit code.
+_PREFIX = {EXIT_CONFIG: "config error", EXIT_VERIFY: "verification failure", EXIT_IO: "I/O error"}
 
 #: Fast-vs-oracle discrepancy allowed on the fast backend's default flow.
 COMPARE_BOUND = 1e-6
@@ -118,33 +107,35 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_text(path: Path, text: str) -> None:
-    atomic_write(path, text.encode("utf-8"))
-
-
-def _write_manifest(
+def _write_outputs(
     cfg: RunConfig,
     command: str,
-    outputs: list[str],
     start: float,
-    name: str,
+    files: dict[str, str | None],
+    manifest: str = "manifest.json",
     extra: dict | None = None,
 ) -> float:
-    """Write the manifest with the wall time since ``start``; return that time.
+    """Write ``files`` into ``output.dir``, then the manifest; return the wall time.
 
-    ``extra`` holds further entries, such as a run's loop health.
+    ``files`` maps each output name, in manifest order, to its text, or to
+    ``None`` for a file the command has written itself.  Every file is
+    written atomically.  The manifest records the wall time since
+    ``start``; ``extra`` holds further entries, such as a run's loop health.
     """
+    for name, text in files.items():
+        if text is not None:
+            atomic_write(cfg.output_dir / name, text.encode("utf-8"))
     wall = time.perf_counter() - start
-    manifest = {
+    entries = {
         "command": command,
         "config": cfg.echo,
         "version": __version__,
         "wall_time_seconds": wall,
-        "outputs": outputs,
+        "outputs": list(files),
         **(extra or {}),
     }
-    path = cfg.output_dir / name
-    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(entries, indent=2, sort_keys=True) + "\n"
+    atomic_write(cfg.output_dir / manifest, text.encode("utf-8"))
     return wall
 
 
@@ -205,12 +196,9 @@ def cmd_run(cfg: RunConfig) -> int:
         }
 
     write_csv(records, cfg.output_dir / "diagnostics.csv")
-    outputs.append("diagnostics.csv")
-
     write_snapshot(cfg.output_dir / "snapshot_final", final_field, final_t, cfg.params)
-    outputs.extend(["snapshot_final.bin", "snapshot_final.json"])
-
-    wall = _write_manifest(cfg, "run", outputs, start, "manifest.json", health)
+    outputs += ["diagnostics.csv", "snapshot_final.bin", "snapshot_final.json"]
+    wall = _write_outputs(cfg, "run", start, dict.fromkeys(outputs), extra=health)
     drift = drift_report(records)
     print(f"run: {len(records)} diagnostics records to t = {final_t:.6f}")
     print(
@@ -402,11 +390,6 @@ def _verify_battery(cfg: RunConfig) -> list[CheckRow]:
 def cmd_verify(cfg: RunConfig) -> int:
     start = time.perf_counter()
     rows = _verify_battery(cfg)
-    if cfg.verify_tolerance is not None:
-        rows = [
-            CheckRow(r.name, r.measured, cfg.verify_tolerance, r.skipped) for r in rows
-        ]
-
     name_w = max(len(r.name) for r in rows) + 2
     print(f"{'check':<{name_w}}{'measured':>12}  {'tolerance':>10}  status")
     failures = 0
@@ -453,6 +436,8 @@ def _convergence_rows(
 
 def cmd_convergence(cfg: RunConfig, scheme: str, levels: int) -> int:
     start = time.perf_counter()
+    if not 2 <= levels <= 6:
+        raise ConfigInvalid(f"levels: must be between 2 and 6, got {levels}")
     params = cfg.params
     u0 = build_initial_field(cfg)
     window = params.window
@@ -501,10 +486,9 @@ def cmd_convergence(cfg: RunConfig, scheme: str, levels: int) -> int:
         enforce = None
 
     csv_text, fitted = _convergence_rows(labels, errors)
-    path = cfg.output_dir / f"convergence_{scheme}.csv"
-    _write_text(path, csv_text)
-    _write_manifest(cfg, f"convergence --scheme {scheme} --levels {levels}",
-                    [path.name], start, f"manifest_convergence_{scheme}.csv.json")
+    name = f"convergence_{scheme}.csv"
+    _write_outputs(cfg, f"convergence --scheme {scheme} --levels {levels}", start,
+                   {name: csv_text}, f"manifest_{name}.json")
     print(csv_text, end="")
     print(f"fitted order: {fitted:.4f}")
 
@@ -534,40 +518,29 @@ def _narrow_probe(grid: GridSpec) -> Field:
 def cmd_dispersive_scan(cfg: RunConfig) -> int:
     start = time.perf_counter()
     params = cfg.params
-    header = "t,s,ratio,bound\n"
-    path = cfg.output_dir / "dispersive_scan.csv"
-    if cfg.scan_pairs is not None and len(cfg.scan_pairs) == 0:
-        _write_text(path, header)
-        _write_manifest(cfg, "dispersive-scan", [path.name], start,
-                        "manifest_dispersive_scan.json")
-        print("empty pair list; wrote empty scan CSV")
-        return EXIT_OK
     pairs = (
         list(cfg.scan_pairs) if cfg.scan_pairs is not None else default_scan_pairs(params)
     )
-    if len(pairs) < 3:
+    if 0 < len(pairs) < 3:
         raise ConfigInvalid(
             f"scan.pairs: the scan fits a power law and needs >= 3 pairs, got {len(pairs)}"
         )
-    probe = _narrow_probe(cfg.grid)
-    scan = dispersive_scan(probe, params, pairs=pairs, backend="fast")
-    lines = [header.strip()]
-    for row in scan.rows:
-        lines.append(f"{_fmt(row.t)},{_fmt(row.s)},{_fmt(row.ratio)},{_fmt(row.bound)}")
-    _write_text(path, "\n".join(lines) + "\n")
-    _write_manifest(cfg, "dispersive-scan", [path.name], start,
-                    "manifest_dispersive_scan.json")
-    print("\n".join(lines))
-    print(
-        f"fitted exponent vs (t+s): {scan.slope_sum:.4f}"
-        f" (rms residual {scan.residual_sum:.3f})"
-    )
-    print(
-        f"fitted exponent vs (t-s): {scan.slope_diff:.4f}"
-        f" (rms residual {scan.residual_diff:.3f})"
-    )
-    excess = scan.max_bound_excess()
-    print(f"max ratio/bound: {excess:.4f}")
+    lines, summary, excess = ["t,s,ratio,bound"], ["empty pair list: nothing to fit"], 0.0
+    if pairs:
+        scan = dispersive_scan(_narrow_probe(cfg.grid), params, pairs=pairs, backend="fast")
+        lines += [",".join(map(_fmt, (r.t, r.s, r.ratio, r.bound))) for r in scan.rows]
+        excess = scan.max_bound_excess()
+        summary = [
+            f"fitted exponent vs (t+s): {scan.slope_sum:.4f}"
+            f" (rms residual {scan.residual_sum:.3f})",
+            f"fitted exponent vs (t-s): {scan.slope_diff:.4f}"
+            f" (rms residual {scan.residual_diff:.3f})",
+            f"max ratio/bound: {excess:.4f}",
+        ]
+    _write_outputs(cfg, "dispersive-scan", start,
+                   {"dispersive_scan.csv": "\n".join(lines) + "\n"},
+                   "manifest_dispersive_scan.json")
+    print("\n".join(lines + summary))
     if excess > 1.1:
         print("measured ratios exceed the kernel bound by more than 10%")
         return EXIT_VERIFY
@@ -577,21 +550,13 @@ def cmd_dispersive_scan(cfg: RunConfig) -> int:
 def cmd_propagator_compare(cfg: RunConfig) -> int:
     start = time.perf_counter()
     params = cfg.params
-    header = "t,ratio,bound\n"
-    path = cfg.output_dir / "propagator_compare.csv"
-    if cfg.compare_pairs is not None and len(cfg.compare_pairs) == 0:
-        _write_text(path, header)
-        _write_manifest(cfg, "propagator-compare", [path.name], start,
-                        "manifest_propagator_compare.json")
-        print("empty pair list; wrote empty comparison CSV")
-        return EXIT_OK
     w = params.omega
     pairs = (
         list(cfg.compare_pairs)
         if cfg.compare_pairs is not None
         else [("ground", 0.6 / w), ("vortex_plus", 0.6 / w)]
     )
-    lines = [header.strip()]
+    lines = ["t,ratio,bound"]
     worst = 0.0
     for kind, t in pairs:
         u0 = make_state(cfg.grid, params, kind)
@@ -600,9 +565,9 @@ def cmd_propagator_compare(cfg: RunConfig) -> int:
         worst = max(worst, ratio)
         lines.append(f"{_fmt(t)},{_fmt(ratio)},{_fmt(COMPARE_BOUND)}")
         print(f"{kind:>12}  t = {t:.4f}  discrepancy = {ratio:.3e}")
-    _write_text(path, "\n".join(lines) + "\n")
-    _write_manifest(cfg, "propagator-compare", [path.name], start,
-                    "manifest_propagator_compare.json")
+    _write_outputs(cfg, "propagator-compare", start,
+                   {"propagator_compare.csv": "\n".join(lines) + "\n"},
+                   "manifest_propagator_compare.json")
     if worst > COMPARE_BOUND:
         print(f"worst discrepancy {worst:.3e} exceeds {COMPARE_BOUND:.1e}")
         return EXIT_VERIFY
@@ -613,6 +578,33 @@ def cmd_propagator_compare(cfg: RunConfig) -> int:
 # --------------------------------------------------------------------------
 # parser / entrypoint
 # --------------------------------------------------------------------------
+
+_CONFIG_ARG = {"config": {"help": "path to a JSON run configuration"}}
+
+#: The subcommands: name -> (help, handler(cfg, args), arguments).  A
+#: handler is looked up when it runs, so ``cmd_*`` may be replaced.
+_COMMANDS = {
+    "run": ("evolve a configured initial field", lambda cfg, a: cmd_run(cfg), _CONFIG_ARG),
+    "verify": (
+        "run the cross-module invariant battery",
+        lambda cfg, a: cmd_verify(cfg),
+        {"config": {"nargs": "?", "help": "optional JSON config (defaults to a desk-scale one)"}},
+    ),
+    "convergence": (
+        "self-convergence study",
+        lambda cfg, a: cmd_convergence(cfg, a.scheme, a.levels),
+        {
+            **_CONFIG_ARG,
+            "--scheme": {"required": True, "choices": ("strang", "picard", "linear")},
+            "--levels": {"type": int, "default": 3,
+                         "help": "number of refinement levels (2-6, default 3)"},
+        },
+    ),
+    "dispersive-scan": ("kernel decay scan", lambda cfg, a: cmd_dispersive_scan(cfg), _CONFIG_ARG),
+    "propagator-compare": (
+        "fast-vs-kernel referee", lambda cfg, a: cmd_propagator_compare(cfg), _CONFIG_ARG
+    ),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -629,72 +621,27 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="evolve a configured initial field")
-    p_run.add_argument("config", help="path to a JSON run configuration")
-
-    p_ver = sub.add_parser("verify", help="run the cross-module invariant battery")
-    p_ver.add_argument("config", nargs="?", default=None,
-                       help="optional JSON config (defaults to a desk-scale one)")
-
-    p_conv = sub.add_parser("convergence", help="self-convergence study")
-    p_conv.add_argument("config", help="path to a JSON run configuration")
-    p_conv.add_argument("--scheme", required=True, choices=("strang", "picard", "linear"))
-    p_conv.add_argument("--levels", type=int, default=3,
-                        help="number of refinement levels (2-6, default 3)")
-
-    p_scan = sub.add_parser("dispersive-scan", help="kernel decay scan")
-    p_scan.add_argument("config", help="path to a JSON run configuration")
-
-    p_cmp = sub.add_parser("propagator-compare", help="fast-vs-kernel referee")
-    p_cmp.add_argument("config", help="path to a JSON run configuration")
-
+    for name, (help_text, _, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for argument, options in arguments.items():
+            command.add_argument(argument, **options)
     return parser
 
 
 def entrypoint(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; an error ends in its class's exit code and one stderr line."""
     args = _parser().parse_args(argv)
-    try:
-        if args.command == "verify":
-            cfg = (
-                load_config(args.config)
-                if args.config is not None
-                else parse_config(default_config_dict())
-            )
-            return cmd_verify(cfg)
-        cfg = load_config(args.config)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "convergence":
-            if not 2 <= args.levels <= 6:
-                raise ConfigInvalid(
-                    f"levels: must be between 2 and 6, got {args.levels}"
-                )
-            return cmd_convergence(cfg, args.scheme, args.levels)
-        if args.command == "dispersive-scan":
-            return cmd_dispersive_scan(cfg)
-        if args.command == "propagator-compare":
-            return cmd_propagator_compare(cfg)
-        raise AssertionError(f"unhandled command {args.command!r}")
-    except (
-        ConfigInvalid,
-        ResolutionTooLow,
-        GridTooLarge,
-        WindowViolation,
-        InvalidExponent,
-        QFactorizationSingular,
-    ) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SnapshotFormatError, OSError) as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (BlowupDetected, NoContraction) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except RotorGpeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    try:  # only verify may omit its config
+        cfg = (
+            load_config(args.config)
+            if args.config is not None
+            else parse_config(default_config_dict())
+        )
+        return _COMMANDS[args.command][1](cfg, args)
+    except (RotorGpeError, OSError) as exc:
+        code = getattr(exc, "exit_code", EXIT_IO)
+        print(f"{_PREFIX[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

@@ -8,9 +8,9 @@ unknown-key message.  A default is a JSON value (converted like a given
 one), a :class:`_Required` (the key must be given; its text ends the
 message), or ``_LEAVE_OUT`` (an absent key takes the default of the
 class the section builds).  Ranges are checked by those classes:
-``GridSpec``, ``PhysicsParams``, ``SolverConfig`` and ``PicardConfig``.
-README's "Configuration schema" shows every key with its range and
-default.
+``GridSpec``, ``PhysicsParams``, ``SolverConfig`` and ``PicardConfig``;
+the pair times of ``scan`` and ``compare`` by the kernel window.
+README's "Configuration schema" shows every key with its range and default.
 
 Every failure is a :class:`ConfigInvalid` whose message starts with the
 dotted path of the offending field, and unknown keys are rejected so
@@ -35,8 +35,9 @@ from functools import partial
 from pathlib import Path
 from typing import Any
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, WindowViolation
 from .grid import Field, GridSpec, PhysicsParams
+from .propagator import _check_window
 from .snapshots import read_snapshot
 from .solver import PicardConfig, SolverConfig
 from .states import STATE_KINDS, make_state
@@ -110,12 +111,12 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _gib(nbytes: int) -> str:
-    """``nbytes`` in GiB to 3 digits, also for integers beyond the float range."""
+def _digits3(number: int, unit: int = 1) -> str:
+    """``number / unit`` to 3 digits, also for integers beyond the float range."""
     try:
-        return f"{nbytes / 2**30:.3g}"
+        return f"{number / unit:.3g}"
     except OverflowError:  # read off the integer's logarithm instead
-        exponent = math.log10(nbytes) - 30 * math.log10(2)
+        exponent = math.log10(number) - math.log10(unit)
         return f"{10 ** (exponent % 1):.3g}e+{math.floor(exponent)}"
 
 
@@ -124,9 +125,9 @@ def _check_working_set(n: int, fields: int, path: str) -> None:
     have = _physical_memory()
     if have is not None and need > have:
         raise ConfigInvalid(
-            f"{path}: a run on a grid of n = {n} needs about {_gib(need)} GiB"
-            f" ({fields} fields of 16 n^3 bytes), more than the"
-            f" {_gib(have)} GiB of physical memory"
+            f"{path}: a run on a grid of n = {n} needs about {_digits3(need, 2**30)} GiB"
+            f" ({_digits3(fields)} fields of 16 n^3 bytes), more than the"
+            f" {_digits3(have, 2**30)} GiB of physical memory"
         )
 
 
@@ -245,7 +246,6 @@ _OUTPUT = {
     "snapshot_every": (_as_count, 0),
     "diagnostics_every": (_as_count, 0),
 }
-_VERIFY = {"tolerance": (_at_least_zero(_as_float), _LEAVE_OUT)}
 _SCAN = {"pairs": (_pair_list("[t, s]", _as_float, _as_float), [])}
 _COMPARE = {"pairs": (_pair_list("[state, t]", _one_of(STATE_KINDS), _as_float), [])}
 
@@ -270,7 +270,6 @@ _CONFIG = {
     "evolve": (partial(_section, spec=_EVOLVE), {}),
     "output": (partial(_section, spec=_OUTPUT), {}),
     "seed": (_as_count, 0),
-    "verify": (partial(_section, spec=_VERIFY), {}),
     "scan": (partial(_section, spec=_SCAN), _LEAVE_OUT),
     "compare": (partial(_section, spec=_COMPARE), _LEAVE_OUT),
 }
@@ -288,7 +287,6 @@ class RunConfig:
     output_dir: Path
     snapshot_every: int
     seed: int
-    verify_tolerance: float | None
     scan_pairs: tuple[tuple[float, float], ...] | None
     compare_pairs: tuple[tuple[str, float], ...] | None
     echo: dict
@@ -319,6 +317,13 @@ def parse_config(data: Any) -> RunConfig:
             WORKING_SET_FIELDS + PICARD_NODE_FIELDS * solver.picard.quad_nodes,
             "evolve.picard.quad_nodes",
         )
+    for section, columns in (("scan", (0, 1)), ("compare", (1,))):
+        for i, pair in enumerate(top.get(section, {}).get("pairs", ())):
+            for j in columns:  # a kernel time, named by its path
+                try:
+                    _check_window(pair[j], params)
+                except WindowViolation as exc:
+                    raise ConfigInvalid(f"{section}.pairs[{i}][{j}]: {exc}")
     initial_type, initial_params = top["initial"]
     return RunConfig(
         grid=grid,
@@ -329,7 +334,6 @@ def parse_config(data: Any) -> RunConfig:
         output_dir=output["dir"],
         snapshot_every=output["snapshot_every"],
         seed=top["seed"],
-        verify_tolerance=top["verify"].get("tolerance"),
         scan_pairs=top["scan"]["pairs"] if "scan" in top else None,
         compare_pairs=top["compare"]["pairs"] if "compare" in top else None,
         echo=data,

@@ -1,4 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Each error class holds the command line's exit code in its attribute
+``exit_code``: 2 (configuration error) by default, 3 (verification
+failure) and 4 (I/O error) where a class sets it.  ``OSError`` exits 4.
+"""
 
 __all__ = [
     "RotorGpeError",
@@ -18,6 +23,8 @@ __all__ = [
 
 class RotorGpeError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
 
 
 class ConfigInvalid(RotorGpeError, ValueError):
@@ -56,13 +63,19 @@ class ResolutionTooLow(RotorGpeError, ValueError):
 class BlowupDetected(RotorGpeError, RuntimeError):
     """The field amplitude grew past the configured guard threshold."""
 
+    exit_code = 3
+
 
 class NoContraction(RotorGpeError, RuntimeError):
     """A fixed-point iteration is measurably failing to contract."""
 
+    exit_code = 3
+
 
 class SnapshotFormatError(RotorGpeError, ValueError):
     """A snapshot file or its sidecar does not match the binary contract."""
+
+    exit_code = 4
 
 
 class AliasRisk(UserWarning):

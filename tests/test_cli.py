@@ -1,6 +1,7 @@
 """Command-line interface: verbs, exit codes, artifacts, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -174,11 +175,15 @@ def test_run_missing_omega_exits_config(tmp_path, capsys):
 def test_a_grid_beyond_physical_memory_exits_config(tmp_path, capsys, command):
     # Rejected while parsing: nothing of the grid's size is allocated.  An
     # integer beyond the float range is compared and reported exactly.
+    # A count of 5 * 10**4299 nodes holds 10**4300 + 12 fields, more digits
+    # than int() prints, so the message gives the count to 3 digits.
     picard = {"scheme": "picard", "t_end": 0.05, "picard": {"quad_nodes": 10**400}}
+    digits = {**picard, "picard": {"quad_nodes": 5 * 10**4299}}
     for path, overrides in [
         ("grid.n", {"grid": {"n": 100000, "extent": 5.0}}),
         ("grid.n", {"grid": {"n": 10**400, "extent": 5.0}}),
         ("evolve.picard.quad_nodes", {"evolve": picard}),
+        ("evolve.picard.quad_nodes", {"evolve": digits}),
     ]:
         raw = run_config(tmp_path, **overrides)
         assert entrypoint([command, write_config(tmp_path, raw)]) == EXIT_CONFIG
@@ -442,17 +447,94 @@ def test_verify_skips_nonlinear_check_without_interaction(tmp_path, capsys):
     assert "all 11 checks passed" in out
 
 
-def test_verify_tampered_tolerance_lists_every_failure(tmp_path, capsys):
+def test_verify_tampered_tolerance_lists_every_failure(tmp_path, capsys, monkeypatch):
+    # The tolerances are fixed, so the measurements are tampered with: six
+    # rows read 1.0, far above their tolerances, and the other six pass.
+    import rotor_gpe.cli as cli
+
+    monkeypatch.setattr(cli, "_check_matrix_identities", lambda params, rng: 1.0)
+    monkeypatch.setattr(cli, "_check_intertwining", lambda grid, params, t: (1.0, 1.0))
+    drifts = dict.fromkeys(("mass", "e0", "lz_expect"), 1.0)
+    monkeypatch.setattr(cli, "drift_report", lambda records: drifts)
+    raw = {"grid": {"n": 24, "extent": 6.0}, "physics": {"omega": 1.0, "beta": 1.0}}
+    cfg = write_config(tmp_path, raw)
+    assert entrypoint(["verify", cfg]) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    failed = {line.split()[0] for line in out.splitlines() if line.endswith("  FAIL")}
+    assert failed == {
+        "matrix-identity",
+        "intertwining-momentum",
+        "intertwining-position",
+        "conservation-mass",
+        "conservation-energy",
+        "conservation-lz",
+    }
+    assert out.count("FAIL") == 6
+    assert out.count("  PASS") == 6
+    assert "6 of 12 checks failed" in out
+
+
+def test_a_verify_section_is_an_unknown_key(tmp_path, capsys):
+    # verify's tolerances are the battery's; no config key changes them.
     raw = {
         "grid": {"n": 24, "extent": 6.0},
         "physics": {"omega": 1.0, "beta": 1.0},
         "verify": {"tolerance": 0.0},
     }
-    cfg = write_config(tmp_path, raw)
-    assert entrypoint(["verify", cfg]) == EXIT_VERIFY
-    out = capsys.readouterr().out
-    assert "12 of 12 checks failed" in out
-    assert out.count("FAIL") == 12
+    assert entrypoint(["verify", write_config(tmp_path, raw)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: config.verify: unknown key")
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+#: The documented exit code of every error class (README, "Command line").
+DOCUMENTED_EXIT_CODES = {
+    "RotorGpeError": EXIT_CONFIG,
+    "ConfigInvalid": EXIT_CONFIG,
+    "WindowViolation": EXIT_CONFIG,
+    "GridTooLarge": EXIT_CONFIG,
+    "InvalidExponent": EXIT_CONFIG,
+    "QFactorizationSingular": EXIT_CONFIG,
+    "ResolutionTooLow": EXIT_CONFIG,
+    "BlowupDetected": EXIT_VERIFY,
+    "NoContraction": EXIT_VERIFY,
+    "SnapshotFormatError": EXIT_IO,
+    "OSError": EXIT_IO,
+}
+PREFIXES = {
+    EXIT_CONFIG: "config error: ",
+    EXIT_VERIFY: "verification failure: ",
+    EXIT_IO: "I/O error: ",
+}
+
+
+def _error_classes():
+    import rotor_gpe.errors as errors
+
+    classes = [getattr(errors, name) for name in errors.__all__]
+    return [c for c in classes if issubclass(c, errors.RotorGpeError)] + [OSError]
+
+
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_documented_code(tmp_path, capsys, monkeypatch, error):
+    import rotor_gpe.cli as cli
+
+    def raising(cfg):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "cmd_run", raising)
+    code = DOCUMENTED_EXIT_CODES[error.__name__]
+    assert entrypoint(["run", write_config(tmp_path, run_config(tmp_path))]) == code
+    assert capsys.readouterr().err == f"{PREFIXES[code]}the message\n"
+
+
+def test_the_readme_lists_every_error_class_with_its_exit_code():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n### ", 1)[0]
+    listed = re.findall(r"^- `(\w+)`[^:\n]*: (\d)$", section, re.MULTILINE)
+    assert {name: int(code) for name, code in listed} == DOCUMENTED_EXIT_CODES
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +626,27 @@ def test_dispersive_scan_too_few_pairs_is_config_error(tmp_path, capsys):
     }
     cfg = write_config(tmp_path, raw)
     assert entrypoint(["dispersive-scan", cfg]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("t", [10.0, 0.0, -0.1])
+@pytest.mark.parametrize(
+    "command, section, pairs, path",
+    [
+        ("dispersive-scan", "scan", lambda t: [[0.3, 0.1], [0.4, 0.1], [t, 0.1]], "scan.pairs[2][0]"),
+        ("dispersive-scan", "scan", lambda t: [[0.3, t], [0.4, 0.1], [0.5, 0.1]], "scan.pairs[0][1]"),
+        ("propagator-compare", "compare", lambda t: [["ground", t]], "compare.pairs[0][1]"),
+    ],
+    ids=["scan-t", "scan-s", "compare-t"],
+)
+def test_a_pair_time_outside_the_window_exits_config_under_its_path(
+    tmp_path, capsys, command, section, pairs, path, t
+):
+    # Every pair time is a kernel time, so it must lie in (0, pi/(4 omega)].
+    raw = run_config(tmp_path, physics={"omega": 1.0, "beta": 0.0}, **{section: {"pairs": pairs(t)}})
+    assert entrypoint([command, write_config(tmp_path, raw)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: kernel time t = {t!r} outside"), err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from rotor_gpe import (
     parse_config,
     write_snapshot,
 )
+from rotor_gpe.cli import EXIT_CONFIG, entrypoint
 from rotor_gpe.config import default_config_dict
 
 
@@ -40,14 +42,16 @@ def full() -> dict:
         },
         "output": {"dir": "runs/demo", "snapshot_every": 100, "diagnostics_every": 25},
         "seed": 7,
-        "verify": {"tolerance": 1e-6},
         "scan": {"pairs": [[0.4, 0.2], [0.5, 0.1]]},
         "compare": {"pairs": [["ground", 0.6]]},
     }
 
 
 #: The values that replace one node of a config in :func:`single_faults`.
-FAULT_VALUES = (None, True, "s", -1, 0, 1.5, math.nan, 10**400, [], {}, [1, 2], [1, 2, 3])
+#: ``5 * 10**4299`` has 4300 digits, the most ``json.loads`` admits.
+FAULT_VALUES = (
+    None, True, "s", -1, 0, 1.5, math.nan, 10**400, 5 * 10**4299, [], {}, [1, 2], [1, 2, 3]
+)
 DELETE, ADD_KEY = object(), object()
 
 
@@ -218,12 +222,6 @@ def test_initial_coherent_vector_validation():
 
 def test_verify_scan_compare_sections():
     raw = minimal()
-    raw["verify"] = {"tolerance": 1e-9}
-    assert parse_config(raw).verify_tolerance == 1e-9
-    raw["verify"] = {"tolerance": -1.0}
-    with pytest.raises(ConfigInvalid, match="verify.tolerance"):
-        parse_config(raw)
-    raw = minimal()
     raw["scan"] = {"pairs": [[0.3, 0.1], [0.4, 0.1], [0.5, 0.1]]}
     cfg = parse_config(raw)
     assert cfg.scan_pairs == ((0.3, 0.1), (0.4, 0.1), (0.5, 0.1))
@@ -245,7 +243,8 @@ PATH_MESSAGE = re.compile(r"^[a-z_]+(\.[a-z_]+|\[\d+\])*: ")
 @pytest.mark.parametrize("base", [full, minimal])
 def test_every_single_fault_parses_or_names_its_path(base):
     # Covers integers beyond the float range in grid.n and
-    # evolve.picard.quad_nodes, which once overflowed the working-set guard.
+    # evolve.picard.quad_nodes, which once overflowed the working-set guard,
+    # and a node count whose field count has more digits than int() prints.
     assert parse_config(base())
     for path, fault, raw in single_faults(base()):
         try:
@@ -254,6 +253,32 @@ def test_every_single_fault_parses_or_names_its_path(base):
             assert PATH_MESSAGE.match(str(exc)), (path, fault, str(exc))
         except Exception as exc:  # anything else would end the CLI in a traceback
             pytest.fail(f"{path} <- {fault!r}: {type(exc).__name__}: {exc}")
+
+
+@pytest.mark.parametrize("base", [full, minimal])
+def test_every_rejected_single_fault_exits_config_through_the_command_line(
+    tmp_path, monkeypatch, capsys, base
+):
+    # The command line adds nothing between a path-named ConfigInvalid and
+    # its stderr line, and a rejected config writes no file.
+    monkeypatch.chdir(tmp_path)  # the full config's output.dir is relative
+    path = tmp_path / "config.json"
+    start = time.perf_counter()
+    rejected = 0
+    for where, fault, raw in single_faults(base()):
+        try:
+            parse_config(raw)
+            continue
+        except ConfigInvalid:
+            rejected += 1
+        path.write_text(json.dumps(raw))
+        assert entrypoint(["run", str(path)]) == EXIT_CONFIG, (where, fault)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: "), (where, fault, err)
+        assert PATH_MESSAGE.match(err[len("config error: "):]), (where, fault, err)
+    assert rejected > 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    assert time.perf_counter() - start < 30.0
 
 
 # ---------------------------------------------------------------------------
