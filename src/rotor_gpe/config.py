@@ -9,7 +9,8 @@ one), a :class:`_Required` (the key must be given; its text ends the
 message), or ``_LEAVE_OUT`` (an absent key takes the default of the
 class the section builds).  Ranges are checked by those classes:
 ``GridSpec``, ``PhysicsParams``, ``SolverConfig`` and ``PicardConfig``;
-the pair times of ``scan`` and ``compare`` by the kernel window.
+the pair times of ``scan`` and ``compare`` by the kernel window, and a
+``compare`` time also by the oracle's alias budget.
 README's "Configuration schema" shows every key with its range and default.
 
 Every failure is a :class:`ConfigInvalid` whose message starts with the
@@ -37,7 +38,7 @@ from typing import Any
 
 from .errors import ConfigInvalid, WindowViolation
 from .grid import Field, GridSpec, PhysicsParams
-from .propagator import _check_window
+from .propagator import DEFAULT_OVERSAMPLE, _alias_budget, _check_window
 from .snapshots import read_snapshot
 from .solver import PicardConfig, SolverConfig
 from .states import STATE_KINDS, make_state
@@ -324,6 +325,13 @@ def parse_config(data: Any) -> RunConfig:
                     _check_window(pair[j], params)
                 except WindowViolation as exc:
                     raise ConfigInvalid(f"{section}.pairs[{i}][{j}]: {exc}")
+            if section == "compare" and (  # the referee itself would alias
+                budget := _alias_budget(grid, params, pair[1], DEFAULT_OVERSAMPLE)
+            ) is not None:
+                raise ConfigInvalid(
+                    f"compare.pairs[{i}][1]: the dense kernel quadrature aliases at t = {pair[1]}"
+                    f" (omega*cot(omega t)*extent*h_q = {budget:.3f} > pi); take a later time"
+                )
     initial_type, initial_params = top["initial"]
     return RunConfig(
         grid=grid,

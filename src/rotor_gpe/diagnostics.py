@@ -166,7 +166,7 @@ def record(
     u: Field,
     t: float,
     params: PhysicsParams,
-    e0_initial: float,
+    e0_initial: float | None,
     *,
     t_local: float | None = None,
 ) -> DiagnosticsRecord:
@@ -174,7 +174,8 @@ def record(
 
     ``t`` is the global timestamp; ``t_local`` (defaulting to ``t``) is
     the window-local time used for the dressed operators and the balance
-    law.  Every column comes from one moments pass: one spectral
+    law, and ``e0_initial=None`` takes the record's own ``e0`` as the
+    reference of that law.  Every column comes from one moments pass: one spectral
     gradient (one real matrix product along each axis) and a few fused
     reductions.  ``||J(t)u||^2`` and ``||H(t)u||^2`` follow from the
     moment identities of the module docstring, which hold exactly on the

@@ -75,30 +75,27 @@ def _mixed_gradient(
     return [c * d1 - s * d2, c * d2 + s * d1, d3]
 
 
-def _dressed_arrays(
+def _dressed(
     f: Field,
     t: float,
     params: PhysicsParams,
-    derivs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Shared kernel of both dressed operators.
+    derivs: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    position: bool,
+) -> tuple[Field, Field, Field]:
+    """``J(t) f``, or ``H(t) f`` with ``position``, componentwise.
 
-    Returns ``(mix_x, mix_d)`` where ``mix_x[j] = (cos x + sin x_twist)_j f``
-    and ``mix_d[j] = (cos grad + sin grad_twist)_j f`` (:func:`_mixed_gradient`);
-    the third coefficient of each is identically 1.
+    Both mix ``(cos x + sin x_twist) f`` and ``(cos grad + sin grad_twist) f``
+    (:func:`_mixed_gradient`); the third coefficient of each is
+    identically 1.
     """
-    grid = f.grid
-    theta = params.omega * t
+    grid, u, w = f.grid, f.data, params.omega
+    theta = w * t
     c, s = np.cos(theta), np.sin(theta)
-    u = f.data
-    mix_x = [
-        (c * grid.x1 - s * grid.x2) * u,
-        (c * grid.x2 + s * grid.x1) * u,
-        grid.x3 * u,
-    ]
-    if derivs is None:
-        derivs = gradient_arrays(grid, u)
-    return mix_x, _mixed_gradient(c, s, derivs)
+    mix_x = [(c * grid.x1 - s * grid.x2) * u, (c * grid.x2 + s * grid.x1) * u, grid.x3 * u]
+    mix_d = _mixed_gradient(c, s, gradient_arrays(grid, u) if derivs is None else derivs)
+    if position:
+        return tuple(Field(grid, w * c * x + 1j * s * d) for x, d in zip(mix_x, mix_d))
+    return tuple(Field(grid, w * s * x - 1j * c * d) for x, d in zip(mix_x, mix_d))
 
 
 def galilean_momentum(
@@ -112,13 +109,7 @@ def galilean_momentum(
     ``derivs`` may carry precomputed spectral partials of ``f.data`` to
     share one gradient with other diagnostics.
     """
-    theta = params.omega * t
-    c, s = np.cos(theta), np.sin(theta)
-    mix_x, mix_d = _dressed_arrays(f, t, params, derivs)
-    w = params.omega
-    return tuple(
-        Field(f.grid, w * s * mix_x[j] - 1j * c * mix_d[j]) for j in range(3)
-    )
+    return _dressed(f, t, params, derivs, position=False)
 
 
 def galilean_position(
@@ -128,18 +119,27 @@ def galilean_position(
     derivs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Field, Field, Field]:
     """Apply the dressed position ``H(t)`` componentwise."""
-    theta = params.omega * t
-    c, s = np.cos(theta), np.sin(theta)
-    mix_x, mix_d = _dressed_arrays(f, t, params, derivs)
-    w = params.omega
-    return tuple(
-        Field(f.grid, w * c * mix_x[j] + 1j * s * mix_d[j]) for j in range(3)
-    )
+    return _dressed(f, t, params, derivs, position=True)
 
 
 # --------------------------------------------------------------------------
 # chirp factorizations
 # --------------------------------------------------------------------------
+
+
+def _chirp(grid: GridSpec, params: PhysicsParams, t: float, cotangent: bool) -> np.ndarray:
+    """``Q(t)`` with ``cotangent``, else ``M(t)``, where its trigonometric ratio exists."""
+    theta = params.omega * t
+    s, c = np.sin(theta), np.cos(theta)
+    if cotangent:
+        if abs(s) < 1e-300:
+            raise QFactorizationSingular(
+                f"cotangent chirp undefined at t = {t!r} (sin(omega*t) = 0)"
+            )
+        return np.exp(+0.5j * params.omega * (c / s) * grid.r2)
+    if abs(c) < 1e-300:
+        raise ValueError(f"tangent chirp undefined at t = {t!r} (cos(omega*t) = 0)")
+    return np.exp(-0.5j * params.omega * (s / c) * grid.r2)
 
 
 def chirp_pair(grid: GridSpec, params: PhysicsParams, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -151,48 +151,28 @@ def chirp_pair(grid: GridSpec, params: PhysicsParams, t: float) -> tuple[np.ndar
     (``sin(omega t) = 0``, in particular t = 0) and ``ValueError`` where
     the tangent does (``cos(omega t) = 0``).
     """
+    return _chirp(grid, params, t, cotangent=False), _chirp(grid, params, t, cotangent=True)
+
+
+def _chirped(f: Field, t: float, params: PhysicsParams, cotangent: bool) -> tuple[Field, Field, Field]:
+    """``J(t) f`` through ``M(t)``, or ``H(t) f`` through ``Q(t)`` with ``cotangent``."""
     theta = params.omega * t
-    s, c = np.sin(theta), np.cos(theta)
-    if abs(s) < 1e-300:
-        raise QFactorizationSingular(
-            f"cotangent chirp undefined at t = {t!r} (sin(omega*t) = 0)"
-        )
-    if abs(c) < 1e-300:
-        raise ValueError(f"tangent chirp undefined at t = {t!r} (cos(omega*t) = 0)")
-    w = params.omega
-    m_phase = np.exp(-0.5j * w * (s / c) * grid.r2)
-    q_phase = np.exp(+0.5j * w * (c / s) * grid.r2)
-    return m_phase, q_phase
+    c, s = np.cos(theta), np.sin(theta)
+    chirp = _chirp(f.grid, params, t, cotangent)
+    inner = np.conj(chirp) * f.data  # M(-t) f or Q(-t) f
+    carried = _mixed_gradient(c, s, gradient_arrays(f.grid, inner))
+    scale = 1j * s if cotangent else -1j * c
+    return tuple(Field(f.grid, scale * chirp * arr) for arr in carried)
 
 
 def galilean_momentum_chirped(f: Field, t: float, params: PhysicsParams) -> tuple[Field, Field, Field]:
     """Dressed momentum via the tangent-chirp factorization (regular at t = 0)."""
-    grid = f.grid
-    theta = params.omega * t
-    c = np.cos(theta)
-    if abs(c) < 1e-300:
-        raise ValueError(f"tangent chirp undefined at t = {t!r}")
-    w = params.omega
-    m_phase = np.exp(-0.5j * w * np.tan(theta) * grid.r2)
-    inner = np.conj(m_phase) * f.data  # M(-t) f
-    carried = _mixed_gradient(c, np.sin(theta), gradient_arrays(grid, inner))
-    return tuple(Field(grid, -1j * c * m_phase * arr) for arr in carried)
+    return _chirped(f, t, params, cotangent=False)
 
 
 def galilean_position_chirped(f: Field, t: float, params: PhysicsParams) -> tuple[Field, Field, Field]:
     """Dressed position via the cotangent-chirp factorization (singular at t = 0)."""
-    grid = f.grid
-    theta = params.omega * t
-    s = np.sin(theta)
-    if abs(s) < 1e-300:
-        raise QFactorizationSingular(
-            f"cotangent chirp undefined at t = {t!r} (sin(omega*t) = 0)"
-        )
-    w = params.omega
-    q_phase = np.exp(0.5j * w * (np.cos(theta) / s) * grid.r2)
-    inner = np.conj(q_phase) * f.data  # Q(-t) f
-    carried = _mixed_gradient(np.cos(theta), s, gradient_arrays(grid, inner))
-    return tuple(Field(grid, 1j * s * q_phase * arr) for arr in carried)
+    return _chirped(f, t, params, cotangent=True)
 
 
 # --------------------------------------------------------------------------

@@ -116,12 +116,17 @@ def _check_window(t: float, params: PhysicsParams) -> None:
         )
 
 
-def _alias_guard(grid: GridSpec, params: PhysicsParams, t: float, oversample: int) -> None:
+def _alias_budget(grid: GridSpec, params: PhysicsParams, t: float, oversample: int) -> float | None:
+    """``omega*cot(omega t)*extent*h_q`` where it exceeds pi (the quadrature aliases), else None."""
     theta = params.omega * t
     cot = abs(np.cos(theta) / np.sin(theta))
-    h_q = grid.h / oversample
-    budget = params.omega * cot * grid.extent * h_q
-    if budget > np.pi * (1.0 + 1e-12):
+    budget = params.omega * cot * grid.extent * (grid.h / oversample)
+    return budget if budget > np.pi * (1.0 + 1e-12) else None
+
+
+def _alias_guard(grid: GridSpec, params: PhysicsParams, t: float, oversample: int) -> None:
+    budget = _alias_budget(grid, params, t, oversample)
+    if budget is not None:
         # Name the first caller outside this module, however deep the entry point.
         level, frame = 1, sys._getframe()
         while frame is not None and frame.f_code.co_filename == __file__:
@@ -150,9 +155,7 @@ class KernelMatrices:
     block transposes to ``csc(theta) R(-theta)``.  ``tilde_scale`` is
     the axial coefficient of the twisted coordinate entering the kernel
     phase (``x_twist_3 = tilde_scale * x3``, equal to
-    ``csc(theta) - cot(theta) = tan(theta/2)``); ``breve_scale`` is the
-    axial coefficient of the conjugate twist used by the symmetry
-    operators (``cot - csc = -tilde_scale``).  When a second time ``s``
+    ``csc(theta) - cot(theta) = tan(theta/2)``).  When a second time ``s``
     is given, ``b_matrix`` is
     ``B(t, s) = (sin(omega s)/sin(omega t)) * blockdiag(R(omega(t-s)), 1)``,
     the coordinate map appearing in the forward/dual composition.
@@ -163,7 +166,6 @@ class KernelMatrices:
     s: float | None
     prefactor: complex
     tilde_scale: float
-    breve_scale: float
     a_matrix: np.ndarray = field(repr=False)
     b_matrix: np.ndarray | None = field(repr=False)
 
@@ -202,7 +204,6 @@ def kernel_matrices(t: float, params: PhysicsParams, s: float | None = None) -> 
         s=s,
         prefactor=complex(pref),
         tilde_scale=float(tilde),
-        breve_scale=float(-tilde),
         a_matrix=a,
         b_matrix=b,
     )
@@ -655,7 +656,6 @@ class DispersiveScan:
 
     rows: tuple[ScanRow, ...]
     slope_sum: float
-    intercept_sum: float
     residual_sum: float
     slope_diff: float
     residual_diff: float
@@ -665,17 +665,16 @@ class DispersiveScan:
         return max(r.ratio / r.bound for r in self.rows)
 
 
-def default_scan_pairs(
-    params: PhysicsParams, count: int = 12, tau_min: float = 0.06, tau_max: float = 0.55
-) -> list[tuple[float, float]]:
+def default_scan_pairs(params: PhysicsParams) -> list[tuple[float, float]]:
     """Log-spaced ``(t, s)`` battery mixing two s/t shapes per decay time.
 
-    Alternates ``s = t/2`` and ``s = t/4`` so the total ``t + s`` sweeps
-    a decade while ``t - s`` decorrelates from it.
+    Twelve totals ``t + s`` from ``0.06/omega`` to ``0.55/omega``
+    alternate ``s = t/2`` and ``s = t/4``, so the total sweeps a decade
+    while ``t - s`` decorrelates from it.
     """
     w = params.omega
     window = params.window
-    taus = np.geomspace(tau_min / w, tau_max / w, count)
+    taus = np.geomspace(0.06 / w, 0.55 / w, 12)
     pairs = []
     for i, tau in enumerate(taus):
         frac = 1.0 / 3.0 if i % 2 == 0 else 1.0 / 5.0  # s = frac * tau
@@ -686,12 +685,12 @@ def default_scan_pairs(
     return pairs
 
 
-def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope and rms residual of the least-squares line through ``(log x, log y)``."""
     lx, ly = np.log(x), np.log(y)
-    coeffs, res = np.polyfit(lx, ly, 1), 0.0
+    coeffs = np.polyfit(lx, ly, 1)
     fitted = np.polyval(coeffs, lx)
-    res = float(np.sqrt(np.mean((ly - fitted) ** 2)))
-    return float(coeffs[0]), float(coeffs[1]), res
+    return float(coeffs[0]), float(np.sqrt(np.mean((ly - fitted) ** 2)))
 
 
 def dispersive_scan(
@@ -700,7 +699,6 @@ def dispersive_scan(
     pairs: list[tuple[float, float]] | None = None,
     backend: str = "fast",
     substeps: int | None = None,
-    oversample: int = DEFAULT_OVERSAMPLE,
 ) -> DispersiveScan:
     """Measure ``||forward(t) dual(s) f||_inf / ||f||_1`` over a (t, s) battery."""
     if pairs is None:
@@ -711,20 +709,19 @@ def dispersive_scan(
     w = params.omega
     rows = []
     for t, s in pairs:
-        mid = propagate_dual(f, s, params, backend=backend, substeps=substeps, oversample=oversample)
-        out = propagate(mid, t, params, backend=backend, substeps=substeps, oversample=oversample)
+        mid = propagate_dual(f, s, params, backend=backend, substeps=substeps)
+        out = propagate(mid, t, params, backend=backend, substeps=substeps)
         ratio = lp_norm(out, np.inf) / l1
         bound = (w / (np.pi * np.sin(w * (t + s)))) ** 1.5
         rows.append(ScanRow(t=t, s=s, ratio=ratio, bound=bound))
     sums = np.array([r.t + r.s for r in rows])
     diffs = np.array([abs(r.t - r.s) for r in rows])
     ratios = np.array([r.ratio for r in rows])
-    slope_sum, intercept_sum, res_sum = _loglog_fit(sums, ratios)
-    slope_diff, _, res_diff = _loglog_fit(diffs, ratios)
+    slope_sum, res_sum = _loglog_fit(sums, ratios)
+    slope_diff, res_diff = _loglog_fit(diffs, ratios)
     return DispersiveScan(
         rows=tuple(rows),
         slope_sum=slope_sum,
-        intercept_sum=intercept_sum,
         residual_sum=res_sum,
         slope_diff=slope_diff,
         residual_diff=res_diff,
@@ -754,10 +751,9 @@ def strichartz_ratio(
     params: PhysicsParams,
     times: np.ndarray,
     p: float = 4.0,
-    backend: str = "fast",
     substeps: int | None = None,
 ) -> float:
-    """Discrete Strichartz quotient of the linear flow on a time grid.
+    """Discrete Strichartz quotient of the fast linear flow on a time grid.
 
     ``(sum_i w_i ||flow(t_i) f||_p^gamma)^(1/gamma) / ||f||_2`` with
     trapezoid weights ``w_i`` on the given nodes; for ``p = 2`` the
@@ -772,7 +768,7 @@ def strichartz_ratio(
         _check_window(t, params)
     space_norms = np.empty(times.size)
     for i, t in enumerate(times):
-        out = propagate(f, float(t), params, backend=backend, substeps=substeps)
+        out = propagate_fast(f, float(t), params, substeps)
         space_norms[i] = lp_norm(out, p)
     l2 = lp_norm(f, 2)
     if np.isinf(gamma):

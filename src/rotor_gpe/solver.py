@@ -69,7 +69,6 @@ from .grid import (
 )
 from .propagator import (
     harmonic_flow,
-    propagate_fast,
     rotate_pattern,
     splitting_plan,
     strichartz_exponent,
@@ -82,7 +81,6 @@ __all__ = [
     "EvolveResult",
     "PicardResult",
     "nonlinear_phase",
-    "strang_step",
     "evolve",
     "picard_solve",
     "workspace_distance",
@@ -235,56 +233,11 @@ def _apply_phase(
     return out
 
 
-def _phased(
-    data: np.ndarray,
-    tau: float,
-    beta: float,
-    out: np.ndarray | None = None,
-    real: np.ndarray | None = None,
-) -> np.ndarray:
-    """``exp(-i beta |data|^2 tau) data``, written into ``out``.
-
-    ``real`` (a float array of the field's shape) holds the modulus and
-    then the angle.  Fresh arrays stand in for ``out`` and ``real`` when
-    they are not given, and without ``out`` a trivial phase returns
-    ``data`` itself.  ``out`` must not be ``data``.
-    """
-    if beta == 0.0 or tau == 0.0:
-        if out is None:
-            return data
-        np.copyto(out, data)
-        return out
-    if out is None:
-        out = np.empty_like(data)
-    return _apply_phase(data, _modulus_sq(data, real, out.real), tau, beta, out)
-
-
 def nonlinear_phase(u: Field, tau: float, params: PhysicsParams) -> Field:
-    """Exact nonlinear factor ``N(tau) v = exp(-i beta |v|^2 tau) v``."""
-    out = _phased(u.data, tau, params.beta)
-    return Field(u.grid, out.copy() if out is u.data else out)
-
-
-def strang_step(
-    u: Field, dt: float, params: PhysicsParams, m: int | None = None
-) -> Field:
-    """One lab-frame splitting step ``N(dt/2) o R(omega dt) o H(dt) o N(dt/2)``.
-
-    The single-step reference for :func:`evolve`, which composes the same
-    pieces in the co-rotating frame.  ``dt`` must fit inside one window.
-    With ``beta = 0`` the two nonlinear factors are identities and the
-    step is exactly the fast linear flow.
-    """
-    if not 0.0 < dt <= params.window + _TIME_EPS:
-        raise WindowViolation(
-            f"strang_step: dt = {dt} outside (0, {params.window}]; "
-            "split the step at the window seam"
-        )
-    if params.beta == 0.0:
-        return propagate_fast(u, dt, params, m)
-    half = nonlinear_phase(u, 0.5 * dt, params)
-    drift = propagate_fast(half, dt, params, m)
-    return nonlinear_phase(drift, 0.5 * dt, params)
+    """Exact nonlinear factor ``N(tau) v = exp(-i beta |v|^2 tau) v``, in a fresh field."""
+    out = np.empty_like(u.data)
+    abs2 = _modulus_sq(u.data, None, out.real)
+    return Field(u.grid, _apply_phase(u.data, abs2, tau, params.beta, out))
 
 
 @dataclass(frozen=True)
@@ -588,13 +541,30 @@ def _node_norms(
     return plain, dressed_j, _lp_from_sq(abs2, grid, rho)
 
 
-def _distance(
+def workspace_distance(
     grid: GridSpec,
     nodes: Iterable[tuple[np.ndarray, float, float]],
     rho: float,
     params: PhysicsParams,
 ) -> float:
-    """The workspace distance of ``(difference, time, weight)`` nodes."""
+    """Triple space-time norm of node differences ``(d_i, t_i, w_i)``.
+
+    ``(sum_i w_i ||d_i||_rho^gamma)^(1/gamma)`` for the plain difference
+    ``d_i`` plus the same expression with ``d_i`` replaced by the
+    pointwise magnitude of ``J(t_i) d_i`` and of ``H(t_i) d_i``; ``gamma``
+    is the admissible exponent paired with ``rho``.  The dressed
+    operators are evaluated at the (window-local) node times.  Their
+    squared magnitudes come from one gradient of ``d_i`` in closed form
+    (:func:`_node_norms`), so no dressed component is built, and each
+    ``d_i`` is only read (it may be a workspace the node iterator
+    overwrites for the next node).
+
+    Each magnitude is a rotation covariant: for ``d = d_co o R`` it is
+    the rotated pattern of the co-rotating one.  So in the continuum the
+    distance is the same in the lab and in the co-rotating frame, and
+    :func:`picard_solve` measures it on co-rotating nodes.  On the grid
+    the two differ by the shear rotation's band-limit gap.
+    """
     gamma = admissible_gamma(rho)
     work = np.empty((5,) + grid.shape)
     dj = np.empty(grid.shape, dtype=np.complex128)
@@ -604,44 +574,6 @@ def _distance(
             sums[k] += weight * norm**gamma
     inv = 1.0 / gamma
     return sums[0] ** inv + sums[1] ** inv + sums[2] ** inv
-
-
-def workspace_distance(
-    u_traj: Sequence[Field],
-    v_traj: Sequence[Field],
-    rho: float,
-    time_weights: Sequence[float],
-    *,
-    times: Sequence[float],
-    params: PhysicsParams,
-) -> float:
-    """Triple space-time norm of the difference of two node trajectories.
-
-    ``(sum_i w_i ||d_i||_rho^gamma)^(1/gamma)`` for the plain difference
-    ``d_i = u_i - v_i`` plus the same expression with ``d_i`` replaced by
-    the pointwise magnitude of ``J(t_i) d_i`` and of ``H(t_i) d_i``;
-    ``gamma`` is the admissible exponent paired with ``rho``.  The
-    dressed operators are evaluated at the (window-local) node times.
-    Their squared magnitudes come from one gradient of ``d_i`` in closed
-    form (:func:`_node_norms`), so no dressed component is built.
-
-    Each magnitude is a rotation covariant: for ``d = d_co o R`` it is
-    the rotated pattern of the co-rotating one.  So in the continuum the
-    distance is the same in the lab and in the co-rotating frame, and
-    :func:`picard_solve` measures it on co-rotating nodes.  On the grid
-    the two differ by the shear rotation's band-limit gap.
-    """
-    if not len(u_traj) == len(v_traj) == len(time_weights) == len(times):
-        raise ValueError("workspace_distance: trajectories must share one node set")
-    if not u_traj:
-        return 0.0
-    grid = u_traj[0].grid
-    diff = np.empty(grid.shape, dtype=np.complex128)
-    nodes = (
-        (np.subtract(u_i.data, v_i.data, out=diff), t_i, w_i)
-        for u_i, v_i, w_i, t_i in zip(u_traj, v_traj, time_weights, times)
-    )
-    return _distance(grid, nodes, rho, params)
 
 
 @dataclass(frozen=True)
@@ -764,7 +696,7 @@ def picard_solve(
     distances: list[float] = []
     rising = 0
     for iteration in range(1, pc.max_iter + 1):
-        dist = _distance(grid, sweep(), pc.rho, params)
+        dist = workspace_distance(grid, sweep(), pc.rho, params)
         distances.append(dist)
         logger.debug("fixed-point iteration %d: distance %.3e", iteration, dist)
         if len(distances) >= 2 and distances[-1] >= distances[-2]:

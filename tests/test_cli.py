@@ -17,6 +17,7 @@ from rotor_gpe import (
     ConfigInvalid,
     GridSpec,
     PhysicsParams,
+    energy_e0,
     ground_state,
 )
 from rotor_gpe.config import build_initial_field, load_config
@@ -161,6 +162,22 @@ def test_a_picard_run_that_misses_its_tolerance_is_named_in_summary_and_manifest
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["converged"] is True
     assert manifest["final_distance"] < 1e-10
+
+
+def test_a_picard_run_takes_its_balance_reference_from_its_first_record(tmp_path):
+    # Row 0's e0 is the energy of the initial field, and every row's
+    # residual is its pc_lhs less twice that e0, exactly.
+    raw = run_config(tmp_path)
+    raw["evolve"] = {"scheme": "picard", "t_end": 0.2, "picard": {"quad_nodes": 9}}
+    path = write_config(tmp_path, raw)
+    assert entrypoint(["run", path]) == EXIT_OK
+    header, *lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+    cfg = load_config(path)
+    assert len(rows) == 9
+    assert rows[0]["e0"] == energy_e0(build_initial_field(cfg), cfg.params)
+    for row in rows:
+        assert row["pc_residual"] == row["pc_lhs"] - 2.0 * rows[0]["e0"]
 
 
 def test_run_missing_omega_exits_config(tmp_path, capsys):
@@ -674,6 +691,26 @@ def test_propagator_compare_cross_checks_backends(tmp_path, capsys):
         (tmp_path / "cmp" / "manifest_propagator_compare.json").read_text()
     )
     assert manifest["command"] == "propagator-compare"
+
+
+def test_a_compare_time_the_dense_kernel_aliases_exits_config_under_its_path(tmp_path, capsys):
+    # At n = 24, extent 6 the oracle's quadrature aliases at t = 0.3
+    # (omega*cot(omega t)*extent*h_q = 4.849 > pi), so the referee would
+    # be wrong, not the fast backend: the pair is rejected before any run.
+    raw = {
+        "grid": {"n": 24, "extent": 6.0},
+        "physics": {"omega": 1.0, "beta": 1.0},
+        "compare": {"pairs": [["vortex_plus", 0.3], ["ground", 0.6]]},
+        "output": {"dir": str(tmp_path / "cmp")},
+    }
+    assert entrypoint(["propagator-compare", write_config(tmp_path, raw)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: compare.pairs[0][1]: "), err
+    assert "4.849 > pi" in err
+    assert not (tmp_path / "cmp").exists()
+
+    raw["compare"]["pairs"] = [["ground", 0.6]]
+    assert entrypoint(["propagator-compare", write_config(tmp_path, raw)]) == EXIT_OK
 
 
 def test_propagator_compare_empty_pairs(tmp_path):

@@ -79,8 +79,6 @@ def test_kernel_matrix_identities_hold_across_the_window():
         theta = w * t
         # Chirp scale of the left factorization.
         assert km.tilde_scale == pytest.approx(np.tan(theta / 2.0), abs=1e-14)
-        # The reflected dressing is its exact negative.
-        assert km.breve_scale == pytest.approx(-km.tilde_scale, abs=1e-14)
         # Transverse phase-mixing block: A_perp^T A_perp = csc^2(theta) I.
         a_perp = km.a_matrix[:2, :2]
         gram = a_perp.T @ a_perp
