@@ -41,7 +41,14 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, build_initial_field, default_config_dict, load_config, parse_config
+from .config import (
+    RunConfig,
+    build_initial_field,
+    default_compare_pairs,
+    default_config_dict,
+    load_config,
+    parse_config,
+)
 from .diagnostics import drift_report, record, write_csv
 from .errors import BoundaryTruncation, ConfigInvalid, RotorGpeError
 from .galilean import galilean_momentum, galilean_position
@@ -446,7 +453,7 @@ def cmd_convergence(cfg: RunConfig, scheme: str, levels: int) -> int:
         enforce = (1.9, 2.1)
     elif scheme == "linear":
         t_lin = min(t_end, window)
-        ms = [2**k for k in range(levels)]
+        ms = [2 ** (k + 1) for k in range(levels)]  # m = 1 is pre-asymptotic
         ref = propagate_fast(u0, t_lin, params, substeps=ms[-1] * 4)
         errors = [
             _rel_l2(propagate_fast(u0, t_lin, params, substeps=m), ref) for m in ms
@@ -461,7 +468,7 @@ def cmd_convergence(cfg: RunConfig, scheme: str, levels: int) -> int:
             )
         t_pic = min(t_end, np.pi / (8.0 * params.omega))
         ref = _strang_referee(u0, t_pic, params)
-        nodes = [8 * 2**k + 1 for k in range(levels)]
+        nodes = [2 * k + 3 for k in range(levels)]  # all above the referee's floor
         errors = []
         for n_nodes in nodes:
             pcfg = replace(cfg.solver.picard, quad_nodes=n_nodes)
@@ -536,11 +543,10 @@ def cmd_dispersive_scan(cfg: RunConfig) -> int:
 def cmd_propagator_compare(cfg: RunConfig) -> int:
     start = time.perf_counter()
     params = cfg.params
-    w = params.omega
     pairs = (
         list(cfg.compare_pairs)
         if cfg.compare_pairs is not None
-        else [("ground", 0.6 / w), ("vortex_plus", 0.6 / w)]
+        else default_compare_pairs(cfg.grid, params)
     )
     lines = ["t,ratio,bound"]
     worst = 0.0

@@ -48,6 +48,7 @@ __all__ = [
     "load_config",
     "parse_config",
     "default_config_dict",
+    "default_compare_pairs",
     "build_initial_field",
 ]
 
@@ -59,10 +60,10 @@ __all__ = [
 WORKING_SET_FIELDS = 12
 
 #: Fields per quadrature node that ``solver.picard_solve`` holds at its
-#: peak: the current iterate, which each sweep overwrites node by node.
-#: Its ``tracemalloc`` peak at n = 16 read 43.1 fields with 33 nodes and
-#: 27.1 with 17: 1.00 per node on top of about 10.1.  The constant is a
-#: guard, so it keeps a margin over that.
+#: peak: the iterate and the collocated nonlinearity ``G`` of a sweep.
+#: Its ``tracemalloc`` peak at n = 16 read 72.2 fields with 33 nodes and
+#: 40.2 with 17: 2.00 per node on top of about 6.2, which
+#: ``WORKING_SET_FIELDS`` covers.
 PICARD_NODE_FIELDS = 2
 
 
@@ -325,13 +326,8 @@ def parse_config(data: Any) -> RunConfig:
                     _check_window(pair[j], params)
                 except WindowViolation as exc:
                     raise ConfigInvalid(f"{section}.pairs[{i}][{j}]: {exc}")
-            if section == "compare" and (  # the referee itself would alias
-                budget := _alias_budget(grid, params, pair[1], DEFAULT_OVERSAMPLE)
-            ) is not None:
-                raise ConfigInvalid(
-                    f"compare.pairs[{i}][1]: the dense kernel quadrature aliases at t = {pair[1]}"
-                    f" (omega*cot(omega t)*extent*h_q = {budget:.3f} > pi); take a later time"
-                )
+            if section == "compare":
+                _check_compare_time(grid, params, pair[1], f"compare.pairs[{i}][1]")
     initial_type, initial_params = top["initial"]
     return RunConfig(
         grid=grid,
@@ -346,6 +342,29 @@ def parse_config(data: Any) -> RunConfig:
         compare_pairs=top["compare"]["pairs"] if "compare" in top else None,
         echo=data,
     )
+
+
+def _check_compare_time(grid: GridSpec, params: PhysicsParams, t: float, path: str) -> None:
+    """Reject a ``propagator-compare`` time at which the referee itself aliases."""
+    budget = _alias_budget(grid, params, t, DEFAULT_OVERSAMPLE)
+    if budget is not None:
+        raise ConfigInvalid(
+            f"{path}: the dense kernel quadrature aliases at t = {t}"
+            f" (omega*cot(omega t)*extent*h_q = {budget:.3f} > pi); take a later time"
+        )
+
+
+def default_compare_pairs(grid: GridSpec, params: PhysicsParams) -> list[tuple[str, float]]:
+    """``propagator-compare``'s pairs for a config without ``compare.pairs``.
+
+    The ground state and the vortex at ``0.6 / omega``, checked like
+    given pairs, under ``compare.pairs``.  They are checked here, when the
+    command resolves them, not in :func:`parse_config`: a config that
+    never compares would otherwise be rejected for them.
+    """
+    t = 0.6 / params.omega
+    _check_compare_time(grid, params, t, "compare.pairs (absent, so the default pairs)")
+    return [("ground", t), ("vortex_plus", t)]
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -12,10 +12,11 @@ implemented so each can falsify the other:
   in ``dt``.
 
 * **Duhamel fixed-point iteration** — the integral form
-  ``u(t) = S(t) u0 - i beta Int_0^t S(t-s) |u|^2 u(s) ds`` is iterated
-  on a trapezoid node set within one window, starting from the free
-  evolution, until the workspace distance (the triple space-time norm
-  of the difference, plain + J-dressed + H-dressed) stops moving.
+  ``u(t) = S(t) u0 - i beta Int_0^t S(t-s) |u|^2 u(s) ds`` is collocated
+  on Chebyshev-Lobatto nodes within one window, in the interaction
+  picture of the linear flow, and iterated from the free evolution
+  until the workspace distance (the triple space-time norm of the
+  difference, plain + J-dressed + H-dressed) stops moving.
 
 Both schemes run in the frame co-rotating with the trap.  The linear
 flow is ``S(t) = R(omega t) H(t)``, the harmonic flow ``H`` followed by
@@ -44,7 +45,7 @@ import logging
 import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,7 +112,7 @@ class PicardConfig:
     rho: float = 4.0
     tol: float = 1e-10
     max_iter: int = 25
-    quad_nodes: int = 33
+    quad_nodes: int = 17
 
     def __post_init__(self) -> None:
         if not 2.0 < self.rho < 6.0:
@@ -120,9 +121,9 @@ class PicardConfig:
             raise ConfigInvalid(f"picard.tol: must be > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigInvalid(f"picard.max_iter: must be >= 1, got {self.max_iter}")
-        if self.quad_nodes < 8:
+        if self.quad_nodes < 3:  # the first level of the picard convergence study
             raise ConfigInvalid(
-                f"picard.quad_nodes: must be >= 8, got {self.quad_nodes}"
+                f"picard.quad_nodes: must be >= 3, got {self.quad_nodes}"
             )
 
     @property
@@ -593,6 +594,30 @@ class PicardResult:
     converged: bool
 
 
+@lru_cache(maxsize=8)
+def _lobatto_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev-Lobatto nodes on ``[0, 1]`` and their integration matrix.
+
+    Nodes ``x_k = sin^2(pi k / (2 (N - 1)))``, from 0 to 1, and
+    ``A[k, j] = Int_0^{x_k} l_j``, with ``l_j`` the Lagrange polynomial
+    of node ``j``: ``A f`` integrates the interpolant of the node values
+    ``f`` from 0 to every node.  Row 0 is zero, and the last row holds
+    the Clenshaw-Curtis weights, which are positive.  The interpolant is
+    expanded in Chebyshev polynomials of ``y = 2x - 1`` and integrated
+    term by term.  Both arrays are read-only.
+    """
+    from numpy.polynomial import chebyshev as cheb
+
+    k = np.arange(n_nodes)
+    y = -np.cos(np.pi * k / (n_nodes - 1))
+    coef = np.linalg.inv(cheb.chebvander(y, n_nodes - 1))  # column j: l_j
+    integ = 0.5 * (cheb.chebvander(y, n_nodes) @ cheb.chebint(coef, lbnd=-1))
+    integ[0] = 0.0
+    nodes = np.sin(0.5 * np.pi * k / (n_nodes - 1)) ** 2
+    nodes.flags.writeable = integ.flags.writeable = False
+    return nodes, integ
+
+
 def picard_solve(
     u0: Field,
     T: float,
@@ -601,27 +626,34 @@ def picard_solve(
 ) -> PicardResult:
     """Solve the integral form on ``[0, T]`` by fixed-point iteration.
 
-    Trapezoid nodes ``t_i = i T/(N-1)``.  The iteration runs in the
-    co-rotating frame, where the kernel over a node gap is the harmonic
-    flow ``H(T/(N-1))`` alone, and it measures the workspace distance
-    between consecutive iterates on the co-rotating node differences:
-    the distance is a rotation invariant up to the shear rotation's
-    band-limit gap (see :func:`workspace_distance`).  Only the returned
-    nodes are rotated, node ``i`` once by ``omega t_i``, into the lab
-    fields of the result.
+    The iteration runs in the co-rotating frame and in the interaction
+    picture ``v(t) = H(-t) u(t)`` of the harmonic flow ``H``, where
+    ``v(t) = u0 - i beta Int_0^t H(-s) F(H(s) v(s)) ds`` with ``F(u) =
+    |u|^2 u``.  That integrand is smooth in ``s``, so it is collocated on
+    ``N`` Chebyshev-Lobatto nodes ``t_k`` (:func:`_lobatto_rule`), and the
+    error falls geometrically in ``N``.  The node flows are chained gap by
+    gap, ``M_k = P(t_k - t_{k-1}) M_{k-1}`` with ``P`` the cached
+    :func:`~rotor_gpe.propagator.splitting_plan` matrix, so ``config.m``
+    counts substeps per node gap; ``M_k^H`` is the inverse flow.  Each
+    pass multiplies the chain afresh, so no call holds all ``N`` of them.
 
-    The Duhamel sum is carried from node to node by a linear recurrence,
-    so one iteration costs ``N - 1`` applications of ``H``, i.e.
-    ``O(N)``.  An iteration sweeps the nodes once: it proposes node
-    ``k``, adds its difference to the distance and overwrites the
-    current node in place, so it holds the current iterate (one field
-    per node) and a fixed workspace.  The initial iterate is the free
-    evolution.  The iteration stops when the distance falls below
-    ``tol`` or after ``max_iter`` iterations, which
-    :attr:`PicardResult.converged` tells apart.  Raises :class:`NoContraction`
-    after three consecutive non-decreasing distances (the smallness
-    condition on ``T`` and the data is violated), :class:`WindowViolation`
-    if ``T`` exceeds one window.
+    One sweep takes ``G_k = M_k^H F(u_k)`` at every node, then ``V = A G``
+    as one product, in place through a field of scratch, then ``u_k =
+    M_k(u0 - i beta T V_k)`` node by node: it adds the change to the
+    workspace distance, with the Clenshaw-Curtis weights, and overwrites
+    the node.  So it holds two fields per node, the iterate and ``G``.
+    Node 0 is ``u0`` and never moves.  The initial iterate is the free
+    evolution ``M_k u0``.  The distance is taken on the co-rotating node
+    differences, a rotation invariant up to the shear rotation's
+    band-limit gap (see :func:`workspace_distance`); only the returned
+    nodes are rotated, node ``k`` once by ``omega t_k``.
+
+    The iteration stops when the distance falls below ``tol`` or after
+    ``max_iter`` iterations, which :attr:`PicardResult.converged` tells
+    apart.  Raises :class:`NoContraction` after three consecutive
+    non-decreasing distances (the smallness condition on ``T`` and the
+    data is violated), :class:`WindowViolation` if ``T`` exceeds one
+    window.
     """
     if not 0.0 < T <= params.window + _TIME_EPS:
         raise WindowViolation(
@@ -629,18 +661,29 @@ def picard_solve(
         )
     pc = config.picard
     n_nodes = pc.quad_nodes
-    delta = T / (n_nodes - 1)
-    times = tuple(i * delta for i in range(n_nodes))
-    weights = tuple(
-        0.5 * delta if i in (0, n_nodes - 1) else delta for i in range(n_nodes)
-    )
+    unit_nodes, integ = _lobatto_rule(n_nodes)
     grid = u0.grid
-    step = partial(harmonic_flow, splitting_plan(grid, params, delta, config.m))
 
-    def result(nodes: list[np.ndarray], distances: Sequence[float]) -> PicardResult:
+    def node_matrices():
+        """``(k, M_k)`` for ``k >= 1``, chained gap by gap."""
+        mat = None
+        for k in range(1, n_nodes):
+            dt = T * (unit_nodes[k] - unit_nodes[k - 1])
+            gap = splitting_plan(grid, params, dt, config.m)
+            mat = gap if mat is None else gap @ mat
+            yield k, mat
+
+    # Nodes 1..N-1 of the iterate, starting from the free evolution; node 0 is u0.
+    current = np.empty((n_nodes - 1,) + grid.shape, dtype=np.complex128)
+    scratch = np.empty(grid.shape, dtype=np.complex128)
+    for k, mat in node_matrices():
+        harmonic_flow(mat, u0.data, out=current[k - 1], scratch=scratch)
+
+    def result(distances: Sequence[float]) -> PicardResult:
+        times = tuple(float(T * x) for x in unit_nodes)
         fields = tuple(
             Field(grid, rotate_pattern(grid, v, params.omega * t, out=v))
-            for v, t in zip(nodes, times)
+            for v, t in zip((u0.data.copy(), *current), times)
         )
         return PicardResult(
             times=times,
@@ -651,47 +694,41 @@ def picard_solve(
             converged=distances[-1] < pc.tol,
         )
 
-    # The initial iterate: the free evolution H(t_i) u0, built along the node set.
-    current: list[np.ndarray] = [u0.data.copy()]
-    for _ in range(n_nodes - 1):
-        current.append(step(current[-1]))
     if params.beta == 0.0:
-        return result(current, (0.0,))
+        return result((0.0,))
 
-    proposed = np.empty_like(current[0])
-    carried = np.empty_like(proposed)
-    scratch = np.empty_like(proposed)
-    cubic = (np.empty_like(proposed), np.empty_like(proposed))
+    proposed = np.empty_like(scratch)
     real = np.empty(grid.shape)
+    cubic = np.empty((n_nodes,) + grid.shape, dtype=np.complex128)  # G, then V
+    np.multiply(_modulus_sq(u0.data, real, scratch.real), u0.data, out=cubic[0])
+    # V = A G in place, through the float views: a block of columns of G
+    # goes through ``scratch`` and back, so row 0 (node 0's G) is kept.
+    flat = cubic.reshape(n_nodes, -1).view(np.float64)
+    rows, width = n_nodes - 1, flat.shape[1]
+    block = max(1, width // rows)
+    buffer = scratch.reshape(-1).view(np.float64)
+    if rows * block > buffer.size:  # more nodes than a field has floats
+        buffer = np.empty(rows * block)
+    kick = -1j * params.beta * T
 
     def sweep():
-        """Propose every node in turn; yield its change for the distance.
-
-        ``proposed_k = H(t_k) u0 - i beta sum_{j <= k} w_kj H((k-j) delta)
-        cubic_j`` with trapezoid weights over ``[0, t_k]``.  All but the
-        ``j = k`` term is carried as ``Z_k = H(delta)(Z_{k-1} - i beta
-        w_{k-1} cubic_{k-1})``, ``Z_0 = u0``, which is the same sum by
-        linearity of ``H``; then ``proposed_k = Z_k - i beta (delta/2)
-        cubic_k``.  Node 0 never moves (its Duhamel sum is empty), and
-        node ``k``'s cubic term is taken before the node is overwritten.
-        """
-        nonlocal proposed
-        np.copyto(carried, current[0])
-        for k in range(n_nodes):
-            cub = cubic[k % 2]
-            abs2 = np.abs(current[k], out=real)
-            abs2 *= abs2
-            np.multiply(abs2, current[k], out=cub)
-            if k == 0:
-                continue
-            weight = 0.5 * delta if k == 1 else delta
-            np.multiply(-1j * params.beta * weight, cubic[(k - 1) % 2], out=scratch)
-            np.add(carried, scratch, out=scratch)
-            step(scratch, out=carried, scratch=scratch)
-            np.multiply(-0.5j * params.beta * delta, cub, out=scratch)
-            np.add(carried, scratch, out=proposed)
-            yield np.subtract(proposed, current[k], out=scratch), times[k], weights[k]
-            current[k], proposed = proposed, current[k]
+        """One collocation sweep; yields each node's change for the distance."""
+        for k, mat in node_matrices():
+            abs2 = _modulus_sq(current[k - 1], real, scratch.real)
+            np.multiply(abs2, current[k - 1], out=proposed)
+            harmonic_flow(mat.conj().T, proposed, out=cubic[k], scratch=proposed)
+        for lo in range(0, width, block):
+            hi = min(lo + block, width)
+            out = buffer[: rows * (hi - lo)].reshape(rows, hi - lo)
+            np.matmul(integ[1:], flat[:, lo:hi], out=out)
+            flat[1:, lo:hi] = out
+        for k, mat in node_matrices():
+            np.multiply(cubic[k], kick, out=scratch)
+            np.add(scratch, u0.data, out=scratch)
+            harmonic_flow(mat, scratch, out=proposed, scratch=scratch)
+            diff = np.subtract(proposed, current[k - 1], out=scratch)
+            yield diff, float(T * unit_nodes[k]), float(T * integ[-1, k])
+            np.copyto(current[k - 1], proposed)
 
     distances: list[float] = []
     rising = 0
@@ -711,4 +748,4 @@ def picard_solve(
                 f"iterations (last {distances[-4:]}); T = {T} is too large "
                 "for this data size"
             )
-    return result(current, distances)
+    return result(distances)

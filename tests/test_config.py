@@ -5,6 +5,7 @@ import json
 import math
 import re
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from rotor_gpe import (
 )
 from rotor_gpe.cli import EXIT_CONFIG, entrypoint
 from rotor_gpe.config import default_config_dict
+from rotor_gpe.solver import PicardConfig
 
 
 def minimal() -> dict:
@@ -105,13 +107,21 @@ def test_minimal_config_fills_defaults():
     assert cfg.snapshot_every == 0
 
 
-def test_the_readme_example_config_parses():
+def readme_example() -> dict:
+    """The README's schema example, its comments and ellipses dropped."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Configuration schema", 1)[1]
     block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
-    text = re.sub(r"//.*", "", block).replace(", ...", "")
-    cfg = parse_config(json.loads(text))
+    return json.loads(re.sub(r"//.*", "", block).replace(", ...", ""))
+
+
+def test_the_readme_example_config_parses():
+    cfg = parse_config(readme_example())
     assert cfg.solver.diagnostics_every == 25
+
+
+def test_the_readme_example_picard_block_is_the_default():
+    assert readme_example()["evolve"]["picard"] == asdict(PicardConfig())
 
 
 def test_default_config_dict_parses():

@@ -5,9 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rotor_gpe import (
     SIDECAR_KEYS,
+    Field,
     GridSpec,
     PhysicsParams,
     SnapshotFormatError,
@@ -15,6 +18,7 @@ from rotor_gpe import (
     vortex_state,
     write_snapshot,
 )
+from rotor_gpe.cli import EXIT_IO, entrypoint
 
 GRID = GridSpec(16, 5.0)
 PARAMS = PhysicsParams(omega=1.0, beta=0.5)
@@ -146,3 +150,100 @@ def test_a_snapshot_is_written_from_the_field_buffer_without_a_copy(tmp_path):
         tracemalloc.stop()
     assert peak < 0.1 * field.data.nbytes  # measured 0.016; a tobytes() copy is 1.01
     assert bin_path.read_bytes() == field.data.astype("<c16").tobytes()
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(
+    derandomize=True,
+    database=None,
+    max_examples=30,
+    deadline=2000,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def run_from(directory, stem, capsys):
+    """``run`` of a config that starts from the snapshot ``stem``; its exit code."""
+    config = directory / "config.json"
+    config.write_text(json.dumps({
+        "grid": {"n": GRID.n, "extent": GRID.extent},
+        "physics": {"omega": PARAMS.omega, "beta": PARAMS.beta},
+        "initial": {"type": "file", "params": {"path": str(stem)}},
+        "evolve": {"t_end": 0.01},
+        "output": {"dir": str(directory / "out")},
+    }))
+    code = entrypoint(["run", str(config)])
+    assert capsys.readouterr().err.startswith("I/O error: ")
+    assert not (directory / "out").exists()
+    return code
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 8).map(lambda k: 2 * k),
+    extent=st.floats(1e-3, 1e3),
+    t=finite,
+    omega=st.floats(1.0, 1e6),
+    beta=st.floats(0.0, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_written_snapshot_reads_back_byte_for_byte(tmp_path, n, extent, t, omega, beta, seed):
+    grid, params = GridSpec(n, extent), PhysicsParams(omega=omega, beta=beta)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((2,) + grid.shape) * 10.0 ** rng.integers(-300, 300)
+    field = Field(grid, values[0] + 1j * values[1])
+    stem = tmp_path / f"snap-{seed}"
+    bin_path, json_path = write_snapshot(stem, field, t, params)
+    back, meta = read_snapshot(stem)
+    assert back.grid == grid
+    assert back.data.tobytes() == field.data.tobytes() == bin_path.read_bytes()
+    assert (meta["n"], meta["extent"], meta["t"], meta["omega"], meta["beta"]) == (
+        n, extent, t, omega, beta,
+    )
+    sidecar = json_path.read_bytes()
+    write_snapshot(stem, back, meta["t"], params)  # and the re-write is the same bytes
+    assert json_path.read_bytes() == sidecar
+
+
+@PROPERTY
+@given(keep=st.integers(0, 16 * GRID.n**3 - 1))
+def test_a_truncated_payload_raises_and_a_run_from_it_exits_io(tmp_path, capsys, keep):
+    _, stem, bin_path, _ = write_one(tmp_path)
+    bin_path.write_bytes(bin_path.read_bytes()[:keep])
+    with pytest.raises(SnapshotFormatError, match=f"holds {keep} bytes"):
+        read_snapshot(stem)
+    assert run_from(tmp_path, stem, capsys) == EXIT_IO
+
+
+def _parses(raw: bytes) -> bool:
+    try:
+        json.loads(raw.decode("utf-8"))
+    except ValueError:
+        return False
+    return True
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | finite | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@PROPERTY
+@given(
+    sidecar=st.binary(max_size=64).filter(lambda raw: not _parses(raw))
+    | json_values.filter(lambda v: not isinstance(v, dict)).map(
+        lambda v: json.dumps(v).encode("utf-8")
+    )
+)
+def test_a_garbled_sidecar_raises_and_a_run_from_it_exits_io(tmp_path, capsys, sidecar):
+    _, stem, _, json_path = write_one(tmp_path)
+    json_path.write_bytes(sidecar)
+    with pytest.raises(SnapshotFormatError, match="is not valid JSON|expected a JSON object"):
+        read_snapshot(stem)
+    assert run_from(tmp_path, stem, capsys) == EXIT_IO

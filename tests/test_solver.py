@@ -73,7 +73,8 @@ def test_picard_config_validation_and_gamma():
     with pytest.raises(ConfigInvalid):
         PicardConfig(tol=0.0)
     with pytest.raises(ConfigInvalid):
-        PicardConfig(quad_nodes=7)
+        PicardConfig(quad_nodes=2)
+    assert PicardConfig(quad_nodes=3).quad_nodes == 3
     assert PicardConfig(rho=4.0).gamma == pytest.approx(8.0 / 3.0)
     assert admissible_gamma(4.0) == pytest.approx(8.0 / 3.0)
 
@@ -544,8 +545,8 @@ def test_picard_without_interaction_returns_free_evolution():
     assert len(res.fields) == 9
     assert res.times[0] == 0.0
     assert res.times[-1] == pytest.approx(0.3)
-    # Node j is S(j * delta) u, chained from the previous node.
-    step = propagate_fast(u, 0.3 / 8.0, LINEAR, 4)
+    # Node 1 is S(t_1) u, the flow over the first node gap.
+    step = propagate_fast(u, res.times[1], LINEAR, 4)
     assert np.array_equal(res.fields[1].data, step.data)
     assert res.sup_l2 == pytest.approx(1.0, abs=1e-9)
 
@@ -566,11 +567,31 @@ def test_picard_contracts_on_small_data_and_reports_distances():
     assert res.distances[-1] < 1e-8
 
 
-def test_one_picard_iteration_equals_the_direct_trapezoid_sum():
-    # The iteration runs in the co-rotating frame, so the reference is
-    # u_k = R(omega t_k)[H^k u0 - i beta sum_j w_kj H^(k-j) |H^j u0|^2 H^j u0]
-    # with H the harmonic flow over one node gap, every H^(k-j) applied
-    # afresh as k - j gap flows.
+def collocation_rule(n_nodes: int, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev-Lobatto nodes on ``[0, T]`` and ``S[k, j] = Int_0^{t_k} l_j``.
+
+    ``l_j`` is node ``j``'s Lagrange polynomial, evaluated as a product and
+    integrated by Gauss-Legendre quadrature, exact for its degree.  The
+    last row holds the Clenshaw-Curtis weights.
+    """
+    times = 0.5 * T * (1.0 - np.cos(np.pi * np.arange(n_nodes) / (n_nodes - 1)))
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    S = np.zeros((n_nodes, n_nodes))
+    for k in range(1, n_nodes):
+        s = 0.5 * times[k] * (x + 1.0)
+        for j in range(n_nodes):
+            others = np.delete(times, j)
+            basis = np.prod((s[:, None] - others) / (times[j] - others), axis=1)
+            S[k, j] = 0.5 * times[k] * (w @ basis)
+    return times, S
+
+
+def test_one_picard_iteration_equals_the_direct_collocation_sum():
+    # The iteration runs in the co-rotating frame and in the interaction
+    # picture, so the reference is
+    # u_k = R(omega t_k) M_k[u0 - i beta sum_j S_kj M_j^H |M_j u0|^2 M_j u0]
+    # with M_k the flows over the node gaps 1..k applied in turn and M_j^H
+    # their adjoints in reverse order, every one afresh.
     grid = GridSpec(8, 4.0)
     u0 = random_smooth_field(grid, np.random.default_rng(31), width=1.0)
     n_nodes, T, m = 9, 0.3, 2
@@ -583,24 +604,26 @@ def test_one_picard_iteration_equals_the_direct_trapezoid_sum():
     )
     res = picard_solve(u0, T, cfg, CUBIC)
     assert res.iterations == 1
-    delta = T / (n_nodes - 1)
-    mat = splitting_plan(grid, CUBIC, delta, m)
+    times, S = collocation_rule(n_nodes, T)
+    assert np.allclose(res.times, times, rtol=1e-14, atol=0.0)
+    gaps = [splitting_plan(grid, CUBIC, b - a, m) for a, b in zip(times, times[1:])]
 
-    def flow(data, gaps):
-        for _ in range(gaps):
+    def flow(data, k):
+        for mat in gaps[:k]:
             data = harmonic_flow(mat, data)
         return data
 
+    def pull_back(data, k):
+        for mat in reversed(gaps[:k]):
+            data = harmonic_flow(mat.conj().T, data)
+        return data
+
     free = [flow(u0.data, k) for k in range(n_nodes)]
-    cubic = [np.abs(f) ** 2 * f for f in free]
+    pulled = [pull_back(np.abs(f) ** 2 * f, k) for k, f in enumerate(free)]
     for k in range(n_nodes):
-        duhamel = np.zeros(grid.shape, dtype=complex)
-        if k > 0:  # the trapezoid sum over [0, t_0] is empty
-            for j in range(k + 1):
-                w = 0.5 * delta if j in (0, k) else delta
-                duhamel += w * flow(cubic[j], k - j)
+        duhamel = sum(S[k, j] * pulled[j] for j in range(n_nodes))
         want = rotate_pattern(
-            grid, free[k] - 1j * CUBIC.beta * duhamel, CUBIC.omega * k * delta
+            grid, flow(u0.data - 1j * CUBIC.beta * duhamel, k), CUBIC.omega * times[k]
         )
         err = np.linalg.norm(res.fields[k].data - want) / np.linalg.norm(want)
         assert err < 1e-12
@@ -626,10 +649,9 @@ def test_corotating_picard_distance_meets_the_lab_frame_distance_under_refinemen
     # picard_solve measures its distances on co-rotating node differences.
     # The lab-frame distance of the rotated differences (the returned
     # iterates 3 and 2) differs by the shear rotation's band-limit gap
-    # alone, which falls with n: measured 3.3e-3, 1.9e-7 and 2.8e-11.
+    # alone, which falls with n: measured 3.2e-3, 2.5e-7 and 2.3e-11.
     T, nodes = np.pi / 8.0, 9
-    delta = T / (nodes - 1)
-    weights = [0.5 * delta] + [delta] * (nodes - 2) + [0.5 * delta]
+    weights = collocation_rule(nodes, T)[1][-1]  # Clenshaw-Curtis
     gaps = []
     for n in (16, 32, 48):
         u0 = ground_state(GridSpec(n, 5.0), CUBIC)
@@ -651,7 +673,7 @@ def test_corotating_picard_distance_meets_the_lab_frame_distance_under_refinemen
 def test_picard_holds_at_most_the_guarded_fields_per_node():
     # The working-set guard counts config.PICARD_NODE_FIELDS per node;
     # the tracemalloc peak's slope in the node count must not exceed it
-    # (measured 2.01 fields per node at n = 16).
+    # (measured 2.00 fields per node at n = 16: the iterate and G).
     from rotor_gpe.config import PICARD_NODE_FIELDS
 
     u0 = ground_state(GRID, CUBIC)
