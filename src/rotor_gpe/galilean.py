@@ -63,39 +63,60 @@ __all__ = [
 ]
 
 
-def _mixed_gradient(
-    c: float, s: float, derivs: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> list[np.ndarray]:
-    """``(cos grad + sin grad_twist) f`` from the partials ``(d1, d2, d3)`` of ``f``.
+#: The partials ``(d1, d2, d3)`` of a field; a component may leave unread ones None.
+_Partials = tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]
 
-    ``c, s = cos, sin(theta)``; the third coefficient
-    ``cos + sin*tan(theta/2)`` is identically 1 (half-angle identity).
+
+def _mixed_partial(
+    c: float, s: float, derivs: _Partials, axis: int, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Component ``axis`` of ``(cos grad + sin grad_twist) f`` from the partials of ``f``.
+
+    ``c, s = cos, sin(theta)``.  A transverse component (``c d1 - s d2``
+    or ``c d2 + s d1``) is written into ``out``, which may be
+    ``derivs[axis]``, through ``scratch``.  The axial coefficient
+    ``cos + sin*tan(theta/2)`` is identically 1 (half-angle identity), so
+    that component is ``d3`` itself.
     """
-    d1, d2, d3 = derivs
-    return [c * d1 - s * d2, c * d2 + s * d1, d3]
+    if axis == 2:
+        return derivs[2]
+    np.multiply(s, derivs[1 - axis], out=scratch)
+    np.multiply(c, derivs[axis], out=out)
+    return (np.subtract if axis == 0 else np.add)(out, scratch, out=out)
 
 
-def _dressed(
-    f: Field,
-    t: float,
-    params: PhysicsParams,
-    derivs: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-    position: bool,
-) -> tuple[Field, Field, Field]:
-    """``J(t) f``, or ``H(t) f`` with ``position``, componentwise.
+def _dressed_component(
+    f: Field, t: float, params: PhysicsParams, axis: int, derivs: _Partials, position: bool,
+    out: np.ndarray, scratch: np.ndarray,
+) -> np.ndarray:
+    """Component ``axis`` of ``J(t) f``, or of ``H(t) f`` with ``position``, into ``out``.
 
-    Both mix ``(cos x + sin x_twist) f`` and ``(cos grad + sin grad_twist) f``
-    (:func:`_mixed_gradient`); the third coefficient of each is
-    identically 1.
+    It mixes ``(cos x + sin x_twist) f`` with :func:`_mixed_partial`.
+    ``out`` and ``scratch`` are complex arrays of the field's shape;
+    ``scratch`` may be ``derivs[axis]``, which is then overwritten.
     """
     grid, u, w = f.grid, f.data, params.omega
     theta = w * t
     c, s = np.cos(theta), np.sin(theta)
-    mix_x = [(c * grid.x1 - s * grid.x2) * u, (c * grid.x2 + s * grid.x1) * u, grid.x3 * u]
-    mix_d = _mixed_gradient(c, s, gradient_arrays(grid, u) if derivs is None else derivs)
-    if position:
-        return tuple(Field(grid, w * c * x + 1j * s * d) for x, d in zip(mix_x, mix_d))
-    return tuple(Field(grid, w * s * x - 1j * c * d) for x, d in zip(mix_x, mix_d))
+    coord = (c * grid.x1 - s * grid.x2, c * grid.x2 + s * grid.x1, grid.x3)[axis]
+    x_scale, d_scale = (w * c, 1j * s) if position else (w * s, 1j * c)
+    np.multiply(d_scale, _mixed_partial(c, s, derivs, axis, scratch, out), out=scratch)
+    np.multiply(coord, u, out=out)
+    np.multiply(x_scale, out, out=out)
+    return (np.add if position else np.subtract)(out, scratch, out=out)
+
+
+def _dressed(
+    f: Field, t: float, params: PhysicsParams, derivs: _Partials | None, position: bool
+) -> tuple[Field, Field, Field]:
+    """``J(t) f``, or ``H(t) f`` with ``position``: one :func:`_dressed_component` each."""
+    u = f.data
+    derivs = gradient_arrays(f.grid, u) if derivs is None else derivs
+    scratch = np.empty_like(u)
+    return tuple(
+        Field(f.grid, _dressed_component(f, t, params, axis, derivs, position, np.empty_like(u), scratch))
+        for axis in range(3)
+    )
 
 
 def galilean_momentum(
@@ -160,9 +181,12 @@ def _chirped(f: Field, t: float, params: PhysicsParams, cotangent: bool) -> tupl
     c, s = np.cos(theta), np.sin(theta)
     chirp = _chirp(f.grid, params, t, cotangent)
     inner = np.conj(chirp) * f.data  # M(-t) f or Q(-t) f
-    carried = _mixed_gradient(c, s, gradient_arrays(f.grid, inner))
+    derivs, scratch = gradient_arrays(f.grid, inner), np.empty_like(inner)
     scale = 1j * s if cotangent else -1j * c
-    return tuple(Field(f.grid, scale * chirp * arr) for arr in carried)
+    return tuple(
+        Field(f.grid, scale * chirp * _mixed_partial(c, s, derivs, axis, np.empty_like(inner), scratch))
+        for axis in range(3)
+    )
 
 
 def galilean_momentum_chirped(f: Field, t: float, params: PhysicsParams) -> tuple[Field, Field, Field]:

@@ -100,8 +100,8 @@ __all__ = [
 ]
 
 ORACLE_SIZE_CAP = 24
-#: fine ``X1`` rows per slab of an oracle application
-_ORACLE_SLAB = 8
+#: byte budget of an oracle application's slab buffer, in coarse fields
+_ORACLE_SLAB_FIELDS = 2
 #: default trig-interpolation refinement of the oracle quadrature grid
 DEFAULT_OVERSAMPLE = 2
 
@@ -233,7 +233,7 @@ def _interp_matrix(n: int, oversample: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _oracle_factors(
     n: int, extent: float, omega: float, t: float, oversample: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -260,7 +260,10 @@ def _oracle_factors(
     ``a(X2,Y2) exp(-i omega X1 Y2)``, giving ``Q[X1, X2, y2]``; the
     transverse kernel is ``restrict`` over ``X1`` and ``X2`` of the
     outer product of ``P`` and ``Q``, which :func:`_oracle_apply` never
-    forms.  ``k_axial`` is the (n x n) axial matrix.
+    forms.  ``k_axial`` is the (n x n) axial matrix.  ``P`` and ``Q``,
+    8 coarse fields together at oversample 2 (1.8 MB at n = 24), are
+    built one fine ``X1`` row at a time.  The cache keeps one time's
+    factors: apply the kernel one time after another.
     """
     grid = GridSpec(n, extent)
     theta = omega * t
@@ -269,14 +272,19 @@ def _oracle_factors(
     half = np.tan(0.5 * theta)
     h_q = grid.h / oversample
     c1 = np.sqrt(omega / (2.0 * np.pi * sin)) * _BRANCH_1D
-    fine = -extent + h_q * np.arange(oversample * n)
+    big = oversample * n
+    fine = -extent + h_q * np.arange(big)
     interp = _interp_matrix(n, oversample)  # (fine, coarse)
     restrict = interp / oversample
 
     chirp = (c1 * h_q) * np.exp(0.5j * omega * cot * np.subtract.outer(fine, fine) ** 2)
     cross = np.exp(1j * omega * np.multiply.outer(fine, fine))  # exp(i w X Y)
-    p = (chirp[:, None, :] * cross[None, :, :]) @ interp  # (X1, X2, y1)
-    q = (chirp[None, :, :] * cross.conj()[:, None, :]) @ interp  # (X1, X2, y2)
+    p = np.empty((big, big, n), dtype=np.complex128)  # (X1, X2, y1)
+    q = np.empty_like(p)  # (X1, X2, y2)
+    row = np.empty((big, big), dtype=np.complex128)  # (X2, Y) of one fine X1 row
+    for x1, (chirp_row, cross_row) in enumerate(zip(chirp, cross.conj())):
+        np.matmul(np.multiply(chirp_row, cross, out=row), interp, out=p[x1])
+        np.matmul(np.multiply(chirp, cross_row, out=row), interp, out=q[x1])
 
     xz, yz = fine[:, None], fine[None, :]
     phase_z = omega * (0.5 * cot * (xz - yz) ** 2 - half * xz * yz)
@@ -291,16 +299,19 @@ def _oracle_apply(
 ) -> np.ndarray:
     """The dense kernel applied from its 1D factors (:func:`_oracle_factors`).
 
-    The axial index is contracted first.  Then fine ``X1`` rows go
-    ``_ORACLE_SLAB`` at a time through buffers allocated once per call:
-    per slab ``Q`` takes one product, ``P`` one batched row product and
-    ``restrict`` runs over ``X2``; one last product restricts ``X1``.  No
-    array of ``n^4`` entries is built, and the ``Q`` products make the
-    ``4 n^5`` multiply-adds (default oversample) of an application.
+    The axial index is contracted first.  Then fine ``X1`` rows go a slab
+    at a time through buffers allocated once per call: per slab ``Q``
+    takes one product, ``P`` one batched row product and ``restrict``
+    runs over ``X2``; one last product restricts ``X1``.  A slab's ``Q``
+    products fill ``_ORACLE_SLAB_FIELDS`` coarse fields (one row at least;
+    one row at oversample 2).  No array of ``n^4`` entries is built, and
+    the ``Q`` products make the ``4 n^5`` multiply-adds (default
+    oversample) of an application, which peaks at about 14 coarse fields
+    with its factor build (3.2 MB at n = 24).
     """
     p, q, restrict, k_axial = factors
     big, n = restrict.shape
-    rows = min(_ORACLE_SLAB, big) * big
+    rows = max(_ORACLE_SLAB_FIELDS * n // big, 1) * big  # a fine X1 row of Q products: big n^2
     tmp = np.ascontiguousarray((data @ k_axial.T).transpose(1, 0, 2)).reshape(n, n * n)
     qt = np.empty((rows, n * n), dtype=np.complex128)  # (X1 X2, y1 z)
     pt = np.empty((rows, 1, n), dtype=np.complex128)  # (X1 X2, 1, z)

@@ -225,12 +225,9 @@ def test_factored_oracle_tables_equal_the_sampled_kernel(n, oversample):
         assert np.max(np.abs(dual - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("dual", [False, True], ids=["forward", "dual"])
-def test_oracle_table_build_never_holds_the_sampled_kernel(dual):
-    # The sampled (2n)^4 kernel alone is 85 MB at n = 24, and a transverse
-    # table built from P (x) Q peaks at 34 MB; one application from the
-    # 1D factors, their build included, stays far below either.
-    g = ground_state(OGRID, PARAMS)
+def _oracle_application_peak(grid, dual):
+    """``tracemalloc`` peak of one oracle application at t = 0.55, its factor build included."""
+    g = ground_state(grid, PARAMS)
     _oracle_factors.cache_clear()
     tracemalloc.start()
     try:
@@ -238,7 +235,32 @@ def test_oracle_table_build_never_holds_the_sampled_kernel(dual):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    return peak
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["forward", "dual"])
+def test_oracle_table_build_never_holds_the_sampled_kernel(dual):
+    # The sampled (2n)^4 kernel alone is 85 MB at n = 24, and a transverse
+    # table built from P (x) Q peaks at 34 MB; one application from the
+    # 1D factors, their build included, stays far below either.
+    assert _oracle_application_peak(OGRID, dual) < 16e6
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["forward", "dual"])
+def test_an_oracle_application_at_n24_peaks_below_4_mb(dual):
+    # The factors are 8 coarse fields (1.8 MB), built one fine X1 row at a
+    # time, and the slab buffer takes about two coarse fields: 3.2 MB
+    # forward and 3.4 MB dual.  Two (2n)^3 build temporaries and an
+    # 8-row slab (3.5 MB) made 6.4 MB.
+    assert _oracle_application_peak(OGRID, dual) < 4e6
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["forward", "dual"])
+def test_an_oracle_application_at_n32_peaks_below_9_mb(monkeypatch, dual):
+    # The working set scales with n^3 (7.5 MB forward, 8.0 MB dual; 15.0 MB
+    # with the 8-row slab), so the cap can rise without an n^4 buffer.
+    monkeypatch.setattr("rotor_gpe.propagator.ORACLE_SIZE_CAP", 32)
+    assert _oracle_application_peak(GridSpec(32, 7.0), dual) < 9e6
 
 
 # ---------------------------------------------------------------------------
