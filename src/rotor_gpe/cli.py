@@ -543,7 +543,7 @@ def cmd_dispersive_scan(cfg: RunConfig) -> int:
         )
     lines, summary, excess = ["t,s,ratio,bound"], ["empty pair list: nothing to fit"], 0.0
     if pairs:
-        scan = dispersive_scan(_narrow_probe(cfg.grid), params, pairs=pairs, backend="fast")
+        scan = dispersive_scan(_narrow_probe(cfg.grid), params, pairs=pairs)
         lines += [",".join(map(_fmt, (r.t, r.s, r.ratio, r.bound))) for r in scan.rows]
         excess = scan.max_bound_excess()
         summary = [

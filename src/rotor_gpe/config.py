@@ -163,19 +163,11 @@ def _as_vec3(value: Any, path: str) -> tuple[float, float, float]:
     return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _at_least_zero(convert: Callable) -> Callable:
-    """The converter ``convert``, then a check that the number is >= 0."""
-
-    def checked(value: Any, path: str):
-        number = convert(value, path)
-        if number < 0:
-            raise ConfigInvalid(f"{path}: must be >= 0, got {number}")
-        return number
-
-    return checked
-
-
-_as_count = _at_least_zero(_as_int)
+def _as_count(value: Any, path: str) -> int:
+    number = _as_int(value, path)
+    if number < 0:
+        raise ConfigInvalid(f"{path}: must be >= 0, got {number}")
+    return number
 
 
 def _one_of(choices: tuple[str, ...]) -> Callable:

@@ -7,13 +7,12 @@ Four quantities are tracked along a trajectory:
   ``E0(u) = 1/2 ||grad u||^2 + (omega^2/2) || |x| u ||^2 + (beta/2) ||u||_4^4``,
 * the angular-momentum expectation ``<u, Lz u>``,
 * the pseudo-conformal balance
-  ``||J~(t)u||^2 + ||H~(t)u||^2
-  + 4 cos(omega t)(1 - cos(omega t)) [ omega^2 ||x3 u||^2 + ||d3 u||^2 ]
-  + beta ||u||_4^4  =  2 E0(u(0))``,
-  where ``J~``/``H~`` differ from this package's dressed operators only in
-  the axial slot, which carries the reflected half-angle twist (scale
-  ``2 cos(omega t) - 1``); the identity ``(2c-1)^2 + 4c(1-c) = 1`` is what
-  makes the combination conserved.
+  ``||J(t)u||^2 + ||H(t)u||^2 + beta ||u||_4^4  =  2 E0(u(0))``.  Its
+  form with the reflected half-angle twist in the axial slot (scale
+  ``2 cos(omega t) - 1``) adds ``4 c (1 - c) [omega^2 ||x3 u||^2 +
+  ||d3 u||^2]``; by ``(2c-1)^2 + 4c(1-c) = 1`` the axial terms cancel to
+  this one, and the moment identities below make its left side
+  ``2 E0(u(t))`` on the grid.
 
 The balance law is evaluated in window-local time: the dressed operators
 ``J(t)``, ``H(t)`` carry trigonometric coefficients that are only exercised
@@ -214,19 +213,7 @@ def record_from_moments(
     theta = w * t_local
     cos_t, sin_t = float(np.cos(theta)), float(np.sin(theta))
     j2, h2 = _dressed_sq(w, cos_t, sin_t, x_sq, grad_sq, sum(m.virial))
-    j3_sq, h3_sq = _dressed_sq(w, cos_t, sin_t, m.x_sq[2], m.grad_sq[2], m.virial[2])
-    # The balance law carries the *reflected* axial twist: its third
-    # components are the module's scaled by (2 cos - 1), and the explicit
-    # cross term compensates via (2cos - 1)^2 + 4cos(1 - cos) = 1.
-    breve = 2.0 * cos_t - 1.0
-    cross = 4.0 * cos_t * (1.0 - cos_t) * (w**2 * m.x_sq[2] + m.grad_sq[2])
-
-    pc_lhs = (
-        (j2 - j3_sq + breve**2 * j3_sq)
-        + (h2 - h3_sq + breve**2 * h3_sq)
-        + cross
-        + params.beta * m.l4_4
-    )
+    pc_lhs = j2 + h2 + params.beta * m.l4_4
     sigma = float(np.sqrt(m.mass + grad_sq) + np.sqrt(x_sq))
 
     return DiagnosticsRecord(

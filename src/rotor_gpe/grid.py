@@ -420,13 +420,13 @@ def pairing(f: Field, g: Field) -> complex:
     return complex(np.sum(f.data * g.data) * f.grid.cell_volume)
 
 
-def boundary_mass_fraction(f: Field, cells: int = 2) -> float:
-    """Fraction of ``||f||^2`` within ``cells`` grid cells of the box boundary."""
+def boundary_mass_fraction(f: Field) -> float:
+    """Fraction of ``||f||^2`` within two grid cells of the box boundary
+    (the band the solver's truncation guard reads; all of an n = 4 box)."""
     n = f.grid.n
-    cells = int(min(max(cells, 1), n // 2))
     abs2 = np.abs(f.data) ** 2
     total = float(abs2.sum())
     if total == 0.0:
         return 0.0
-    core = abs2[cells : n - cells, cells : n - cells, cells : n - cells]
+    core = abs2[2 : n - 2, 2 : n - 2, 2 : n - 2]
     return float(1.0 - core.sum() / total)

@@ -88,7 +88,6 @@ __all__ = [
     "harmonic_flow",
     "propagate_oracle",
     "propagate_fast",
-    "propagate",
     "propagate_dual",
     "propagate_inverse",
     "compose_propagators",
@@ -100,8 +99,6 @@ __all__ = [
 ]
 
 ORACLE_SIZE_CAP = 24
-#: byte budget of an oracle application's slab buffer, in coarse fields
-_ORACLE_SLAB_FIELDS = 2
 #: default trig-interpolation refinement of the oracle quadrature grid
 DEFAULT_OVERSAMPLE = 2
 
@@ -161,9 +158,6 @@ class KernelMatrices:
     the coordinate map appearing in the forward/dual composition.
     """
 
-    t: float
-    omega: float
-    s: float | None
     prefactor: complex
     tilde_scale: float
     a_matrix: np.ndarray = field(repr=False)
@@ -199,9 +193,6 @@ def kernel_matrices(t: float, params: PhysicsParams, s: float | None = None) -> 
             ]
         )
     return KernelMatrices(
-        t=t,
-        omega=w,
-        s=s,
         prefactor=complex(pref),
         tilde_scale=float(tilde),
         a_matrix=a,
@@ -299,28 +290,25 @@ def _oracle_apply(
 ) -> np.ndarray:
     """The dense kernel applied from its 1D factors (:func:`_oracle_factors`).
 
-    The axial index is contracted first.  Then fine ``X1`` rows go a slab
-    at a time through buffers allocated once per call: per slab ``Q``
+    The axial index is contracted first.  Then the fine ``X1`` rows go
+    one at a time through buffers allocated once per call: per row ``Q``
     takes one product, ``P`` one batched row product and ``restrict``
-    runs over ``X2``; one last product restricts ``X1``.  A slab's ``Q``
-    products fill ``_ORACLE_SLAB_FIELDS`` coarse fields (one row at least;
-    one row at oversample 2).  No array of ``n^4`` entries is built, and
-    the ``Q`` products make the ``4 n^5`` multiply-adds (default
-    oversample) of an application, which peaks at about 14 coarse fields
-    with its factor build (3.2 MB at n = 24).
+    runs over ``X2``; one last product restricts ``X1``.  A row's ``Q``
+    products fill ``oversample`` coarse fields.  No array of ``n^4``
+    entries is built, and the ``Q`` products make the ``4 n^5``
+    multiply-adds (default oversample) of an application, which peaks at
+    about 14 coarse fields with its factor build (3.2 MB at n = 24).
     """
     p, q, restrict, k_axial = factors
     big, n = restrict.shape
-    rows = max(_ORACLE_SLAB_FIELDS * n // big, 1) * big  # a fine X1 row of Q products: big n^2
     tmp = np.ascontiguousarray((data @ k_axial.T).transpose(1, 0, 2)).reshape(n, n * n)
-    qt = np.empty((rows, n * n), dtype=np.complex128)  # (X1 X2, y1 z)
-    pt = np.empty((rows, 1, n), dtype=np.complex128)  # (X1 X2, 1, z)
+    qt = np.empty((big, n * n), dtype=np.complex128)  # (X2, y1 z) of one fine X1 row
+    pt = np.empty((big, 1, n), dtype=np.complex128)  # (X2, 1, z)
     restricted = np.empty((big, n, n), dtype=np.complex128)  # (X1, x2, z)
-    for lo in range(0, big * big, rows):
-        hi = min(lo + rows, big * big)
-        np.matmul(q.reshape(-1, n)[lo:hi], tmp, out=qt[: hi - lo])
-        np.matmul(p.reshape(-1, 1, n)[lo:hi], qt[: hi - lo].reshape(-1, n, n), out=pt[: hi - lo])
-        np.matmul(restrict.T, pt[: hi - lo].reshape(-1, big, n), out=restricted[lo // big : hi // big])
+    for x1 in range(big):
+        np.matmul(q[x1], tmp, out=qt)
+        np.matmul(p[x1].reshape(big, 1, n), qt.reshape(big, n, n), out=pt)
+        np.matmul(restrict.T, pt.reshape(big, n), out=restricted[x1])
     return (restrict.T @ restricted.reshape(big, n * n)).reshape(n, n, n)
 
 
@@ -564,18 +552,6 @@ def propagate_fast(
     return _flow(f, t, params, "fast", substeps, DEFAULT_OVERSAMPLE, dual=False)
 
 
-def propagate(
-    f: Field,
-    t: float,
-    params: PhysicsParams,
-    backend: str = "fast",
-    substeps: int | None = None,
-    oversample: int = DEFAULT_OVERSAMPLE,
-) -> Field:
-    """Dispatch to one of the two backends (``"fast"`` or ``"oracle"``)."""
-    return _flow(f, t, params, backend, substeps, oversample, dual=False)
-
-
 def propagate_dual(
     f: Field,
     t: float,
@@ -638,7 +614,7 @@ def compose_propagators(
         mid = propagate_inverse(f, s, params, backend=backend, substeps=substeps, oversample=oversample)
     else:
         raise ValueError(f"unknown variant {variant!r}; expected 'dual' or 'inverse'")
-    return propagate(mid, t, params, backend=backend, substeps=substeps, oversample=oversample)
+    return _flow(mid, t, params, backend, substeps, oversample, dual=False)
 
 
 # --------------------------------------------------------------------------
@@ -708,10 +684,13 @@ def dispersive_scan(
     f: Field,
     params: PhysicsParams,
     pairs: list[tuple[float, float]] | None = None,
-    backend: str = "fast",
     substeps: int | None = None,
 ) -> DispersiveScan:
-    """Measure ``||forward(t) dual(s) f||_inf / ||f||_1`` over a (t, s) battery."""
+    """Measure ``||forward(t) dual(s) f||_inf / ||f||_1`` over a (t, s) battery.
+
+    The composition is :func:`compose_propagators` on the fast backend,
+    with the harmonic flow split into ``substeps`` when given.
+    """
     if pairs is None:
         pairs = default_scan_pairs(params)
     if len(pairs) < 3:
@@ -720,8 +699,7 @@ def dispersive_scan(
     w = params.omega
     rows = []
     for t, s in pairs:
-        mid = propagate_dual(f, s, params, backend=backend, substeps=substeps)
-        out = propagate(mid, t, params, backend=backend, substeps=substeps)
+        out = compose_propagators(f, t, s, params, backend="fast", substeps=substeps)
         ratio = lp_norm(out, np.inf) / l1
         bound = (w / (np.pi * np.sin(w * (t + s)))) ** 1.5
         rows.append(ScanRow(t=t, s=s, ratio=ratio, bound=bound))
@@ -784,10 +762,4 @@ def strichartz_ratio(
     l2 = lp_norm(f, 2)
     if np.isinf(gamma):
         return float(space_norms.max() / l2)
-    weights = np.empty(times.size)
-    weights[0] = 0.5 * (times[1] - times[0])
-    weights[-1] = 0.5 * (times[-1] - times[-2])
-    if times.size > 2:
-        weights[1:-1] = 0.5 * (times[2:] - times[:-2])
-    value = float(np.sum(weights * space_norms**gamma) ** (1.0 / gamma))
-    return value / l2
+    return float(np.trapezoid(space_norms**gamma, times) ** (1.0 / gamma)) / l2

@@ -12,7 +12,8 @@ A snapshot is a pair of files sharing one stem:
 
 The format is deliberately language-neutral: any consumer can
 reconstruct the array from the sidecar alone.  Readers validate the
-sidecar, the byte count and the finiteness of the payload and raise
+sidecar (``extent``, ``t``, ``omega`` and ``beta`` must be finite JSON
+numbers), the byte count and the finiteness of the payload and raise
 :class:`SnapshotFormatError` on any mismatch.
 
 Every file the package writes (snapshots, the diagnostics CSV, manifests
@@ -27,6 +28,7 @@ data.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -127,9 +129,17 @@ def read_snapshot(stem: str | Path) -> tuple[Field, dict]:
         raise SnapshotFormatError(
             f"unsupported dtype {sidecar['dtype']!r}; expected 'c128'"
         )
+    for key in ("extent", "t", "omega", "beta"):
+        value = sidecar[key]
+        try:  # a non-number raises TypeError, an integer past the float range OverflowError
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise SnapshotFormatError(f"sidecar {json_path}: {key} = {value!r} is not a finite number")
     try:
         grid = GridSpec(n=sidecar["n"], extent=sidecar["extent"])
-    except (TypeError, ValueError) as exc:  # ConfigInvalid is a ValueError
+    except ValueError as exc:  # ConfigInvalid
         raise SnapshotFormatError(f"sidecar {json_path}: {exc}") from None
     n = grid.n
     raw = bin_path.read_bytes()

@@ -336,7 +336,7 @@ def evolve(
             f"t_end: must exceed the start time {state.t_global}, got {config.t_end}"
         )
 
-    truncated = boundary_mass_fraction(state.field, cells=2)
+    truncated = boundary_mass_fraction(state.field)
     if truncated > 1e-10:
         warnings.warn(
             f"initial field keeps {truncated:.3e} of its mass within two cells "

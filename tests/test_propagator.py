@@ -30,7 +30,6 @@ from rotor_gpe import (
     kernel_matrices,
     lp_norm,
     pairing,
-    propagate,
     propagate_dual,
     propagate_fast,
     propagate_inverse,
@@ -129,24 +128,15 @@ def test_oracle_rejects_large_grids_and_bad_times():
     "apply, calls",
     [
         (propagate_oracle, 1),
-        (functools.partial(propagate, backend="oracle"), 1),
         (functools.partial(propagate_dual, backend="oracle"), 1),
         (propagate_inverse, 1),
         (lambda f, t, params: compose_propagators(f, t, 0.9 * t, params), 2),
-        (
-            lambda f, t, params: dispersive_scan(
-                f, params, [(t, 0.8 * t), (t, 0.9 * t), (0.9 * t, 0.8 * t)], backend="oracle"
-            ),
-            6,
-        ),
     ],
     ids=[
         "propagate_oracle",
-        "propagate",
         "propagate_dual",
         "propagate_inverse",
         "compose_propagators",
-        "dispersive_scan",
     ],
 )
 def test_alias_guard_warns_on_undersampled_quadrature(apply, calls):
@@ -321,10 +311,11 @@ def test_fast_matches_oracle_on_eigenstates():
 def test_propagate_dispatch_validates_backend():
     g = ground_state(OGRID, PARAMS)
     with pytest.raises(ValueError):
-        propagate(g, 0.6, PARAMS, backend="magic")
-    a = propagate(g, 0.6, PARAMS, backend="oracle")
-    b = propagate_oracle(g, 0.6, PARAMS)
-    assert np.array_equal(a.data, b.data)
+        propagate_dual(g, 0.6, PARAMS, backend="magic")
+    a = propagate_dual(g, 0.6, PARAMS, backend="oracle")
+    swapped = Field(OGRID, np.ascontiguousarray(np.swapaxes(g.data, 0, 1)))
+    b = propagate_oracle(swapped, 0.6, PARAMS)
+    assert np.array_equal(a.data, np.swapaxes(b.data, 0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rotor_gpe import (
@@ -234,16 +234,42 @@ json_values = st.recursive(
 )
 
 
+def _sidecar_with(key, value) -> bytes:
+    """The sidecar of :func:`write_one` with ``key`` set to ``value``, as JSON bytes."""
+    meta = {
+        "n": GRID.n, "extent": GRID.extent, "t": 0.25, "omega": PARAMS.omega,
+        "beta": PARAMS.beta, "layout": "z-fastest", "dtype": "c128", key: value,
+    }
+    return json.dumps(meta).encode("utf-8")
+
+
 @PROPERTY
 @given(
     sidecar=st.binary(max_size=64).filter(lambda raw: not _parses(raw))
     | json_values.filter(lambda v: not isinstance(v, dict)).map(
         lambda v: json.dumps(v).encode("utf-8")
     )
+    | st.tuples(
+        st.sampled_from(("extent", "t", "omega", "beta")),
+        json_values.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float))),
+    ).map(lambda pair: _sidecar_with(*pair))
 )
+@example(sidecar=_sidecar_with("extent", True))
+@example(sidecar=_sidecar_with("extent", "1.0"))
+@example(sidecar=_sidecar_with("t", "zero"))
+@example(sidecar=_sidecar_with("t", True))
+@example(sidecar=_sidecar_with("t", None))
+@example(sidecar=_sidecar_with("omega", "1.0"))  # once a config error on the physics check
+@example(sidecar=_sidecar_with("beta", float("nan")))
+@example(sidecar=_sidecar_with("omega", float("inf")))
+@example(sidecar=_sidecar_with("t", 10**400))  # an integer past the float range
+@example(sidecar=_sidecar_with("extent", 10**400))  # once an uncaught OverflowError
 def test_a_garbled_sidecar_raises_and_a_run_from_it_exits_io(tmp_path, capsys, sidecar):
     _, stem, _, json_path = write_one(tmp_path)
     json_path.write_bytes(sidecar)
-    with pytest.raises(SnapshotFormatError, match="is not valid JSON|expected a JSON object"):
+    with pytest.raises(
+        SnapshotFormatError,
+        match="is not valid JSON|expected a JSON object|is not a finite number",
+    ):
         read_snapshot(stem)
     assert run_from(tmp_path, stem, capsys) == EXIT_IO
