@@ -209,10 +209,7 @@ def cmd_run(cfg: RunConfig) -> int:
     wall = _write_outputs(cfg, "run", start, dict.fromkeys(outputs), extra=health)
     drift = drift_report(records)
     print(f"run: {len(records)} diagnostics records to t = {final_t:.6f}")
-    print(
-        "drift: mass {mass:.3e}  e0 {e0:.3e}  lz {lz_expect:.3e}"
-        "  pc {pc_lhs:.3e}".format(**drift)
-    )
+    print("drift: mass {mass:.3e}  e0 {e0:.3e}  lz {lz_expect:.3e}".format(**drift))
     print(f"outputs in {cfg.output_dir} ({wall:.2f} s)")
     return EXIT_OK
 

@@ -219,7 +219,7 @@ def test_balance_law_is_conserved_for_the_ground_state():
 
 
 def test_drift_report_handles_short_streams():
-    assert drift_report([]) == {"mass": 0.0, "e0": 0.0, "lz_expect": 0.0, "pc_lhs": 0.0}
+    assert drift_report([]) == {"mass": 0.0, "e0": 0.0, "lz_expect": 0.0}
     u = ground_state(GRID, LINEAR)
     one = [record(u, 0.0, LINEAR, energy_e0(u, LINEAR))]
     assert all(v == 0.0 for v in drift_report(one).values())

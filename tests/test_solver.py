@@ -6,6 +6,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotor_gpe import (
     BlowupDetected,
@@ -94,6 +96,108 @@ def test_nonlinear_phase_preserves_modulus():
     for identity in (nonlinear_phase(u, 0.3, LINEAR), nonlinear_phase(u, 0.0, CUBIC)):
         assert np.array_equal(identity.data, u.data)
         assert not np.shares_memory(identity.data, u.data)
+
+
+# ---------------------------------------------------------------------------
+# phase kernel
+# ---------------------------------------------------------------------------
+
+KERNEL = settings(derandomize=True, database=None, max_examples=40, deadline=2000)
+REACH = solver_module._TAYLOR_REACH
+#: Every slab angle at which the Taylor phase changes degree, and its limit.
+EDGES = sorted(
+    {r for _, reaches in (solver_module._COS, solver_module._SINC) for r in reaches if r < REACH}
+    | {REACH}
+)
+#: Slab angles just below, at and just above every edge, and anywhere
+#: from 1e-10 to 0.5, beyond the limit where libm takes over.
+SLAB_ANGLES = st.builds(
+    lambda edge, nudge: edge * (1.0 + nudge),
+    st.sampled_from(EDGES),
+    st.sampled_from([-1e-9, -(2.0**-52), 0.0, 2.0**-52, 1e-9]),
+) | st.floats(1e-10, 0.5)
+
+
+def phase_kernel(data, tau, beta):
+    """``_phase_into`` into a fresh NaN-filled array; returns ``(out, peak)``."""
+    out = np.full_like(data, np.nan)
+    scratch = np.empty(2 * solver_module._slab_size(data.shape))
+    return out, solver_module._phase_into(data, tau, beta, out, scratch)
+
+
+def libm_phase(data, tau, beta):
+    """The reference: ``exp(-i beta tau |data|^2) data`` from libm's cos and sin."""
+    theta = (data.real * data.real + data.imag * data.imag) * (-beta * tau)
+    out = np.empty_like(data)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    out *= data
+    return out
+
+
+@KERNEL
+@given(angle=SLAB_ANGLES, seed=st.integers(0, 2**32 - 1))
+def test_taylor_phase_factors_match_libm_on_both_sides_of_every_reach(angle, seed):
+    # Amplitudes 2^-e make |d|^2 = 4^-e, the angle and out = factor * d
+    # exact, so out * 2^e is the factor itself.  The first of the two
+    # slabs holds the largest angle; the second peaks where its draws do.
+    e = np.random.default_rng(seed).integers(0, 5, size=(12, 12, 12))
+    e[0, 0, 0] = 0
+    out, peak = phase_kernel(np.ldexp(1.0, -e).astype(np.complex128), angle, 1.0)
+    assert peak == 1.0
+    theta = -angle * np.ldexp(1.0, -2 * e)
+    factor = out * np.ldexp(1.0, e)
+    assert np.max(np.abs(factor.real - np.cos(theta))) <= 4.5e-16
+    assert np.max(np.abs(factor.imag - np.sin(theta))) <= 4.5e-16
+    assert np.max(np.abs(np.abs(factor) - 1.0)) <= 1e-15
+
+
+@KERNEL
+@given(seed=st.integers(0, 2**32 - 1), tau=st.floats(-1.0, 1.0), beta=st.floats(-1e3, 1e3))
+def test_phase_kernel_without_an_angle_copies_bit_for_bit(seed, tau, beta):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((10, 10, 10)) + 1j * rng.standard_normal((10, 10, 10))
+    for t, b in ((tau, 0.0), (0.0, beta)):
+        out, peak = phase_kernel(data, t, b)
+        assert np.array_equal(out, data)
+        assert peak == float(np.max(data.real * data.real + data.imag * data.imag))
+
+
+@pytest.mark.parametrize(
+    "amplitude, peak",
+    [(np.nan, np.nan), (1e200, np.inf), (1e148, 1e148 * 1e148)],
+    ids=["nan", "inf", "1e296"],
+)
+def test_phase_kernel_takes_libm_where_a_slab_angle_is_not_small(amplitude, peak):
+    # Two slabs of six planes; the second holds the bad angle and must
+    # equal libm bit for bit (a Taylor polynomial there would not), while
+    # the first takes the Taylor phase and keeps to its accuracy.
+    rng = np.random.default_rng(29)
+    data = 0.1 * (rng.standard_normal((12, 12, 12)) + 1j * rng.standard_normal((12, 12, 12)))
+    tau = 0.25
+    assert tau * np.max(np.abs(data[:6]) ** 2) <= REACH
+    data[8, 3, 3] = amplitude
+    assert solver_module._slab_size(data.shape) == 6 * 12 * 12
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, got = phase_kernel(data, tau, 1.0)
+        want = libm_phase(data, tau, 1.0)
+    assert got == peak or (np.isnan(got) and np.isnan(peak))
+    assert np.array_equal(out[6:], want[6:], equal_nan=True)
+    assert np.max(np.abs(out[:6] - want[:6])) <= 1e-15
+
+
+@pytest.mark.parametrize("shape", [(9, 8, 8), (34, 34, 34)])
+def test_phase_kernel_covers_a_short_last_slab(shape):
+    # Slabs of 4 planes (half the field) and of 14 (the byte budget).
+    rows = solver_module._slab_size(shape) // (shape[1] * shape[2])
+    assert shape[0] % rows != 0
+    rng = np.random.default_rng(shape[0])
+    data = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    data[-1, 1, 2] = 3.0  # the peak lies in the short slab
+    tau = 0.01  # its angle, 0.09, stays on the Taylor path
+    out, peak = phase_kernel(data, tau, 1.0)
+    assert peak == 9.0
+    assert np.max(np.abs(out - libm_phase(data, tau, 1.0))) <= 3.0 * 1e-15
 
 
 def test_evolve_without_interaction_tracks_the_fast_backend():
@@ -321,11 +425,11 @@ def allocating_evolve(u, cfg, params, snapshot_every):
     return records, snapshots, rotate_pattern(grid, corotating, theta)
 
 
-def test_workspace_evolve_is_bit_equal_to_allocating_steps_and_aliases_nothing():
-    # Cadences 3 and 2 and a seam: records, snapshots and the final field
-    # must equal the allocating loop bit for bit; nothing the loop was
-    # given or has handed out may change afterwards.
-    u = off_axis_state(GRID)
+def assert_workspace_evolve_is_bit_equal_to_allocating_steps(grid):
+    """Cadences 3 and 2 and a seam: records, snapshots and the final field
+    equal the allocating loop bit for bit, a resume included; nothing the
+    loop was given or has handed out changes afterwards."""
+    u = off_axis_state(grid)
     u_bits = u.data.copy()
     cfg = SolverConfig(dt=2.0**-4, t_end=1.5 * CUBIC.window, diagnostics_every=3)
     snapshots = []
@@ -352,6 +456,18 @@ def test_workspace_evolve_is_bit_equal_to_allocating_steps_and_aliases_nothing()
     assert np.array_equal(half.final.corotating, corotating)
     assert np.array_equal(resumed.final.field.data, res.final.field.data)
     assert np.array_equal(resumed.final.corotating, res.final.corotating)
+
+
+def test_workspace_evolve_is_bit_equal_to_allocating_steps_and_aliases_nothing():
+    assert_workspace_evolve_is_bit_equal_to_allocating_steps(GRID)
+
+
+def test_workspace_evolve_is_bit_equal_across_several_phase_slabs():
+    # At n = 34 the phase runs in slabs of 14 planes with a short last one
+    # of 6, which evolve and nonlinear_phase must cut alike.
+    grid = GridSpec(34, 5.0)
+    assert solver_module._slab_size(grid.shape) == 14 * 34 * 34
+    assert_workspace_evolve_is_bit_equal_to_allocating_steps(grid)
 
 
 def _evolve_peak(cfg):
