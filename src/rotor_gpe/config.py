@@ -221,7 +221,6 @@ _INITIAL_PARAMS = {  # by initial.type; the named states but coherent take none
     "file": {"path": (_as_str, _Required("required for initial.type 'file'"))},
 }
 _PICARD = {
-    "rho": (_as_float, _LEAVE_OUT),
     "tol": (_as_float, _LEAVE_OUT),
     "max_iter": (_as_int, _LEAVE_OUT),
     "quad_nodes": (_as_int, _LEAVE_OUT),

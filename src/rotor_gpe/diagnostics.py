@@ -264,10 +264,6 @@ def format_csv_rows(records: Iterable[DiagnosticsRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(records: Iterable[DiagnosticsRecord], target) -> None:
-    """Write the diagnostics CSV to a path (atomically) or a text file object."""
-    text = format_csv_rows(records)
-    if isinstance(target, (str, Path)):
-        atomic_write(target, text.encode("utf-8"))
-    else:
-        target.write(text)
+def write_csv(records: Iterable[DiagnosticsRecord], path: str | Path) -> None:
+    """Write the diagnostics CSV to ``path``, atomically."""
+    atomic_write(path, format_csv_rows(records).encode("utf-8"))

@@ -204,12 +204,7 @@ def galilean_position_chirped(f: Field, t: float, params: PhysicsParams) -> tupl
 # --------------------------------------------------------------------------
 
 
-def momentum_defect(
-    f: Field,
-    t: float,
-    params: PhysicsParams,
-    d3: np.ndarray | None = None,
-) -> Field:
+def momentum_defect(f: Field, t: float, params: PhysicsParams) -> Field:
     """Axial commutator defect ``O_J(t)`` of the dressed momentum.
 
     Only the third component of ``J`` picks up a correction; this
@@ -220,17 +215,11 @@ def momentum_defect(
     w = params.omega
     theta = w * t
     c, s = np.cos(theta), np.sin(theta)
-    if d3 is None:
-        d3 = gradient_arrays(grid, f.data)[2]
+    d3 = gradient_arrays(grid, f.data)[2]
     return Field(grid, 2j * w**2 * s**2 * grid.x3 * f.data + 2.0 * w * s * c * d3)
 
 
-def position_defect(
-    f: Field,
-    t: float,
-    params: PhysicsParams,
-    d3: np.ndarray | None = None,
-) -> Field:
+def position_defect(f: Field, t: float, params: PhysicsParams) -> Field:
     """Axial commutator defect ``O_H(t)`` of the dressed position.
 
     Returns ``2i omega^2 sin(theta) cos(theta) x3 f - 2 omega sin^2(theta) d3 f``.
@@ -242,5 +231,5 @@ def position_defect(
     return Field(
         grid,
         2j * w**2 * s * c * grid.x3 * f.data
-        - 2.0 * w * s**2 * (d3 if d3 is not None else gradient_arrays(grid, f.data)[2]),
+        - 2.0 * w * s**2 * gradient_arrays(grid, f.data)[2],
     )

@@ -49,7 +49,7 @@ import math
 import warnings
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -59,7 +59,6 @@ from .errors import (
     BlowupDetected,
     BoundaryTruncation,
     ConfigInvalid,
-    InvalidExponent,
     NoContraction,
     WindowViolation,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "evolve",
     "picard_solve",
     "workspace_distance",
-    "admissible_gamma",
 ]
 
 logger = logging.getLogger(__name__)
@@ -99,29 +97,15 @@ logger = logging.getLogger(__name__)
 _TIME_EPS = 1e-13
 
 
-def admissible_gamma(rho: float) -> float:
-    """Time exponent paired with ``rho`` on the open range ``(2, 6)``.
-
-    The pairing is :func:`~rotor_gpe.propagator.strichartz_exponent`;
-    this only rejects ``rho = 2``, which that function admits.
-    """
-    if not 2.0 < rho < 6.0:
-        raise InvalidExponent(f"rho must lie in (2, 6), got {rho}")
-    return strichartz_exponent(rho)
-
-
 @dataclass(frozen=True)
 class PicardConfig:
     """Knobs of the Duhamel fixed-point iteration."""
 
-    rho: float = 4.0
     tol: float = 1e-10
     max_iter: int = 25
     quad_nodes: int = 17
 
     def __post_init__(self) -> None:
-        if not 2.0 < self.rho < 6.0:
-            raise ConfigInvalid(f"picard.rho: must lie in (2, 6), got {self.rho}")
         if self.tol <= 0:
             raise ConfigInvalid(f"picard.tol: must be > 0, got {self.tol}")
         if self.max_iter < 1:
@@ -130,11 +114,6 @@ class PicardConfig:
             raise ConfigInvalid(
                 f"picard.quad_nodes: must be >= 3, got {self.quad_nodes}"
             )
-
-    @property
-    def gamma(self) -> float:
-        """Derived time exponent; 8/3 for the default ``rho = 4``."""
-        return admissible_gamma(self.rho)
 
 
 @dataclass(frozen=True)
@@ -187,13 +166,6 @@ class TrajectoryState:
     ``t_local in [0, window]``; ``e0_window`` is the energy captured at
     the start of the current window (the reference of the
     pseudo-conformal balance).
-
-    The last three fields carry :func:`evolve`'s co-rotating frame, so a
-    resumed call continues with the very same arithmetic:
-    ``field = R(frame_angle) N(pending_phase) corotating``.  The frame
-    runs on across seams, so ``frame_angle`` is ``omega`` times the time
-    since the frame started and may take any value.  ``None`` (a bare
-    field) means the frame starts here, at angle and phase 0.
     """
 
     field: Field
@@ -201,9 +173,6 @@ class TrajectoryState:
     window_index: int
     t_local: float
     e0_window: float
-    corotating: np.ndarray | None = field(default=None, compare=False, repr=False)
-    frame_angle: float = field(default=0.0, compare=False)
-    pending_phase: float = field(default=0.0, compare=False)
 
 
 def _modulus_sq(
@@ -349,14 +318,14 @@ class EvolveResult:
 
 
 def evolve(
-    u0: Field | TrajectoryState,
+    u0: Field,
     config: SolverConfig,
     params: PhysicsParams,
     *,
     snapshot_every: int = 0,
     on_snapshot: Callable[[float, Field], None] | None = None,
 ) -> EvolveResult:
-    """Advance to ``config.t_end`` window by window with Strang steps.
+    """Strang steps from ``u0`` at ``t = 0`` to ``config.t_end``, window by window.
 
     The loop runs in the co-rotating frame (see the module docstring).
     It carries the array ``w``, which still owes its trailing half-phase,
@@ -376,11 +345,10 @@ def evolve(
     through the real one.  So a step, and a step that only records,
     allocates nothing.
     The end state is phased, recorded and rotated in the first complex
-    array, and ``w`` (the second) becomes its ``corotating``; a mid-run
-    snapshot is a fresh array.  The loop never writes into the caller's
-    field, into a field it has handed to ``on_snapshot`` before the end,
-    or into the returned state's ``corotating``: after the last step the
-    workspace belongs to the returned state alone.
+    array, the only one of the workspace that outlives the call; a
+    mid-run snapshot is a fresh array.  The loop never writes into the
+    caller's field or into a field it has handed to ``on_snapshot``
+    before the end.
     Every step that is not clipped is ``config.dt`` long, whatever the
     rounding of the window-local clock, so the harmonic flow's matrix is
     fetched only at the first step, at a step clipped to a seam or to
@@ -392,11 +360,6 @@ def evolve(
     emitted at a seam from one moments pass: the closing one at the
     window's end, and the opening one at window-local time 0, whose
     energy becomes the new reference.
-
-    Accepts either a bare field (trajectory starts at ``t = 0``) or a
-    :class:`TrajectoryState` from a previous call, which resumes with
-    identical stepping and frame — evolving for ``2T`` in one call or in
-    two is the same sequence of operations, bit for bit.
 
     Snapshots (every ``snapshot_every`` steps, plus the first and the
     last field) go to ``on_snapshot(t, field)`` as they are produced;
@@ -414,20 +377,7 @@ def evolve(
     :attr:`EvolveResult.guard_margin`.
     """
     window = params.window
-    bare = not isinstance(u0, TrajectoryState)
-    if bare:
-        # A bare field opens window 0 at t = 0.  Its energy reference is
-        # the e0 of its own opening record, set below, so the initial
-        # field takes one moments pass, not an extra one for the energy.
-        state = TrajectoryState(u0, 0.0, 0, 0.0, e0_window=np.nan)
-    else:
-        state = u0
-    if config.t_end <= state.t_global + _TIME_EPS:
-        raise ConfigInvalid(
-            f"t_end: must exceed the start time {state.t_global}, got {config.t_end}"
-        )
-
-    truncated = boundary_mass_fraction(state.field)
+    truncated = boundary_mass_fraction(u0)
     if truncated > 1e-10:
         warnings.warn(
             f"initial field keeps {truncated:.3e} of its mass within two cells "
@@ -439,24 +389,21 @@ def evolve(
     snapshots: list[tuple[float, Field]] = []
     if on_snapshot is None:
         on_snapshot = lambda t, f: snapshots.append((t, f))  # noqa: E731
-    grid, beta = state.field.grid, params.beta
-    guard = config.blowup_factor * lp_norm(state.field, np.inf)
+    grid, beta = u0.grid, params.beta
+    guard = config.blowup_factor * lp_norm(u0, np.inf)
     if snapshot_every > 0:
-        on_snapshot(state.t_global, state.field.copy())
+        on_snapshot(0.0, u0.copy())
 
-    if state.corotating is None:
-        w, theta, tau = state.field.data, 0.0, 0.0
-    else:
-        w, theta, tau = state.corotating, state.frame_angle, state.pending_phase
-    window_index, t_local = state.window_index, state.t_local
-    t_global, e0_window = state.t_global, state.e0_window
+    w, theta, tau = u0.data, 0.0, 0.0
+    window_index, t_local, t_global = 0, 0.0, 0.0
+    e0_window = np.nan  # the energy of window 0's opening record, taken below
 
     # The workspace: a step phases w into ``phased`` (with ``real`` as the
     # phase's scratch), then the harmonic flow takes it into ``ahead``
     # (with ``phased`` as its scratch), and w becomes ``ahead``; a record
     # phases into ``phased`` and takes its moments through ``real``.  Only
     # these three arrays are ever written; w may also be the caller's
-    # field or a returned ``corotating``, which are only read.
+    # field, which is only read.
     ahead = np.empty(grid.shape, dtype=np.complex128)
     phased = np.empty_like(ahead)
     real = np.empty(grid.shape)
@@ -498,16 +445,14 @@ def evolve(
         if record_it:
             take_record(lab)
         rotate_pattern(grid, lab, theta, out=lab)
-        return TrajectoryState(
-            Field(grid, lab), t_global, window_index, t_local, e0_window, w, theta, tau
-        )
+        return TrajectoryState(Field(grid, lab), t_global, window_index, t_local, e0_window)
 
-    if bare:
-        moments = _moments(grid, phase(tau, phased), real=real)
-        open_window()
-        state = replace(state, e0_window=e0_window)
-    else:
-        take_record(phase(tau, phased))
+    # Window 0's energy reference is the e0 of its own opening record, so
+    # the initial field takes one moments pass, not an extra one for the
+    # energy.
+    moments = _moments(grid, phase(tau, phased), real=real)
+    open_window()
+    state: TrajectoryState | None = None
     while t_global < config.t_end - _TIME_EPS:
         if window - t_local <= _TIME_EPS:
             # Seam: bookkeeping only.  The opening record reads the
@@ -552,7 +497,7 @@ def evolve(
         elif record_hit:
             take_record(phase(tau, phased))
 
-    if state.t_global != t_global:  # left by a final step too short to take
+    if state is None or state.t_global != t_global:  # left by a step too short to take
         state = handed_out(False, end=True)
     return EvolveResult(
         final=state,
@@ -568,15 +513,14 @@ def evolve(
 # --------------------------------------------------------------------------
 
 
-def _lp_from_sq(sq: np.ndarray, grid: GridSpec, rho: float) -> float:
-    """``||f||_rho`` from ``sq = |f|^2``, which is overwritten.
+def _l4_from_sq(sq: np.ndarray, grid: GridSpec) -> float:
+    """``||f||_4`` from ``sq = |f|^2``, which is overwritten by its square.
 
-    ``abs`` drops the rounding-level negatives of the closed-form dressed
-    moduli; at ``rho = 4`` the in-place power is NumPy's exact square.
+    Squaring also takes care of the rounding-level negatives of the
+    closed-form dressed moduli.
     """
-    np.abs(sq, out=sq)
-    sq **= 0.5 * rho
-    return float((sq.sum() * grid.cell_volume) ** (1.0 / rho))
+    sq *= sq
+    return float((sq.sum() * grid.cell_volume) ** 0.25)
 
 
 def _node_norms(
@@ -584,11 +528,10 @@ def _node_norms(
     d: np.ndarray,
     t: float,
     params: PhysicsParams,
-    rho: float,
     work: np.ndarray,
     dj: np.ndarray,
 ) -> tuple[float, float, float]:
-    """``||d||_rho``, ``||J(t) d||_rho`` and ``||H(t) d||_rho`` of one node.
+    """``||d||_4``, ``||J(t) d||_4`` and ``||H(t) d||_4`` of one node.
 
     The transverse mix of the dressed operators
     (:mod:`rotor_gpe.galilean`) rotates the vectors ``x d`` and
@@ -618,33 +561,34 @@ def _node_norms(
         tmp *= xj
         cross += tmp
     np.multiply(grid.r2, abs2, out=tmp)
-    plain = _lp_from_sq(abs2, grid, rho)
+    plain = _l4_from_sq(abs2, grid)
     w = params.omega
     c, s = np.cos(w * t), np.sin(w * t)
     mixed = 2.0 * w * s * c
     np.multiply(tmp, (w * s) ** 2, out=abs2)
     abs2 += np.multiply(grad2, c * c, out=tmp2)
     abs2 += np.multiply(cross, mixed, out=tmp2)
-    dressed_j = _lp_from_sq(abs2, grid, rho)
+    dressed_j = _l4_from_sq(abs2, grid)
     np.multiply(tmp, (w * c) ** 2, out=abs2)
     abs2 += np.multiply(grad2, s * s, out=tmp2)
     abs2 -= np.multiply(cross, mixed, out=tmp2)
-    return plain, dressed_j, _lp_from_sq(abs2, grid, rho)
+    return plain, dressed_j, _l4_from_sq(abs2, grid)
 
 
 def workspace_distance(
     grid: GridSpec,
     nodes: Iterable[tuple[np.ndarray, float, float]],
-    rho: float,
     params: PhysicsParams,
 ) -> float:
     """Triple space-time norm of node differences ``(d_i, t_i, w_i)``.
 
-    ``(sum_i w_i ||d_i||_rho^gamma)^(1/gamma)`` for the plain difference
+    ``(sum_i w_i ||d_i||_4^gamma)^(1/gamma)`` for the plain difference
     ``d_i`` plus the same expression with ``d_i`` replaced by the
-    pointwise magnitude of ``J(t_i) d_i`` and of ``H(t_i) d_i``; ``gamma``
-    is the admissible exponent paired with ``rho``.  The dressed
-    operators are evaluated at the (window-local) node times.  Their
+    pointwise magnitude of ``J(t_i) d_i`` and of ``H(t_i) d_i``, in the
+    Strichartz pair ``rho = 4``, ``gamma = 8/3``
+    (:func:`~rotor_gpe.propagator.strichartz_exponent`) of the paper's
+    contraction.  The dressed operators are evaluated at the
+    (window-local) node times.  Their
     squared magnitudes come from one gradient of ``d_i`` in closed form
     (:func:`_node_norms`), so no dressed component is built, and each
     ``d_i`` is only read (it may be a workspace the node iterator
@@ -656,12 +600,12 @@ def workspace_distance(
     :func:`picard_solve` measures it on co-rotating nodes.  On the grid
     the two differ by the shear rotation's band-limit gap.
     """
-    gamma = admissible_gamma(rho)
+    gamma = strichartz_exponent(4.0)
     work = np.empty((5,) + grid.shape)
     dj = np.empty(grid.shape, dtype=np.complex128)
     sums = [0.0, 0.0, 0.0]
     for d, t, weight in nodes:
-        for k, norm in enumerate(_node_norms(grid, d, t, params, rho, work, dj)):
+        for k, norm in enumerate(_node_norms(grid, d, t, params, work, dj)):
             sums[k] += weight * norm**gamma
     inv = 1.0 / gamma
     return sums[0] ** inv + sums[1] ** inv + sums[2] ** inv
@@ -680,7 +624,6 @@ class PicardResult:
     fields: tuple[Field, ...]
     distances: tuple[float, ...]
     iterations: int
-    sup_l2: float
     converged: bool
 
 
@@ -780,7 +723,6 @@ def picard_solve(
             fields=fields,
             distances=tuple(distances),
             iterations=len(distances),
-            sup_l2=max(lp_norm(f, 2) for f in fields),
             converged=distances[-1] < pc.tol,
         )
 
@@ -823,7 +765,7 @@ def picard_solve(
     distances: list[float] = []
     rising = 0
     for iteration in range(1, pc.max_iter + 1):
-        dist = workspace_distance(grid, sweep(), pc.rho, params)
+        dist = workspace_distance(grid, sweep(), params)
         distances.append(dist)
         logger.debug("fixed-point iteration %d: distance %.3e", iteration, dist)
         if len(distances) >= 2 and distances[-1] >= distances[-2]:

@@ -40,7 +40,7 @@ def full() -> dict:
             "dt": 2e-3,
             "t_end": 0.5,
             "blowup_factor": 1e3,
-            "picard": {"rho": 4.0, "tol": 1e-10, "max_iter": 25, "quad_nodes": 17},
+            "picard": {"tol": 1e-10, "max_iter": 25, "quad_nodes": 17},
         },
         "output": {"dir": "runs/demo", "snapshot_every": 100, "diagnostics_every": 25},
         "seed": 7,
@@ -156,7 +156,7 @@ def test_picard_scheme_block():
         "scheme": "picard",
         "dt": 1e-3,
         "t_end": 0.3,
-        "picard": {"quad_nodes": 17, "tol": 1e-9, "rho": 4.0, "max_iter": 20},
+        "picard": {"quad_nodes": 17, "tol": 1e-9, "max_iter": 20},
     }
     cfg = parse_config(raw)
     assert cfg.solver.scheme == "picard"
@@ -196,6 +196,22 @@ def test_unknown_keys_are_rejected_with_allowed_list():
     raw["evolve"] = {"dt": 1e-3, "diagnostics_every": 5}
     with pytest.raises(ConfigInvalid, match=r"evolve\.diagnostics_every: unknown key"):
         parse_config(raw)
+
+
+def test_a_picard_rho_key_exits_config_as_an_unknown_key(tmp_path, monkeypatch, capsys):
+    # The Strichartz pair is fixed at rho = 4, so a config that still
+    # sets evolve.picard.rho is rejected like any other unknown key, and
+    # writes nothing.
+    monkeypatch.chdir(tmp_path)
+    raw = minimal()
+    raw["evolve"] = {"scheme": "picard", "picard": {"rho": 4.0}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert entrypoint(["run", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: evolve.picard.rho: unknown key (allowed: tol, max_iter, quad_nodes)"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_type_errors_name_their_paths():

@@ -26,6 +26,7 @@ from rotor_gpe import (
     galilean_momentum,
     galilean_position,
     ground_state,
+    lp_norm,
     nonlinear_phase,
     picard_solve,
     propagate_fast,
@@ -35,8 +36,12 @@ from rotor_gpe import (
 )
 import rotor_gpe.diagnostics as diagnostics_module
 import rotor_gpe.solver as solver_module
-from rotor_gpe.propagator import harmonic_flow, rotate_pattern, splitting_plan
-from rotor_gpe.solver import admissible_gamma
+from rotor_gpe.propagator import (
+    harmonic_flow,
+    rotate_pattern,
+    splitting_plan,
+    strichartz_exponent,
+)
 
 GRID = GridSpec(16, 5.0)
 LINEAR = PhysicsParams(omega=1.0, beta=0.0)
@@ -67,18 +72,12 @@ def test_solver_config_validation():
         SolverConfig(dt=1e-3, t_end=0.1, blowup_factor=1.0)
 
 
-def test_picard_config_validation_and_gamma():
-    with pytest.raises(ConfigInvalid):
-        PicardConfig(rho=2.0)
-    with pytest.raises(ConfigInvalid):
-        PicardConfig(rho=6.0)
+def test_picard_config_validation():
     with pytest.raises(ConfigInvalid):
         PicardConfig(tol=0.0)
     with pytest.raises(ConfigInvalid):
         PicardConfig(quad_nodes=2)
     assert PicardConfig(quad_nodes=3).quad_nodes == 3
-    assert PicardConfig(rho=4.0).gamma == pytest.approx(8.0 / 3.0)
-    assert admissible_gamma(4.0) == pytest.approx(8.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,36 +279,9 @@ def test_a_bare_initial_field_takes_one_moments_pass(monkeypatch):
     assert res.records[1].pc_residual == res.records[1].pc_lhs - 2.0 * e0
 
 
-def test_evolve_resume_is_bitwise_identical():
-    u = ground_state(GRID, CUBIC)
-    full = evolve(u, SolverConfig(scheme="strang", dt=2.0**-9, t_end=0.125), CUBIC)
-    half = evolve(u, SolverConfig(scheme="strang", dt=2.0**-9, t_end=0.0625), CUBIC)
-    resumed = evolve(
-        half.final, SolverConfig(scheme="strang", dt=2.0**-9, t_end=0.125), CUBIC
-    )
-    assert np.array_equal(resumed.final.field.data, full.final.field.data)
-    assert resumed.final.t_global == full.final.t_global
-
-
 def off_axis_state(grid, params=CUBIC):
     """Coherent state off the x3 axis, so the frame rotation is visible."""
     return coherent_state(grid, params, center=(1.0, 0.5, 0.2), kick=(0.3, -0.5, 0.2))
-
-
-def test_evolve_resume_after_a_seam_is_bitwise_identical():
-    # The split point lies in the second window, so the handed-over state
-    # carries a frame that has run on across the seam (past pi/4).
-    u = off_axis_state(GRID)
-    dt = 2.0**-6
-    full = evolve(u, SolverConfig(dt=dt, t_end=1.5 * CUBIC.window), CUBIC)
-    half = evolve(u, SolverConfig(dt=dt, t_end=CUBIC.window + 0.25), CUBIC)
-    assert half.final.window_index == 1
-    assert half.final.frame_angle > 0.0 and half.final.pending_phase > 0.0
-    resumed = evolve(
-        half.final, SolverConfig(dt=dt, t_end=1.5 * CUBIC.window), CUBIC
-    )
-    assert np.array_equal(resumed.final.field.data, full.final.field.data)
-    assert resumed.final.t_global == full.final.t_global
 
 
 def reference_observations(u, dt, t_end, params):
@@ -427,8 +399,8 @@ def allocating_evolve(u, cfg, params, snapshot_every):
 
 def assert_workspace_evolve_is_bit_equal_to_allocating_steps(grid):
     """Cadences 3 and 2 and a seam: records, snapshots and the final field
-    equal the allocating loop bit for bit, a resume included; nothing the
-    loop was given or has handed out changes afterwards."""
+    equal the allocating loop bit for bit; nothing the loop was given or
+    has handed out changes afterwards."""
     u = off_axis_state(grid)
     u_bits = u.data.copy()
     cfg = SolverConfig(dt=2.0**-4, t_end=1.5 * CUBIC.window, diagnostics_every=3)
@@ -448,15 +420,6 @@ def assert_workspace_evolve_is_bit_equal_to_allocating_steps(grid):
         assert np.array_equal(data, want)
     assert np.array_equal(res.final.field.data, ref_final)
 
-    # Resume from a state inside the second window: bit-identical, and the
-    # state resumed from keeps its co-rotating array.
-    half = evolve(u, replace(cfg, t_end=CUBIC.window + 0.25), CUBIC, snapshot_every=2)
-    corotating = half.final.corotating.copy()
-    resumed = evolve(half.final, cfg, CUBIC, snapshot_every=2)
-    assert np.array_equal(half.final.corotating, corotating)
-    assert np.array_equal(resumed.final.field.data, res.final.field.data)
-    assert np.array_equal(resumed.final.corotating, res.final.corotating)
-
 
 def test_workspace_evolve_is_bit_equal_to_allocating_steps_and_aliases_nothing():
     assert_workspace_evolve_is_bit_equal_to_allocating_steps(GRID)
@@ -470,18 +433,22 @@ def test_workspace_evolve_is_bit_equal_across_several_phase_slabs():
     assert_workspace_evolve_is_bit_equal_to_allocating_steps(grid)
 
 
-def _evolve_peak(cfg):
-    """``tracemalloc`` peak of an ``evolve`` call at n = 32, in fields."""
+def _evolve_memory(cfg):
+    """``tracemalloc`` figures of an ``evolve`` call at n = 32, in fields.
+
+    Returns the result, the memory it still holds after the call returns,
+    and the call's peak.
+    """
     grid = GridSpec(32, 8.0)
     u = off_axis_state(grid)
     evolve(u, cfg, CUBIC)  # builds the plans outside the measurement
     tracemalloc.start()
     try:
         res = evolve(u, cfg, CUBIC)
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return res, peak / u.data.nbytes
+    return res, held / u.data.nbytes, peak / u.data.nbytes
 
 
 def test_evolve_recording_every_step_peaks_at_two_point_six_fields():
@@ -489,16 +456,24 @@ def test_evolve_recording_every_step_peaks_at_two_point_six_fields():
     # the workspace: measured 2.61 fields at n = 32 (4.8 with a third
     # complex array and a fresh end field, 8.1 when every record rotated
     # a fresh lab field and built a conjugate copy).
-    res, peak = _evolve_peak(SolverConfig(dt=1e-3, t_end=20e-3, diagnostics_every=1))
+    res, _, peak = _evolve_memory(SolverConfig(dt=1e-3, t_end=20e-3, diagnostics_every=1))
     assert len(res.records) == 21
     assert peak <= 1.1 * 2.61
 
 
 def test_a_record_free_evolve_peaks_at_two_and_a_half_fields():
     # The workspace is 2.5 fields, and the end state lives in it.
-    res, peak = _evolve_peak(SolverConfig(dt=1e-3, t_end=20e-3))
+    res, _, peak = _evolve_memory(SolverConfig(dt=1e-3, t_end=20e-3))
     assert len(res.records) == 2
     assert peak <= 2.6
+
+
+def test_the_result_of_evolve_holds_one_field():
+    # The end state is the only array of the workspace that outlives the
+    # call: measured 1.01 fields held after 20 steps at n = 32 (2.01 when
+    # the result also kept the co-rotating array to resume from).
+    res, held, _ = _evolve_memory(SolverConfig(dt=1e-3, t_end=20e-3))
+    assert held <= 1.1
 
 
 def test_evolve_reports_its_largest_phase_and_its_guard_margin():
@@ -510,7 +485,10 @@ def test_evolve_reports_its_largest_phase_and_its_guard_margin():
     peak_sq = np.max(np.abs(u.data)) ** 2
     assert 0.5 * cfg.dt * peak_sq <= res.max_phase_per_step <= 1.01 * cfg.dt * peak_sq
     guard = cfg.blowup_factor * np.max(np.abs(u.data))
-    assert res.guard_margin == pytest.approx(np.max(np.abs(res.final.corotating)) / guard, rel=1e-14)
+    # The allocating reference's last record reads the co-rotating end
+    # field, so its linf is the end's max |w|.
+    records, _, _ = allocating_evolve(u, replace(cfg, diagnostics_every=1), CUBIC, 1)
+    assert res.guard_margin == pytest.approx(records[-1].linf / guard, rel=1e-14)
     assert evolve(u, cfg, PhysicsParams(omega=1.0)).max_phase_per_step == 0.0
     zero = evolve(Field(GRID, np.zeros(GRID.shape)), cfg, CUBIC)  # a zero guard
     assert (zero.max_phase_per_step, zero.guard_margin) == (0.0, 0.0)
@@ -603,14 +581,6 @@ def test_evolve_streams_snapshots_to_a_callback():
         assert np.array_equal(a.data, b.data)
 
 
-def test_evolve_rejects_non_advancing_targets():
-    u = ground_state(GRID, CUBIC)
-    st = evolve(u, SolverConfig(scheme="strang", dt=0.05, t_end=0.5), CUBIC).final
-    assert st.t_global == pytest.approx(0.5)
-    with pytest.raises(ConfigInvalid):
-        evolve(st, SolverConfig(scheme="strang", dt=1e-3, t_end=0.25), CUBIC)
-
-
 def test_evolve_snapshot_cadence():
     cfg = SolverConfig(scheme="strang", dt=1e-2, t_end=0.1)
     res = evolve(ground_state(GRID, CUBIC), cfg, CUBIC, snapshot_every=5)
@@ -664,7 +634,7 @@ def test_picard_without_interaction_returns_free_evolution():
     # Node 1 is S(t_1) u, the flow over the first node gap.
     step = propagate_fast(u, res.times[1], LINEAR, 4)
     assert np.array_equal(res.fields[1].data, step.data)
-    assert res.sup_l2 == pytest.approx(1.0, abs=1e-9)
+    assert lp_norm(res.fields[-1], 2) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_picard_contracts_on_small_data_and_reports_distances():
@@ -780,7 +750,7 @@ def test_corotating_picard_distance_meets_the_lab_frame_distance_under_refinemen
             )
             for k in (2, 3)
         ]
-        lab = distance(runs[1].fields, runs[0].fields, 4.0, weights, runs[1].times)
+        lab = distance(runs[1].fields, runs[0].fields, weights, runs[1].times)
         gaps.append(abs(runs[1].distances[-1] - lab) / lab)
     assert gaps[1] < 1e-4
     assert gaps[0] > gaps[1] > gaps[2]
@@ -838,15 +808,15 @@ def test_picard_raises_when_the_iteration_diverges():
 # ---------------------------------------------------------------------------
 
 
-def distance(u, v, rho, weights, times):
+def distance(u, v, weights, times):
     """:func:`workspace_distance` of the node differences of two field lists."""
     nodes = [(a.data - b.data, t, w) for a, b, w, t in zip(u, v, weights, times)]
-    return workspace_distance(u[0].grid, nodes, rho, CUBIC)
+    return workspace_distance(u[0].grid, nodes, CUBIC)
 
 
-def node_lp(data: np.ndarray, grid: GridSpec, rho: float) -> float:
-    """``||data||_rho`` by the textbook sum: the reference for the closed-form norms."""
-    return float((np.sum(np.abs(data) ** rho) * grid.cell_volume) ** (1.0 / rho))
+def node_l4(data: np.ndarray, grid: GridSpec) -> float:
+    """``||data||_4`` by the textbook sum: the reference for the closed-form norms."""
+    return float((np.sum(np.abs(data) ** 4.0) * grid.cell_volume) ** 0.25)
 
 
 def test_workspace_distance_takes_one_gradient_per_node(monkeypatch):
@@ -858,7 +828,7 @@ def test_workspace_distance_takes_one_gradient_per_node(monkeypatch):
     weights = (0.025, 0.05, 0.025)
     u = [random_smooth_field(GRID, rng, width=GRID.extent / 6.0) for _ in times]
     v = [random_smooth_field(GRID, rng, width=GRID.extent / 6.0) for _ in times]
-    gamma = admissible_gamma(4.0)
+    gamma = strichartz_exponent(4.0)
     sums = [0.0, 0.0, 0.0]
     for u_i, v_i, w_i, t_i in zip(u, v, weights, times):
         delta = Field(GRID, u_i.data - v_i.data)
@@ -868,7 +838,7 @@ def test_workspace_distance_takes_one_gradient_per_node(monkeypatch):
             np.sqrt(sum(np.abs(c.data) ** 2 for c in galilean_position(delta, t_i, CUBIC))),
         ]
         for k, mag in enumerate(mags):
-            sums[k] += w_i * node_lp(mag, GRID, 4.0) ** gamma
+            sums[k] += w_i * node_l4(mag, GRID) ** gamma
     want = sum(s ** (1.0 / gamma) for s in sums)
 
     calls = []
@@ -879,34 +849,9 @@ def test_workspace_distance_takes_one_gradient_per_node(monkeypatch):
         return real_partial(grid, data, axis, out=out)
 
     monkeypatch.setattr(solver_module, "_partial", counting)
-    got = distance(u, v, 4.0, weights, times)
+    got = distance(u, v, weights, times)
     assert calls == [0, 1, 2] * len(times)
     assert got == want
-
-
-@pytest.mark.parametrize("rho", [2.5, 3.0, 5.5])
-def test_workspace_distance_matches_the_dressed_construction_off_rho_4(rho):
-    # The closed-form moduli hold for every admissible exponent, not only
-    # the rho = 4 of the picard runs.
-    rng = np.random.default_rng(64)
-    times = (0.0, 0.05, 0.1)
-    weights = (0.025, 0.05, 0.025)
-    u = [random_smooth_field(GRID, rng, width=GRID.extent / 6.0) for _ in times]
-    v = [random_smooth_field(GRID, rng, width=GRID.extent / 6.0) for _ in times]
-    gamma = admissible_gamma(rho)
-    sums = [0.0, 0.0, 0.0]
-    for u_i, v_i, w_i, t_i in zip(u, v, weights, times):
-        delta = Field(GRID, u_i.data - v_i.data)
-        mags = [
-            delta.data,
-            np.sqrt(sum(np.abs(c.data) ** 2 for c in galilean_momentum(delta, t_i, CUBIC))),
-            np.sqrt(sum(np.abs(c.data) ** 2 for c in galilean_position(delta, t_i, CUBIC))),
-        ]
-        for k, mag in enumerate(mags):
-            sums[k] += w_i * node_lp(mag, GRID, rho) ** gamma
-    want = sum(s ** (1.0 / gamma) for s in sums)
-    got = distance(u, v, rho, weights, times)
-    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_workspace_distance_is_a_homogeneous_metric():
@@ -917,7 +862,7 @@ def test_workspace_distance_is_a_homogeneous_metric():
     u = [mk() for _ in times]
     v = [mk() for _ in times]
     w = [mk() for _ in times]
-    d = lambda a, b: distance(a, b, 4.0, weights, times)
+    d = lambda a, b: distance(a, b, weights, times)
     assert d(u, u) == 0.0
     duv = d(u, v)
     assert duv > 0.0

@@ -1,8 +1,10 @@
 """Dead-code guard over the package source, by its syntax tree alone.
 
-Two kinds of leftovers fail it: a name a module imports but never reads
-(the package ``__init__`` re-exports, so it is exempt), and a
-module-level private name (``_x``) that no module of the package reads.
+Three kinds of leftovers fail it: a name a module imports but never reads
+(the package ``__init__`` re-exports, so it is exempt), a module-level
+private name (``_x``) that no module of the package reads, and a
+defaulted parameter of a package function that no call in the package,
+its tests or its benchmark passes.
 """
 
 import ast
@@ -10,8 +12,15 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "rotor_gpe").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "rotor_gpe").glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+#: Every module whose calls may pass a package function's parameter.
+CALLERS = [
+    ast.parse(path.read_text(encoding="utf-8"))
+    for folder in ("src/rotor_gpe", "tests", "perfbench")
+    for path in sorted((ROOT / folder).glob("*.py"))
+]
 
 
 def _imported(tree):
@@ -59,6 +68,51 @@ def _private_definitions(tree):
                 yield name, node.lineno
 
 
+def _defaulted_parameters(tree):
+    """``(function, parameter, position, line)`` of every defaulted parameter.
+
+    ``position`` is the parameter's index among a call's positional
+    arguments (a method's ``self`` or ``cls`` not counted), or None for a
+    keyword-only parameter.
+    """
+    for parent in ast.walk(tree):
+        for node in ast.iter_child_nodes(parent):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = isinstance(parent, ast.ClassDef) and any(
+                arg.arg in ("self", "cls") for arg in positional[:1]
+            )
+            first = len(positional) - len(args.defaults)
+            for i in range(first, len(positional)):
+                yield node.name, positional[i].arg, i - bound, node.lineno
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None, node.lineno
+
+
+def _passed():
+    """``{(callee name, parameter or position)}`` over every call of :data:`CALLERS`.
+
+    A callee is named by its last attribute, so a call through a module
+    or an instance counts.  ``*args`` passes every position and
+    ``**kwargs`` every keyword, written as ``"*"`` and ``"**"``.
+    """
+    passed = set()
+    for tree in CALLERS:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            for i, arg in enumerate(node.args):
+                passed.add((name, "*" if isinstance(arg, ast.Starred) else i))
+            for keyword in node.keywords:
+                passed.add((name, keyword.arg or "**"))
+    return passed
+
+
 def test_the_guard_sees_the_whole_package():
     assert {"__init__.py", "grid.py", "propagator.py", "solver.py", "cli.py"} <= set(TREES)
 
@@ -80,3 +134,15 @@ def test_every_private_module_name_is_read_somewhere():
         if name not in read
     ]
     assert not unread, f"private names nothing reads: {unread}"
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    passed = _passed()
+    unpassed = [
+        f"{module}: {function}({parameter}) (line {line})"
+        for module, tree in TREES.items()
+        for function, parameter, position, line in _defaulted_parameters(tree)
+        if not {(function, parameter), (function, "**"), (function, "*")} & passed
+        and (position is None or (function, position) not in passed)
+    ]
+    assert not unpassed, f"defaulted parameters no call passes: {unpassed}"
