@@ -23,9 +23,9 @@ to the CSV.
 
 All quadratures use the plain ``h^3``-weighted grid sums of
 :mod:`rotor_gpe.grid`, and every quantity is read off one moments pass
-(``grid._moments``): one spectral gradient (one real matrix product
-along each axis, no transform) and a few fused reductions, with no
-dressed field built.  With ``theta = omega t_local``, ``c = cos(theta)``,
+(``grid._moments``): the ``x1`` and ``x2`` spectral partials (one real
+matrix product each, no transform), one Gram product for the ``x3``
+terms and a few fused reductions, with no dressed field built.  With ``theta = omega t_local``, ``c = cos(theta)``,
 ``s = sin(theta)`` and the moments
 
 * ``X = || |x| u ||^2``,
@@ -174,9 +174,9 @@ def record(
     ``t`` is the global timestamp; ``t_local`` (defaulting to ``t``) is
     the window-local time used for the dressed operators and the balance
     law, and ``e0_initial=None`` takes the record's own ``e0`` as the
-    reference of that law.  Every column comes from one moments pass: one spectral
-    gradient (one real matrix product along each axis) and a few fused
-    reductions.  ``||J(t)u||^2`` and ``||H(t)u||^2`` follow from the
+    reference of that law.  Every column comes from one moments pass: two
+    spectral partials, one Gram product (see ``grid._moments``) and a
+    few fused reductions.  ``||J(t)u||^2`` and ``||H(t)u||^2`` follow from the
     moment identities of the module docstring, which hold exactly on the
     grid; no dressed field is built.
     """

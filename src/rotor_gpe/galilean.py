@@ -50,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import QFactorizationSingular
-from .grid import Field, GridSpec, PhysicsParams, gradient_arrays
+from .grid import Field, GridSpec, PhysicsParams, _partial, gradient_arrays
 
 __all__ = [
     "galilean_momentum",
@@ -215,7 +215,7 @@ def momentum_defect(f: Field, t: float, params: PhysicsParams) -> Field:
     w = params.omega
     theta = w * t
     c, s = np.cos(theta), np.sin(theta)
-    d3 = gradient_arrays(grid, f.data)[2]
+    d3 = _partial(grid, f.data, 2)
     return Field(grid, 2j * w**2 * s**2 * grid.x3 * f.data + 2.0 * w * s * c * d3)
 
 
@@ -231,5 +231,5 @@ def position_defect(f: Field, t: float, params: PhysicsParams) -> Field:
     return Field(
         grid,
         2j * w**2 * s * c * grid.x3 * f.data
-        - 2.0 * w * s**2 * gradient_arrays(grid, f.data)[2],
+        - 2.0 * w * s**2 * _partial(grid, f.data, 2),
     )

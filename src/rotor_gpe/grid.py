@@ -337,22 +337,52 @@ class _Moments(NamedTuple):
     lz: complex
 
 
+def _axial_moments(grid: GridSpec, u: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
+    """``sum |d_3 u|^2`` and ``Im sum x_3 conj(u) d_3 u``, unweighted, from one Gram product.
+
+    With ``U`` the field's ``(n^2, n)`` rows, both are sums over the
+    ``n x n`` Gram matrix ``C = U^H U``: ``sum (D^T D) o Re C`` and
+    ``sum_k x_k sum_l D[k, l] Im C[k, l]``, with ``D`` the
+    derivative matrix.  ``C`` comes from one real product ``G = F^T F``
+    of the rows' float64 view ``F``, ``(n^2, 2n)``: ``Re C`` is the sum
+    of its even-even and odd-odd entries, ``Im C`` its even-odd minus
+    odd-even ones.  ``G`` is written into the bytes of ``scratch``, a
+    C-contiguous float array of at least ``4 n^2`` elements.
+    """
+    n, dmat = grid.n, grid.derivative_matrix
+    flat = np.ascontiguousarray(u, dtype=np.complex128).reshape(n * n, n).view(np.float64)
+    gram = np.matmul(flat.T, flat, out=scratch.reshape(-1)[: 4 * n * n].reshape(2 * n, 2 * n))
+    even, odd = slice(0, None, 2), slice(1, None, 2)
+
+    def dot(a: np.ndarray, rows: slice, cols: slice) -> float:
+        return float(np.einsum("ij,ij->", a, gram[rows, cols]))
+
+    dtd = dmat.T @ dmat
+    weighted = grid.axis[:, None] * dmat
+    return (
+        dot(dtd, even, even) + dot(dtd, odd, odd),
+        dot(weighted, even, odd) - dot(weighted, odd, even),
+    )
+
+
 def _moments(grid: GridSpec, u: np.ndarray, real: np.ndarray | None = None) -> _Moments:
     """One gradient and a handful of fused reductions: see :class:`_Moments`.
 
     Every energy, norm and balance-law quantity of the package is a
     combination of these numbers.  ``|u|^2`` is written into ``real`` (a
     C-contiguous float array of the field's shape; a fresh one when not
-    given) and its sums are taken first.  ``real`` is then free, and its
-    bytes, viewed as a complex array of half the field's ``x1`` rows,
-    take each partial ``d_j`` (:func:`_partial`, one matrix product, no
+    given) and its sums are taken first.  ``real`` is then free.  The
+    ``x3`` terms come from one Gram product written into its bytes
+    (:func:`_axial_moments`), with no partial.  Then those bytes, viewed
+    as a complex array of half the field's ``x1`` rows, take the partials
+    ``d_1`` and ``d_2`` (:func:`_partial`, one matrix product, no
     transform) in two row halves.  So the pass needs no complex scratch,
     and ``u`` is only read.  The coordinate-weighted sums contract
-    ``u conj(d_j)`` over the axes no weight depends on (``einsum``, with
-    ``d_j`` conjugated in place) and then weight the remaining ``n x n``
-    or ``n`` partial sums by the 1D axis, so no weighted or conjugated
-    copy of the field is built; the reductions make no threaded BLAS
-    call, the partials one each.
+    ``u conj(d_j)`` over ``x3`` (``einsum``, with ``d_j`` conjugated in
+    place) and then weight the remaining ``n x n`` partial sums by the
+    1D axis, so no weighted or conjugated copy of the field is built;
+    the reductions make no threaded BLAS call, the partials and the Gram
+    product one each.
     """
     n, vol = grid.n, grid.cell_volume
     ax = grid.axis
@@ -362,28 +392,25 @@ def _moments(grid: GridSpec, u: np.ndarray, real: np.ndarray | None = None) -> _
     l4_4 = float(np.einsum("ijk,ijk->", abs2, abs2)) * vol
     linf = float(np.sqrt(abs2.max()))
     x_sq = tuple(float(np.einsum(f"ijk,{x}->", abs2, ax**2)) * vol for x in "ijk")
+    grad3, virial3 = _axial_moments(grid, u, abs2)
 
-    # Sums of conj(u) d_j: over x3 for j = 1, 2 (indexed by x1, x2), over
-    # x1 and x2 for j = 3 (indexed by x3), one half of the x1 rows at a time.
+    # Sums of conj(u) d_j over x3 for j = 1, 2 (indexed by x1, x2), one
+    # half of the x1 rows at a time.
     half = n // 2
     slab = abs2.view(np.complex128).reshape(half, n, n)
     p1, p2 = np.empty((2, n, n), dtype=np.complex128)
-    p3 = np.zeros(n, dtype=np.complex128)
     grad_sq = []
-    for axis in range(3):
+    for axis, p in enumerate((p1, p2)):
         total = 0.0
         for rows in (slice(0, half), slice(half, n)):
             d = _partial(grid, u, axis, out=slab, rows=rows)
             total += _sum_sq(d)
             np.conjugate(d, out=d)
-            if axis < 2:
-                np.einsum("ijk,ijk->ij", u[rows], d, out=(p1, p2)[axis][rows])
-            else:
-                p3 += np.einsum("ijk,ijk->k", u[rows], d)
+            np.einsum("ijk,ijk->ij", u[rows], d, out=p[rows])
         grad_sq.append(total * vol)
-    for p in (p1, p2, p3):
+    for p in (p1, p2):
         np.conjugate(p, out=p)
-    virial = (ax @ p1.sum(1), ax @ p2.sum(0), p3 @ ax)
+    virial = (ax @ p1.sum(1), ax @ p2.sum(0))
     lz = -1j * (ax @ p2.sum(1) - ax @ p1.sum(0))
 
     return _Moments(
@@ -391,8 +418,8 @@ def _moments(grid: GridSpec, u: np.ndarray, real: np.ndarray | None = None) -> _
         l4_4=l4_4,
         linf=linf,
         x_sq=x_sq,
-        grad_sq=tuple(grad_sq),
-        virial=tuple(float(v.imag) * vol for v in virial),
+        grad_sq=(*grad_sq, grad3 * vol),
+        virial=(*(float(v.imag) * vol for v in virial), virial3 * vol),
         lz=complex(lz) * vol,
     )
 

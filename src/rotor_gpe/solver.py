@@ -29,10 +29,10 @@ non-rotating equation.  Every diagnostics quadrature is invariant under
 ``R`` (see :mod:`rotor_gpe.diagnostics`), so a record reads the
 co-rotating field (its ``linf`` is that field's grid maximum), and the
 rotation is applied only to a field that is handed out (a snapshot, the
-end state).  Between observations the Strang loop also fuses the
-trailing half-phase of one step with the leading half-phase of the
-next, ``N(dt/2) N(dt/2) = N(dt)``, which is exact because ``|v|`` is
-invariant under the phase.
+end state).  The Strang loop also fuses the trailing half-phase of one
+step with the leading half-phase of the next, ``N(dt/2) N(dt/2) =
+N(dt)``, which is exact because ``|v|`` is invariant under the phase;
+an observation between two steps takes both halves in one kernel pass.
 
 The linear kernel is only valid on ``(0, pi/(4 omega)]``, so long
 evolutions proceed window by window: steps are clipped at seams, and at
@@ -245,13 +245,24 @@ def _slab_size(shape: tuple[int, ...]) -> int:
 
 
 def _phase_into(
-    data: np.ndarray, tau: float, beta: float, out: np.ndarray, scratch: np.ndarray
+    data: np.ndarray,
+    tau: float,
+    beta: float,
+    out: np.ndarray,
+    scratch: np.ndarray,
+    twice: bool = False,
 ) -> float:
     """``exp(-i beta tau |data|^2) data`` into ``out``; returns ``max |data|^2``.
 
     ``data`` and ``out`` are C-contiguous complex arrays of one shape, and
     ``out`` is not ``data``.  ``scratch`` is a C-contiguous float array of
     at least ``2 * _slab_size(shape)`` elements, and is overwritten.
+
+    With ``twice`` the factor ``f = exp(-i beta tau |d|^2)`` is applied
+    twice from one evaluation: ``data`` is left holding ``f d = N(tau)
+    data``, bit for bit what ``out`` gets without ``twice``, and ``out``
+    gets ``f (f d)``.  As ``|f d| = |d|``, that is ``N(tau) N(tau) data =
+    N(2 tau) data`` up to rounding.
 
     The field goes slab by slab (:func:`_slab_size`), so that each slab's
     passes stay in cache.  A slab takes ``|d|^2`` as ``re^2 + im^2`` and
@@ -261,9 +272,10 @@ def _phase_into(
     polynomials in ``theta^2``, cut at the fewest terms whose first
     omitted one is below ``2^-54`` (:func:`_taylor`); otherwise, NaN and
     inf included, they are libm's.  They are written straight into
-    ``out.real`` and ``out.imag``, then ``out *= d``.  ``beta tau = 0``
-    copies ``data`` bit for bit.  The returned peak is the maximum over
-    the whole field, NaN if any ``|d|^2`` is NaN.
+    ``out.real`` and ``out.imag``, then ``out *= d`` (with ``twice``,
+    ``d = out * d`` first).  ``beta tau = 0`` copies ``data`` bit for bit
+    and leaves it as it is.  The returned peak is the maximum over the
+    whole field, NaN if any ``|d|^2`` is NaN.
     """
     size = _slab_size(data.shape)
     flat, flat_out, scratch = data.reshape(-1), out.reshape(-1), scratch.reshape(-1)
@@ -288,6 +300,8 @@ def _phase_into(
         else:
             np.cos(theta, out=o.real)
             np.sin(theta, out=theta)
+        if twice:
+            np.multiply(o, d, out=d)  # o * d, the operand order of the product below
         o *= d
     return peak
 
@@ -337,18 +351,26 @@ def evolve(
     a snapshot and at the end, where the record is taken from the same
     array before it is rotated.
 
+    An observation (a record or a snapshot) after a ``dt``-long step
+    whose next step is ``dt`` long too takes one phase pass for both
+    (``_phase_into`` with ``twice``): the observed field ``N(tau) w`` is
+    left in ``w``'s own array and the next step's input ``N(tau) N(tau)
+    w``, which is ``N(tau + dt/2) w`` because ``|N(tau) w| = |w|``, goes
+    into the other, and that step takes no phase of its own.  An
+    observation at a seam, before a clipped step or at the end phases
+    ``w`` on its own, and the next step phases it again.
+
     The loop writes only a workspace allocated once per call: two
     complex arrays and one real one, each of the field's shape.  The
     phase goes into one complex array, with its slabs of scratch in the
     real one, and the harmonic flow into the other with the first as its
-    scratch; a record phases into the first and takes its moments
-    through the real one.  So a step, and a step that only records,
-    allocates nothing.
+    scratch; a record takes its moments through the real one.  So a
+    step, and a step that only records, allocates nothing.
     The end state is phased, recorded and rotated in the first complex
     array, the only one of the workspace that outlives the call; a
-    mid-run snapshot is a fresh array.  The loop never writes into the
-    caller's field or into a field it has handed to ``on_snapshot``
-    before the end.
+    mid-run snapshot is a fresh array, rotated from the observed field
+    into it.  The loop never writes into the caller's field or into a
+    field it has handed to ``on_snapshot`` before the end.
     Every step that is not clipped is ``config.dt`` long, whatever the
     rounding of the window-local clock, so the harmonic flow's matrix is
     fetched only at the first step, at a step clipped to a seam or to
@@ -372,9 +394,10 @@ def evolve(
     1e-10 of its mass within two cells of the box boundary.  The guard
     reads the peak ``max |w|^2`` that the phase kernel returns.  The
     check follows the phase into the workspace, but comes before the
-    flow steps on that array and before any field is handed out; the
-    same peak gives :attr:`EvolveResult.max_phase_per_step` and
-    :attr:`EvolveResult.guard_margin`.
+    flow steps on that array and before any field is handed out (an
+    observed step's one pass is checked before its record and its
+    snapshot); the same peak gives :attr:`EvolveResult.max_phase_per_step`
+    and :attr:`EvolveResult.guard_margin`.
     """
     window = params.window
     truncated = boundary_mass_fraction(u0)
@@ -401,9 +424,9 @@ def evolve(
     # The workspace: a step phases w into ``phased`` (with ``real`` as the
     # phase's scratch), then the harmonic flow takes it into ``ahead``
     # (with ``phased`` as its scratch), and w becomes ``ahead``; a record
-    # phases into ``phased`` and takes its moments through ``real``.  Only
-    # these three arrays are ever written; w may also be the caller's
-    # field, which is only read.
+    # takes its moments through ``real``.  Only these three arrays are
+    # ever written; w may also be the caller's field, which is only read
+    # (no observation, so no in-place phase, comes before the first step).
     ahead = np.empty(grid.shape, dtype=np.complex128)
     phased = np.empty_like(ahead)
     real = np.empty(grid.shape)
@@ -411,10 +434,10 @@ def evolve(
     mat, mat_dt = None, None
     peak_sq, max_phase = 0.0, 0.0
 
-    def phase(tau_: float, out: np.ndarray) -> np.ndarray:
-        """``N(tau_) w`` into ``out``; then ``max |w|`` must pass the guard."""
+    def phase(tau_: float, out: np.ndarray, twice: bool = False) -> np.ndarray:
+        """``N(tau_) w`` into ``out`` (see ``_phase_into``); then ``max |w|`` must pass the guard."""
         nonlocal peak_sq
-        peak_sq = _phase_into(w, tau_, beta, out, real)
+        peak_sq = _phase_into(w, tau_, beta, out, real, twice)
         if peak_sq > guard * guard:
             raise BlowupDetected(
                 f"max |u| = {np.sqrt(peak_sq):.3e} exceeded the guard {guard:.3e} at "
@@ -439,13 +462,19 @@ def evolve(
         records.append(record_from_moments(moments, t_global, params, None, t_local=0.0))
         e0_window = records[-1].e0
 
-    def handed_out(record_it: bool, end: bool) -> TrajectoryState:
-        """The lab field; the end state is built in ``phased``, a snapshot fresh."""
-        lab = phase(tau, phased if end else np.empty_like(ahead))
-        if record_it:
-            take_record(lab)
-        rotate_pattern(grid, lab, theta, out=lab)
+    def handed_out(corotating: np.ndarray, lab: np.ndarray) -> TrajectoryState:
+        """The lab field ``R(theta) corotating``, written into ``lab`` (may be ``corotating``)."""
+        rotate_pattern(grid, corotating, theta, out=lab)
         return TrajectoryState(Field(grid, lab), t_global, window_index, t_local, e0_window)
+
+    def step_from(t_local_: float) -> tuple[float, float]:
+        """The window-local end and the length of the step from ``t_local_``."""
+        unclipped = t_local_ + config.dt
+        next_local = min(unclipped, window)
+        end_local = config.t_end - window_index * window
+        if next_local > end_local - _TIME_EPS and end_local <= window + _TIME_EPS:
+            next_local = min(end_local, window)
+        return next_local, config.dt if next_local == unclipped else next_local - t_local_
 
     # Window 0's energy reference is the e0 of its own opening record, so
     # the initial field takes one moments pass, not an extra one for the
@@ -453,6 +482,7 @@ def evolve(
     moments = _moments(grid, phase(tau, phased), real=real)
     open_window()
     state: TrajectoryState | None = None
+    ready = False  # ``phased`` holds this step's input N(tau + dt/2) w
     while t_global < config.t_end - _TIME_EPS:
         if window - t_local <= _TIME_EPS:
             # Seam: bookkeeping only.  The opening record reads the
@@ -463,18 +493,14 @@ def evolve(
             open_window()
             continue
 
-        unclipped = t_local + config.dt
-        next_local = min(unclipped, window)
-        end_local = config.t_end - window_index * window
-        if next_local > end_local - _TIME_EPS and end_local <= window + _TIME_EPS:
-            next_local = min(end_local, window)
-        dt_step = config.dt if next_local == unclipped else next_local - t_local
+        next_local, dt_step = step_from(t_local)
         if dt_step <= _TIME_EPS:
             break
 
         if dt_step != mat_dt:  # the first step, a clipped one, or the one after it
             mat, mat_dt = splitting_plan(grid, params, dt_step, config.m), dt_step
-        phase(tau + 0.5 * dt_step, phased)
+        if not ready:
+            phase(tau + 0.5 * dt_step, phased)
         max_phase = max(max_phase, beta * (tau + 0.5 * dt_step) * peak_sq)
         w = harmonic_flow(mat, phased, out=ahead, scratch=phased)
         theta += params.omega * dt_step
@@ -490,15 +516,31 @@ def evolve(
             and step_count % config.diagnostics_every == 0
         )
         snapshot_hit = snapshot_every > 0 and (step_count % snapshot_every == 0 or done)
+        observed = record_hit or snapshot_hit
+        # Between two dt-long steps an observation takes one phase pass:
+        # N(tau) w stays in w's array and N(tau) N(tau) w, the next step's
+        # input, goes into ``phased``.
+        ready = (
+            observed
+            and not (at_seam or done)
+            and dt_step == config.dt == step_from(t_local)[1]
+        )
+        if not observed:
+            continue
+        if ready:
+            phase(tau, phased, twice=True)
+            corotating = w
+        else:
+            corotating = phase(tau, phased if done or not snapshot_hit else np.empty_like(ahead))
+        if record_hit:
+            take_record(corotating)
         if snapshot_hit or done:
-            state = handed_out(record_hit, end=done)
+            state = handed_out(corotating, np.empty_like(ahead) if ready else corotating)
             if snapshot_hit:
                 on_snapshot(t_global, state.field)
-        elif record_hit:
-            take_record(phase(tau, phased))
 
     if state is None or state.t_global != t_global:  # left by a step too short to take
-        state = handed_out(False, end=True)
+        state = handed_out(phase(tau, phased), phased)
     return EvolveResult(
         final=state,
         records=tuple(records),

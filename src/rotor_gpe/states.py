@@ -33,8 +33,18 @@ __all__ = [
     "generator_expectation",
 ]
 
-def _gaussian_envelope(grid: GridSpec, omega: float) -> np.ndarray:
-    return np.exp(-0.5 * omega * grid.r2)
+def _gaussian_line(grid: GridSpec, omega: float, center: float = 0.0) -> np.ndarray:
+    """``exp(-omega (x - center)^2 / 2)`` on the 1D axis: one factor of a trap Gaussian."""
+    return np.exp(-0.5 * omega * (grid.axis - center) ** 2)
+
+
+def _outer(plane: np.ndarray, line: np.ndarray) -> np.ndarray:
+    """``plane[i, j] line[k]``: a separable field from its ``(x1, x2)`` and ``x3`` factors.
+
+    The separable states are built from 1D factors, so the only
+    full-grid pass is this one complex product.
+    """
+    return np.multiply(plane[:, :, None], line, dtype=np.complex128)
 
 
 def _check_resolution(
@@ -68,8 +78,8 @@ def ground_state(grid: GridSpec, params: PhysicsParams) -> Field:
     """
     w = params.omega
     _check_resolution(grid, w)
-    data = (w / np.pi) ** 0.75 * _gaussian_envelope(grid, w)
-    return Field(grid, data.astype(np.complex128))
+    line = _gaussian_line(grid, w)
+    return Field(grid, _outer((w / np.pi) ** 0.75 * np.outer(line, line), line))
 
 
 def vortex_state(grid: GridSpec, params: PhysicsParams, charge: int = +1) -> Field:
@@ -84,13 +94,10 @@ def vortex_state(grid: GridSpec, params: PhysicsParams, charge: int = +1) -> Fie
         raise ValueError(f"vortex charge must be +1 or -1, got {charge}")
     w = params.omega
     _check_resolution(grid, w)
-    data = (
-        np.sqrt(w)
-        * (w / np.pi) ** 0.75
-        * (grid.x1 + 1j * charge * grid.x2)
-        * _gaussian_envelope(grid, w)
-    )
-    return Field(grid, data)
+    line = _gaussian_line(grid, w)
+    x = grid.axis
+    plane = np.add.outer(x, 1j * charge * x) * np.outer(line, line)
+    return Field(grid, _outer(np.sqrt(w) * (w / np.pi) ** 0.75 * plane, line))
 
 
 #: The eigenstates among the named states: builder, and generator
@@ -123,12 +130,9 @@ def coherent_state(
         )
     w = params.omega
     _check_resolution(grid, w, tuple(a))
-    shifted = (
-        (grid.x1 - a[0]) ** 2 + (grid.x2 - a[1]) ** 2 + (grid.x3 - a[2]) ** 2
-    )
-    phase = p[0] * grid.x1 + p[1] * grid.x2 + p[2] * grid.x3
-    data = (w / np.pi) ** 0.75 * np.exp(-0.5 * w * shifted) * np.exp(1j * phase)
-    return Field(grid, data)
+    # The kicked Gaussian is separable: one 1D factor per axis.
+    f1, f2, f3 = (_gaussian_line(grid, w, a[j]) * np.exp(1j * p[j] * grid.axis) for j in range(3))
+    return Field(grid, _outer((w / np.pi) ** 0.75 * np.outer(f1, f2), f3))
 
 
 def random_smooth_field(

@@ -234,6 +234,22 @@ def test_moments_equal_the_transform_derivative_reference(state):
     assert abs(got.lz - want["lz"]) <= 1e-13 * lz_bound
 
 
+@pytest.mark.parametrize("n", [24, 48])
+def test_the_gram_x3_moments_match_sums_over_the_axial_partial(n):
+    # ||d_3 u||^2 and Im <x_3 u, d_3 u> come from the Gram matrix U^H U,
+    # not from d_3 u; on an off-axis kicked state they must match the
+    # direct sums over the partial (measured 2.3e-14 and 5.1e-15 apart).
+    grid = GridSpec(n, 8.0)
+    u = coherent_state(grid, PhysicsParams(omega=1.0), (1.0, 0.5, 0.3), (0.4, -0.3, 0.2)).data
+    got = _moments(grid, u)
+    d3 = gradient_arrays(grid, u)[2]
+    vol = grid.cell_volume
+    grad3 = float(np.sum(np.abs(d3) ** 2)) * vol
+    virial3 = float(np.sum(np.conj(grid.x3 * u) * d3).imag) * vol
+    assert abs(got.grad_sq[2] - grad3) <= 1e-13 * grad3
+    assert abs(got.virial[2] - virial3) <= 1e-13 * abs(virial3)
+
+
 def test_a_moments_pass_with_its_workspace_peaks_below_a_fifth_of_a_field():
     # Each partial is one matrix product into half of ``real``, viewed as
     # complex once its sums are taken: no complex scratch and no transform

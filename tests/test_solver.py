@@ -199,6 +199,24 @@ def test_phase_kernel_covers_a_short_last_slab(shape):
     assert np.max(np.abs(out - libm_phase(data, tau, 1.0))) <= 3.0 * 1e-15
 
 
+@KERNEL
+@given(seed=st.integers(0, 2**32 - 1), tau=st.floats(0.0, 0.5))
+def test_the_twice_phase_leaves_one_factor_in_place_and_writes_two(seed, tau):
+    # ``data`` is left as N(tau) data, bit for bit the single pass's
+    # output, and ``out`` is the same factor applied once more: N(2 tau)
+    # data up to rounding, since the factor keeps the modulus.
+    rng = np.random.default_rng(seed)
+    data = 0.5 * (rng.standard_normal((12, 12, 12)) + 1j * rng.standard_normal((12, 12, 12)))
+    once, peak = phase_kernel(data, tau, 1.0)
+    scratch = np.empty(2 * solver_module._slab_size(data.shape))
+    left, twice = data.copy(), np.full_like(data, np.nan)
+    assert solver_module._phase_into(left, tau, 1.0, twice, scratch, twice=True) == peak
+    assert np.array_equal(left, once)
+    assert np.max(np.abs(twice - libm_phase(data, 2.0 * tau, 1.0))) <= 4e-15 * np.max(np.abs(data))
+    if tau == 0.0:
+        assert np.array_equal(left, data) and np.array_equal(twice, data)
+
+
 def test_evolve_without_interaction_tracks_the_fast_backend():
     # With beta = 0 the stepper is a chain of linear applications with the
     # same substep length as one merged 64-substep application.  The two
@@ -344,6 +362,14 @@ def test_every_observed_field_is_the_rotated_phased_frame():
         assert np.linalg.norm(data - want) / np.linalg.norm(want) < 1e-12, t
 
 
+def phased_twice(data, tau, params):
+    """The observed step's one phase pass, into fresh arrays: ``(N(tau) data, N(tau) N(tau) data)``."""
+    once, twice = data.copy(), np.empty_like(data)
+    scratch = np.empty(2 * solver_module._slab_size(data.shape))
+    solver_module._phase_into(once, tau, params.beta, twice, scratch, twice=True)
+    return once, twice
+
+
 def allocating_evolve(u, cfg, params, snapshot_every):
     """``evolve``'s step and observation sequence with allocating calls only.
 
@@ -351,9 +377,11 @@ def allocating_evolve(u, cfg, params, snapshot_every):
     :func:`nonlinear_phase` and the allocating forms of ``harmonic_flow``
     and ``rotate_pattern``, and every record is :func:`record` of a fresh
     co-rotating field; the clock arithmetic is ``evolve``'s, so that each
-    step uses the same plan.  The frame runs on across the seam, whose two
-    records read the same field.  Returns ``(records, snapshots, final lab
-    array)``.
+    step uses the same plan.  An observation between two ``dt``-long
+    steps reads ``N(tau) w``, and the next step's input is ``N(tau)`` of
+    that, the same factor applied once more (:func:`phased_twice`).  The
+    frame runs on across the seam, whose two records read the same
+    field.  Returns ``(records, snapshots, final lab array)``.
     """
     grid, window = u.grid, params.window
     phased = lambda data, tau: nonlinear_phase(Field(grid, data), tau, params).data
@@ -361,22 +389,27 @@ def allocating_evolve(u, cfg, params, snapshot_every):
     e0 = records[0].e0
     snapshots = [(0.0, u.data)]
     w, theta, tau = u.data, 0.0, 0.0
-    corotating = u.data
+    corotating, ahead = u.data, None
     k, t_local, t_global, steps = 0, 0.0, 0.0, 0
+
+    def step_from(t_local):
+        unclipped = t_local + cfg.dt
+        next_local = min(unclipped, window)
+        end_local = cfg.t_end - k * window
+        if next_local > end_local - 1e-13 and end_local <= window + 1e-13:
+            next_local = min(end_local, window)
+        return next_local, cfg.dt if next_local == unclipped else next_local - t_local
+
     while t_global < cfg.t_end - 1e-13:
         if window - t_local <= 1e-13:  # seam: bookkeeping only
             k, t_local = k + 1, 0.0
             e0 = records[-1].e0
             records.append(record(Field(grid, corotating), t_global, params, e0, t_local=0.0))
             continue
-        unclipped = t_local + cfg.dt
-        next_local = min(unclipped, window)
-        end_local = cfg.t_end - k * window
-        if next_local > end_local - 1e-13 and end_local <= window + 1e-13:
-            next_local = min(end_local, window)
-        dt_step = cfg.dt if next_local == unclipped else next_local - t_local
+        next_local, dt_step = step_from(t_local)
         mat = splitting_plan(grid, params, dt_step, cfg.m)
-        w = harmonic_flow(mat, phased(w, tau + 0.5 * dt_step))
+        step_input = phased(w, tau + 0.5 * dt_step) if ahead is None else ahead
+        w = harmonic_flow(mat, step_input)
         theta += params.omega * dt_step
         tau = 0.5 * dt_step
         at_seam = next_local >= window - 1e-13
@@ -386,8 +419,11 @@ def allocating_evolve(u, cfg, params, snapshot_every):
         done = t_global >= cfg.t_end - 1e-13
         record_hit = at_seam or done or steps % cfg.diagnostics_every == 0
         snapshot_hit = steps % snapshot_every == 0 or done
+        ahead = None
         if record_hit or snapshot_hit:
             corotating = phased(w, tau)
+            if not (at_seam or done) and dt_step == cfg.dt == step_from(t_local)[1]:
+                _, ahead = phased_twice(w, tau, params)
             if record_hit:
                 records.append(
                     record(Field(grid, corotating), t_global, params, e0, t_local=t_local)
@@ -431,6 +467,36 @@ def test_workspace_evolve_is_bit_equal_across_several_phase_slabs():
     grid = GridSpec(34, 5.0)
     assert solver_module._slab_size(grid.shape) == 14 * 34 * 34
     assert_workspace_evolve_is_bit_equal_to_allocating_steps(grid)
+
+
+def test_an_observed_evolve_ends_where_an_unobserved_one_does():
+    # An observed step's one phase pass hands the next step N(tau) N(tau) w
+    # in place of N(dt) w, the same field up to rounding.
+    grid = GridSpec(24, 6.0)
+    u = off_axis_state(grid)
+    cfg = SolverConfig(dt=2e-3, t_end=40 * 2e-3)
+    plain = evolve(u, cfg, CUBIC).final.field.data
+    observed = evolve(u, replace(cfg, diagnostics_every=1), CUBIC, snapshot_every=2)
+    assert len(observed.records) == 41 and len(observed.snapshots) == 21
+    gap = np.linalg.norm(observed.final.field.data - plain) / np.linalg.norm(plain)
+    assert 0.0 < gap <= 1e-14
+
+
+def test_an_observed_step_takes_one_phase_pass(monkeypatch):
+    # 20 steps of a dyadic dt, so none is clipped, recorded every step:
+    # the initial field, the first step, then one pass per observation
+    # (41 when the next step phased again).
+    calls = []
+    real_kernel = solver_module._phase_into
+
+    def counting(*args):
+        calls.append(1)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(solver_module, "_phase_into", counting)
+    dt = 2.0**-10
+    evolve(off_axis_state(GRID), SolverConfig(dt=dt, t_end=20 * dt, diagnostics_every=1), CUBIC)
+    assert len(calls) == 22
 
 
 def _evolve_memory(cfg):

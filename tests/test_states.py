@@ -100,6 +100,28 @@ def test_coherent_state_at_origin_is_the_ground_state():
     assert np.max(np.abs(u.data - g.data)) < 1e-15
 
 
+@pytest.mark.parametrize("n", [24, 48])
+def test_separable_states_equal_their_full_grid_formulas(n):
+    # The states are built as outer products of 1D factors; the
+    # full-grid exp of the closed forms must agree to rounding.
+    grid = GridSpec(n, 6.0)
+    params = PhysicsParams(omega=1.3)
+    w, amp = params.omega, (params.omega / np.pi) ** 0.75
+    envelope = amp * np.exp(-0.5 * w * grid.r2)
+    a, p = (1.0, -0.5, 0.2), (0.3, -0.5, 0.2)
+    shifted = (grid.x1 - a[0]) ** 2 + (grid.x2 - a[1]) ** 2 + (grid.x3 - a[2]) ** 2
+    kick = p[0] * grid.x1 + p[1] * grid.x2 + p[2] * grid.x3
+    cases = [
+        (ground_state(grid, params), envelope),
+        (vortex_state(grid, params, +1), np.sqrt(w) * (grid.x1 + 1j * grid.x2) * envelope),
+        (vortex_state(grid, params, -1), np.sqrt(w) * (grid.x1 - 1j * grid.x2) * envelope),
+        (coherent_state(grid, params, a, p), amp * np.exp(-0.5 * w * shifted) * np.exp(1j * kick)),
+    ]
+    for got, want in cases:
+        assert got.data.dtype == np.complex128
+        assert np.max(np.abs(got.data - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_coherent_state_centroid_matches_parameters():
     center = (1.2, -0.7, 0.4)
     u = coherent_state(GRID, PARAMS, center, kick=(0.5, 0.0, -0.2))
