@@ -363,7 +363,6 @@ def _verify_battery(cfg: RunConfig) -> list[CheckRow]:
         scheme="strang",
         dt=min(cfg.solver.dt, 2e-3 / w),
         t_end=min(cfg.solver.t_end, 0.2 / w),
-        picard=cfg.solver.picard,
         diagnostics_every=25,
         blowup_factor=cfg.solver.blowup_factor,
     )

@@ -32,7 +32,9 @@ rotation is applied only to a field that is handed out (a snapshot, the
 end state).  The Strang loop also fuses the trailing half-phase of one
 step with the leading half-phase of the next, ``N(dt/2) N(dt/2) =
 N(dt)``, which is exact because ``|v|`` is invariant under the phase;
-an observation between two steps takes both halves in one kernel pass.
+an observation takes one kernel pass that leaves the observed field and
+the same factor applied once more, the next step's input when that step
+is as long as the last.
 
 The linear kernel is only valid on ``(0, pi/(4 omega)]``, so long
 evolutions proceed window by window: steps are clipped at seams, and at
@@ -262,7 +264,9 @@ def _phase_into(
     twice from one evaluation: ``data`` is left holding ``f d = N(tau)
     data``, bit for bit what ``out`` gets without ``twice``, and ``out``
     gets ``f (f d)``.  As ``|f d| = |d|``, that is ``N(tau) N(tau) data =
-    N(2 tau) data`` up to rounding.
+    N(2 tau) data`` up to rounding.  :func:`evolve` observes this way:
+    ``data`` becomes the observed field, and ``out`` is the next step's
+    input if that step's half-step is ``tau``.
 
     The field goes slab by slab (:func:`_slab_size`), so that each slab's
     passes stay in cache.  A slab takes ``|d|^2`` as ``re^2 + im^2`` and
@@ -351,14 +355,15 @@ def evolve(
     a snapshot and at the end, where the record is taken from the same
     array before it is rotated.
 
-    An observation (a record or a snapshot) after a ``dt``-long step
-    whose next step is ``dt`` long too takes one phase pass for both
-    (``_phase_into`` with ``twice``): the observed field ``N(tau) w`` is
-    left in ``w``'s own array and the next step's input ``N(tau) N(tau)
-    w``, which is ``N(tau + dt/2) w`` because ``|N(tau) w| = |w|``, goes
-    into the other, and that step takes no phase of its own.  An
-    observation at a seam, before a clipped step or at the end phases
-    ``w`` on its own, and the next step phases it again.
+    Every observation (a record or a snapshot) after ``t = 0`` takes one
+    phase pass (``_phase_into`` with ``twice``): the observed field
+    ``N(tau) w`` is left in ``w``'s own array, which then owes no phase,
+    and ``N(tau) N(tau) w`` goes into the other.  A next step whose
+    half-step is ``tau`` takes that as its input, as ``N(tau) N(tau) w =
+    N(tau + dt/2) w`` because ``|N(tau) w| = |w|``; any other step
+    phases the observed field by its own half-step.  Either way the step
+    applies the angle ``tau + dt/2``.  The record at ``t = 0`` reads
+    ``u0`` as it is.
 
     The loop writes only a workspace allocated once per call: two
     complex arrays and one real one, each of the field's shape.  The
@@ -366,11 +371,12 @@ def evolve(
     real one, and the harmonic flow into the other with the first as its
     scratch; a record takes its moments through the real one.  So a
     step, and a step that only records, allocates nothing.
-    The end state is phased, recorded and rotated in the first complex
-    array, the only one of the workspace that outlives the call; a
-    mid-run snapshot is a fresh array, rotated from the observed field
-    into it.  The loop never writes into the caller's field or into a
-    field it has handed to ``on_snapshot`` before the end.
+    The end state is rotated in place in the array that holds the
+    observed field, the harmonic flow's output and the only one of the
+    workspace that outlives the call; a mid-run snapshot is a fresh
+    array, rotated from the observed field into it.  The loop never
+    writes into the caller's field or into a field it has handed to
+    ``on_snapshot`` before the end.
     Every step that is not clipped is ``config.dt`` long, whatever the
     rounding of the window-local clock, so the harmonic flow's matrix is
     fetched only at the first step, at a step clipped to a seam or to
@@ -434,7 +440,7 @@ def evolve(
     mat, mat_dt = None, None
     peak_sq, max_phase = 0.0, 0.0
 
-    def phase(tau_: float, out: np.ndarray, twice: bool = False) -> np.ndarray:
+    def phase(tau_: float, out: np.ndarray, twice: bool = False) -> None:
         """``N(tau_) w`` into ``out`` (see ``_phase_into``); then ``max |w|`` must pass the guard."""
         nonlocal peak_sq
         peak_sq = _phase_into(w, tau_, beta, out, real, twice)
@@ -444,7 +450,6 @@ def evolve(
                 f"t = {t_global:.6f} (step {step_count}); the run is "
                 "numerically unstable (aliasing or too-large dt), not physics"
             )
-        return out
 
     records: list[DiagnosticsRecord] = []
     moments: _Moments | None = None
@@ -467,22 +472,13 @@ def evolve(
         rotate_pattern(grid, corotating, theta, out=lab)
         return TrajectoryState(Field(grid, lab), t_global, window_index, t_local, e0_window)
 
-    def step_from(t_local_: float) -> tuple[float, float]:
-        """The window-local end and the length of the step from ``t_local_``."""
-        unclipped = t_local_ + config.dt
-        next_local = min(unclipped, window)
-        end_local = config.t_end - window_index * window
-        if next_local > end_local - _TIME_EPS and end_local <= window + _TIME_EPS:
-            next_local = min(end_local, window)
-        return next_local, config.dt if next_local == unclipped else next_local - t_local_
-
     # Window 0's energy reference is the e0 of its own opening record, so
     # the initial field takes one moments pass, not an extra one for the
     # energy.
-    moments = _moments(grid, phase(tau, phased), real=real)
+    moments = _moments(grid, u0.data, real=real)
     open_window()
     state: TrajectoryState | None = None
-    ready = False  # ``phased`` holds this step's input N(tau + dt/2) w
+    cached = None  # after an observation: ``phased`` holds N(cached) of the observed w
     while t_global < config.t_end - _TIME_EPS:
         if window - t_local <= _TIME_EPS:
             # Seam: bookkeeping only.  The opening record reads the
@@ -493,18 +489,24 @@ def evolve(
             open_window()
             continue
 
-        next_local, dt_step = step_from(t_local)
+        unclipped = t_local + config.dt
+        next_local = min(unclipped, window)
+        end_local = config.t_end - window_index * window
+        if next_local > end_local - _TIME_EPS and end_local <= window + _TIME_EPS:
+            next_local = min(end_local, window)
+        dt_step = config.dt if next_local == unclipped else next_local - t_local
         if dt_step <= _TIME_EPS:
             break
 
         if dt_step != mat_dt:  # the first step, a clipped one, or the one after it
             mat, mat_dt = splitting_plan(grid, params, dt_step, config.m), dt_step
-        if not ready:
-            phase(tau + 0.5 * dt_step, phased)
-        max_phase = max(max_phase, beta * (tau + 0.5 * dt_step) * peak_sq)
+        half = 0.5 * dt_step
+        if half != cached:  # an observed w owes no phase; an unobserved one owes tau
+            phase(half if cached else tau + half, phased)
+        max_phase = max(max_phase, beta * (tau + half) * peak_sq)
         w = harmonic_flow(mat, phased, out=ahead, scratch=phased)
         theta += params.omega * dt_step
-        tau = 0.5 * dt_step
+        tau, cached = half, None
         at_seam = next_local >= window - _TIME_EPS
         t_global = window_index * window + next_local
         t_local = window if at_seam else next_local
@@ -516,31 +518,23 @@ def evolve(
             and step_count % config.diagnostics_every == 0
         )
         snapshot_hit = snapshot_every > 0 and (step_count % snapshot_every == 0 or done)
-        observed = record_hit or snapshot_hit
-        # Between two dt-long steps an observation takes one phase pass:
-        # N(tau) w stays in w's array and N(tau) N(tau) w, the next step's
-        # input, goes into ``phased``.
-        ready = (
-            observed
-            and not (at_seam or done)
-            and dt_step == config.dt == step_from(t_local)[1]
-        )
-        if not observed:
+        if not (record_hit or snapshot_hit):
             continue
-        if ready:
-            phase(tau, phased, twice=True)
-            corotating = w
-        else:
-            corotating = phase(tau, phased if done or not snapshot_hit else np.empty_like(ahead))
+        # One pass leaves the observed field N(tau) w in w's array and
+        # N(tau) of it in ``phased``.
+        phase(tau, phased, twice=True)
+        cached = tau
         if record_hit:
-            take_record(corotating)
+            take_record(w)
         if snapshot_hit or done:
-            state = handed_out(corotating, np.empty_like(ahead) if ready else corotating)
+            state = handed_out(w, w if done else np.empty_like(ahead))
             if snapshot_hit:
                 on_snapshot(t_global, state.field)
 
     if state is None or state.t_global != t_global:  # left by a step too short to take
-        state = handed_out(phase(tau, phased), phased)
+        if cached is None:
+            phase(tau, phased, twice=True)
+        state = handed_out(w, w)
     return EvolveResult(
         final=state,
         records=tuple(records),

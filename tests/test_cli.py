@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -1014,11 +1015,16 @@ def test_the_package_exports_the_union_of_the_module_lists():
 
 
 def test_module_invocation_reports_version():
+    # The subprocess does not see pytest's ``pythonpath``, so it is handed
+    # the repository's ``src`` first: the test runs from a bare checkout.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "rotor_gpe", "--version"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "rotor-gpe" in proc.stdout

@@ -377,41 +377,41 @@ def allocating_evolve(u, cfg, params, snapshot_every):
     :func:`nonlinear_phase` and the allocating forms of ``harmonic_flow``
     and ``rotate_pattern``, and every record is :func:`record` of a fresh
     co-rotating field; the clock arithmetic is ``evolve``'s, so that each
-    step uses the same plan.  An observation between two ``dt``-long
-    steps reads ``N(tau) w``, and the next step's input is ``N(tau)`` of
-    that, the same factor applied once more (:func:`phased_twice`).  The
-    frame runs on across the seam, whose two records read the same
-    field.  Returns ``(records, snapshots, final lab array)``.
+    step uses the same plan.  An observation takes ``(N(tau) w, N(tau)
+    N(tau) w)`` from :func:`phased_twice` and reads the first; the next
+    step's input is the second if its half-step is ``tau``, and otherwise
+    the observed field phased by that half-step.  The frame runs on
+    across the seam, whose two records read the same field.  Returns
+    ``(records, snapshots, final lab array)``.
     """
     grid, window = u.grid, params.window
     phased = lambda data, tau: nonlinear_phase(Field(grid, data), tau, params).data
     records = [record(u, 0.0, params, energy_e0(u, params), t_local=0.0)]
     e0 = records[0].e0
     snapshots = [(0.0, u.data)]
-    w, theta, tau = u.data, 0.0, 0.0
-    corotating, ahead = u.data, None
+    w, theta, tau, ahead = u.data, 0.0, 0.0, None
     k, t_local, t_global, steps = 0, 0.0, 0.0, 0
-
-    def step_from(t_local):
+    while t_global < cfg.t_end - 1e-13:
+        if window - t_local <= 1e-13:  # seam: bookkeeping only
+            k, t_local = k + 1, 0.0
+            e0 = records[-1].e0
+            records.append(record(Field(grid, w), t_global, params, e0, t_local=0.0))
+            continue
         unclipped = t_local + cfg.dt
         next_local = min(unclipped, window)
         end_local = cfg.t_end - k * window
         if next_local > end_local - 1e-13 and end_local <= window + 1e-13:
             next_local = min(end_local, window)
-        return next_local, cfg.dt if next_local == unclipped else next_local - t_local
-
-    while t_global < cfg.t_end - 1e-13:
-        if window - t_local <= 1e-13:  # seam: bookkeeping only
-            k, t_local = k + 1, 0.0
-            e0 = records[-1].e0
-            records.append(record(Field(grid, corotating), t_global, params, e0, t_local=0.0))
-            continue
-        next_local, dt_step = step_from(t_local)
+        dt_step = cfg.dt if next_local == unclipped else next_local - t_local
         mat = splitting_plan(grid, params, dt_step, cfg.m)
-        step_input = phased(w, tau + 0.5 * dt_step) if ahead is None else ahead
+        half = 0.5 * dt_step
+        if ahead is None:  # no observation since the last step: w owes tau
+            step_input = phased(w, tau + half)
+        else:
+            step_input = ahead if half == tau else phased(w, half)
         w = harmonic_flow(mat, step_input)
         theta += params.omega * dt_step
-        tau = 0.5 * dt_step
+        tau, ahead = half, None
         at_seam = next_local >= window - 1e-13
         t_global = k * window + next_local
         t_local = window if at_seam else next_local
@@ -419,18 +419,13 @@ def allocating_evolve(u, cfg, params, snapshot_every):
         done = t_global >= cfg.t_end - 1e-13
         record_hit = at_seam or done or steps % cfg.diagnostics_every == 0
         snapshot_hit = steps % snapshot_every == 0 or done
-        ahead = None
         if record_hit or snapshot_hit:
-            corotating = phased(w, tau)
-            if not (at_seam or done) and dt_step == cfg.dt == step_from(t_local)[1]:
-                _, ahead = phased_twice(w, tau, params)
+            w, ahead = phased_twice(w, tau, params)
             if record_hit:
-                records.append(
-                    record(Field(grid, corotating), t_global, params, e0, t_local=t_local)
-                )
+                records.append(record(Field(grid, w), t_global, params, e0, t_local=t_local))
             if snapshot_hit:
-                snapshots.append((t_global, rotate_pattern(grid, corotating, theta)))
-    return records, snapshots, rotate_pattern(grid, corotating, theta)
+                snapshots.append((t_global, rotate_pattern(grid, w, theta)))
+    return records, snapshots, rotate_pattern(grid, w, theta)
 
 
 def assert_workspace_evolve_is_bit_equal_to_allocating_steps(grid):
@@ -469,23 +464,47 @@ def test_workspace_evolve_is_bit_equal_across_several_phase_slabs():
     assert_workspace_evolve_is_bit_equal_to_allocating_steps(grid)
 
 
-def test_an_observed_evolve_ends_where_an_unobserved_one_does():
-    # An observed step's one phase pass hands the next step N(tau) N(tau) w
-    # in place of N(dt) w, the same field up to rounding.
-    grid = GridSpec(24, 6.0)
+#: Recorded every step: 40 steps of one window, and 103 steps that cross
+#: a seam and end on a clipped step (79 + 24, each window's last clipped).
+OBSERVED_RUNS = {
+    "one-window": (GridSpec(24, 6.0), 2e-3, 40 * 2e-3),
+    "seam": (GridSpec(24, 6.0), 0.01, 1.3 * CUBIC.window + 0.003),
+}
+
+
+@pytest.mark.parametrize(
+    "run, records, snapshots",
+    [("one-window", 41, 21), ("seam", 105, 53)],
+    ids=["one-window", "seam"],
+)
+def test_an_observed_evolve_ends_where_an_unobserved_one_does(run, records, snapshots):
+    # An observation hands the next step N(tau) N(tau) w in place of
+    # N(dt) w, or, before a step of another length, phases the observed
+    # N(tau) w again: the same field up to rounding.
+    grid, dt, t_end = OBSERVED_RUNS[run]
     u = off_axis_state(grid)
-    cfg = SolverConfig(dt=2e-3, t_end=40 * 2e-3)
+    cfg = SolverConfig(dt=dt, t_end=t_end)
     plain = evolve(u, cfg, CUBIC).final.field.data
     observed = evolve(u, replace(cfg, diagnostics_every=1), CUBIC, snapshot_every=2)
-    assert len(observed.records) == 41 and len(observed.snapshots) == 21
+    assert len(observed.records) == records and len(observed.snapshots) == snapshots
     gap = np.linalg.norm(observed.final.field.data - plain) / np.linalg.norm(plain)
     assert 0.0 < gap <= 1e-14
 
 
-def test_an_observed_step_takes_one_phase_pass(monkeypatch):
-    # 20 steps of a dyadic dt, so none is clipped, recorded every step:
-    # the initial field, the first step, then one pass per observation
-    # (41 when the next step phased again).
+@pytest.mark.parametrize(
+    "grid, dt, t_end, passes",
+    [
+        # 20 steps of a dyadic dt, none clipped: the first step, then one
+        # pass per observation; the initial field takes none.
+        (GRID, 2.0**-10, 20 * 2.0**-10, 21),
+        # 103 steps: one pass per observation, and a phase of their own
+        # for the first step, the clipped seam step, the step after the
+        # seam and the clipped end.
+        (*OBSERVED_RUNS["seam"], 107),
+    ],
+    ids=["one-window", "seam"],
+)
+def test_an_observed_step_takes_one_phase_pass(monkeypatch, grid, dt, t_end, passes):
     calls = []
     real_kernel = solver_module._phase_into
 
@@ -494,9 +513,9 @@ def test_an_observed_step_takes_one_phase_pass(monkeypatch):
         return real_kernel(*args)
 
     monkeypatch.setattr(solver_module, "_phase_into", counting)
-    dt = 2.0**-10
-    evolve(off_axis_state(GRID), SolverConfig(dt=dt, t_end=20 * dt, diagnostics_every=1), CUBIC)
-    assert len(calls) == 22
+    res = evolve(off_axis_state(grid), SolverConfig(dt=dt, t_end=t_end, diagnostics_every=1), CUBIC)
+    assert len(calls) == passes
+    assert res.final.t_global == pytest.approx(t_end, abs=1e-12)
 
 
 def _evolve_memory(cfg):
