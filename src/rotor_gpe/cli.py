@@ -55,6 +55,7 @@ from .errors import BoundaryTruncation, ConfigInvalid, RotorGpeError
 from .galilean import _dressed_component
 from .grid import Field, GridSpec, PhysicsParams, _partial, _sum_sq, lp_norm, pairing
 from .propagator import (
+    _oracle_factors,
     default_scan_pairs,
     dispersive_scan,
     harmonic_flow,
@@ -156,7 +157,6 @@ def _write_outputs(
 
 def cmd_run(cfg: RunConfig) -> int:
     start = time.perf_counter()
-    u0 = build_initial_field(cfg)
     outputs: list[str] = []
 
     if cfg.solver.scheme == "picard":
@@ -166,7 +166,7 @@ def cmd_run(cfg: RunConfig) -> int:
                 "evolve.t_end: the picard scheme is single-window; need"
                 f" t_end <= {window:.6f}, got {cfg.solver.t_end}"
             )
-        result = picard_solve(u0, cfg.solver.t_end, cfg.solver, cfg.params)
+        result = picard_solve(build_initial_field(cfg), cfg.solver.t_end, cfg.solver, cfg.params)
         records = []  # the first record's e0 is the balance reference, as in evolve
         for t, f in zip(result.times, result.fields):
             records.append(record(f, t, cfg.params, records[0].e0 if records else None))
@@ -189,8 +189,8 @@ def cmd_run(cfg: RunConfig) -> int:
             write_snapshot(cfg.output_dir / stem, snap, t, cfg.params)
             outputs.extend([f"{stem}.bin", f"{stem}.json"])
 
-        result = evolve(
-            u0,
+        result = evolve(  # handed the initial field, which nothing here keeps
+            build_initial_field(cfg),
             cfg.solver,
             cfg.params,
             snapshot_every=cfg.snapshot_every,
@@ -312,7 +312,8 @@ def _verify_battery(cfg: RunConfig) -> list[CheckRow]:
 
     # Every random input is drawn first, in the battery's order; the oracle
     # rows then run one kernel time at a time, so each time's factors are
-    # built once and the one-time factor cache never rebuilds them.
+    # built once and the one-time factor cache never rebuilds them.  Each
+    # field, and the cache, is dropped after the last row that reads it.
     ogrid = GridSpec(n=24, extent=6.0 / np.sqrt(w))  # the dense quadrature is alias-safe here
     oracle_inputs = [random_smooth_field(ogrid, rng, width=ogrid.extent / 6.0) for _ in range(2)]
     fast_inputs = [random_smooth_field(cfg.grid, rng, width=cfg.grid.extent / 6.0) for _ in range(3)]
@@ -326,6 +327,7 @@ def _verify_battery(cfg: RunConfig) -> list[CheckRow]:
     lhs = pairing(propagate_oracle(phi, t_dual, params), psi)
     rhs = pairing(phi, propagate_dual(psi, t_dual, params, backend="oracle"))
     duality = abs(lhs - rhs) / (lp_norm(phi, 2) * lp_norm(psi, 2))
+    del phi, psi
 
     worst = 0.0
     for theta in (0.55, np.pi / 4):  # 0.55 / w is t_dual: its factors are cached
@@ -333,6 +335,7 @@ def _verify_battery(cfg: RunConfig) -> list[CheckRow]:
             out = propagate_oracle(phi_k, theta / w, params)
             worst = max(worst, abs(lp_norm(out, 2) / lp_norm(phi_k, 2) - 1.0))
     rows.append(CheckRow("unitarity-oracle", worst, 1e-6))
+    del oracle_inputs, phi_k, out
 
     worst = 0.0
     for phi_k in fast_inputs:
@@ -341,6 +344,7 @@ def _verify_battery(cfg: RunConfig) -> list[CheckRow]:
             out = propagate_fast(phi_k, theta / w, params)
             worst = max(worst, abs(lp_norm(out, 2) / n0 - 1.0))
     rows.append(CheckRow("unitarity-fast", worst, 1e-10))
+    del fast_inputs, phi_k, out
 
     t_eig = 0.7 / w
     for name, kind in (("eigenphase-ground", "ground"), ("eigenphase-vortex", "vortex_plus")):
@@ -349,6 +353,8 @@ def _verify_battery(cfg: RunConfig) -> list[CheckRow]:
         ref = exact_linear_evolution(ogrid, params, kind, t_eig)
         rows.append(CheckRow(name, _rel_l2(out, ref), 1e-5))
     rows.append(CheckRow("duality-pairing", duality, 1e-8))
+    del u0, out, ref
+    _oracle_factors.cache_clear()  # the last oracle row has run
 
     # The commutation defect needs a roomier box than the kernel checks:
     # the dressed operators carry coordinate weights, which amplify the
@@ -358,7 +364,6 @@ def _verify_battery(cfg: RunConfig) -> list[CheckRow]:
     rows.append(CheckRow("intertwining-momentum", worst_j, 1e-5))
     rows.append(CheckRow("intertwining-position", worst_h, 1e-5))
 
-    u0 = build_initial_field(cfg)
     cons_cfg = SolverConfig(
         scheme="strang",
         dt=min(cfg.solver.dt, 2e-3 / w),
@@ -366,8 +371,7 @@ def _verify_battery(cfg: RunConfig) -> list[CheckRow]:
         diagnostics_every=25,
         blowup_factor=cfg.solver.blowup_factor,
     )
-    result = evolve(u0, cons_cfg, params)
-    drift = drift_report(result.records)
+    drift = drift_report(evolve(build_initial_field(cfg), cons_cfg, params).records)
     rows.append(CheckRow("conservation-mass", drift["mass"], 1e-10))
     rows.append(CheckRow("conservation-energy", drift["e0"], 1e-6))
     rows.append(CheckRow("conservation-lz", drift["lz_expect"], 1e-6))

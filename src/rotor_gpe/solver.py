@@ -51,7 +51,7 @@ import math
 import warnings
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -335,6 +335,25 @@ class EvolveResult:
     guard_margin: float
 
 
+def _opening_record(u0: Field, params: PhysicsParams) -> DiagnosticsRecord:
+    """The record of ``u0`` at ``t = 0``, through a real array of its own.
+
+    It is the first pass to square the field, so a field too large to
+    square, one whose record is not finite, ends here as
+    :class:`ConfigInvalid` under ``initial``, before any pass warns of
+    its overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        opening = record_from_moments(_moments(u0.grid, u0.data), 0.0, params, None)
+    if not all(map(math.isfinite, astuple(opening))):
+        raise ConfigInvalid(
+            f"initial: the field (max |u| = {lp_norm(u0, np.inf):.3e}) is too large"
+            f" to square; its opening record is not finite (mass {opening.mass:.3e},"
+            f" e0 {opening.e0:.3e})"
+        )
+    return opening
+
+
 def evolve(
     u0: Field,
     config: SolverConfig,
@@ -370,17 +389,23 @@ def evolve(
     phase goes into one complex array, with its slabs of scratch in the
     real one, and the harmonic flow into the other with the first as its
     scratch; a record takes its moments through the real one.  So a
-    step, and a step that only records, allocates nothing.
+    step, and a step that only records, allocates nothing.  The opening
+    record at ``t = 0`` comes before the workspace and takes its moments
+    through a real array of its own, freed before the workspace is made.
     The end state is rotated in place in the array that holds the
     observed field, the harmonic flow's output and the only one of the
     workspace that outlives the call; a mid-run snapshot is a fresh
-    array, rotated from the observed field into it.  The loop never
-    writes into the caller's field or into a field it has handed to
-    ``on_snapshot`` before the end.
+    array, rotated from the observed field into it, that the loop does
+    not keep: it lives only as long as ``on_snapshot`` keeps it.  The
+    loop holds the initial field for its first step only (after that
+    only the caller does).  It never writes into the caller's field or
+    into a field it has handed to ``on_snapshot`` before the end.
     Every step that is not clipped is ``config.dt`` long, whatever the
-    rounding of the window-local clock, so the harmonic flow's matrix is
-    fetched only at the first step, at a step clipped to a seam or to
-    the end, and after it.
+    rounding of the window-local clock, and so is a step whose clip to
+    a seam or to the end would move its end by no more than the time
+    slack: a run of a whole number of steps ends on a ``dt``-long step.
+    So the harmonic flow's matrix is fetched only at the first step, at
+    a step clipped to a seam or to the end, and after it.
 
     Steps never straddle window seams: the last step of each window is
     clipped, the window-local clock is re-based to zero and the energy
@@ -393,9 +418,12 @@ def evolve(
     last field) go to ``on_snapshot(t, field)`` as they are produced;
     without a callback they are collected in :attr:`EvolveResult.snapshots`.
 
-    Raises :class:`BlowupDetected` when ``max |u|`` exceeds
-    ``config.blowup_factor`` times its initial value (a numerical-health
-    guard; the defocusing-type problem should stay bounded) and warns
+    Raises :class:`ConfigInvalid` (under ``initial``) when the opening
+    record of ``u0`` is not finite, a field too large to square, and
+    :class:`BlowupDetected` when ``max |u|`` exceeds
+    ``config.blowup_factor`` times its initial value or is not finite (a
+    numerical-health guard; the defocusing-type problem should stay
+    bounded), and warns
     :class:`BoundaryTruncation` when the initial field keeps more than
     1e-10 of its mass within two cells of the box boundary.  The guard
     reads the peak ``max |w|^2`` that the phase kernel returns.  The
@@ -406,6 +434,10 @@ def evolve(
     and :attr:`EvolveResult.guard_margin`.
     """
     window = params.window
+    # Window 0's energy reference is the e0 of its own opening record, so
+    # the initial field takes one moments pass, not an extra one for the
+    # energy.
+    opening = _opening_record(u0, params)
     truncated = boundary_mass_fraction(u0)
     if truncated > 1e-10:
         warnings.warn(
@@ -423,9 +455,12 @@ def evolve(
     if snapshot_every > 0:
         on_snapshot(0.0, u0.copy())
 
+    # The loop reads the initial field through w alone, which the first
+    # step rebinds to the workspace: from then on only the caller holds it.
     w, theta, tau = u0.data, 0.0, 0.0
+    del u0
     window_index, t_local, t_global = 0, 0.0, 0.0
-    e0_window = np.nan  # the energy of window 0's opening record, taken below
+    e0_window = opening.e0
 
     # The workspace: a step phases w into ``phased`` (with ``real`` as the
     # phase's scratch), then the harmonic flow takes it into ``ahead``
@@ -444,14 +479,14 @@ def evolve(
         """``N(tau_) w`` into ``out`` (see ``_phase_into``); then ``max |w|`` must pass the guard."""
         nonlocal peak_sq
         peak_sq = _phase_into(w, tau_, beta, out, real, twice)
-        if peak_sq > guard * guard:
+        if not math.isfinite(peak_sq) or peak_sq > guard * guard:
             raise BlowupDetected(
                 f"max |u| = {np.sqrt(peak_sq):.3e} exceeded the guard {guard:.3e} at "
                 f"t = {t_global:.6f} (step {step_count}); the run is "
                 "numerically unstable (aliasing or too-large dt), not physics"
             )
 
-    records: list[DiagnosticsRecord] = []
+    records: list[DiagnosticsRecord] = [opening]
     moments: _Moments | None = None
 
     def take_record(data: np.ndarray) -> None:
@@ -467,16 +502,14 @@ def evolve(
         records.append(record_from_moments(moments, t_global, params, None, t_local=0.0))
         e0_window = records[-1].e0
 
-    def handed_out(corotating: np.ndarray, lab: np.ndarray) -> TrajectoryState:
-        """The lab field ``R(theta) corotating``, written into ``lab`` (may be ``corotating``)."""
-        rotate_pattern(grid, corotating, theta, out=lab)
-        return TrajectoryState(Field(grid, lab), t_global, window_index, t_local, e0_window)
+    def handed_out(lab: np.ndarray) -> Field:
+        """The lab field ``R(theta) w``, written into ``lab`` (may be ``w``)."""
+        return Field(grid, rotate_pattern(grid, w, theta, out=lab))
 
-    # Window 0's energy reference is the e0 of its own opening record, so
-    # the initial field takes one moments pass, not an extra one for the
-    # energy.
-    moments = _moments(grid, u0.data, real=real)
-    open_window()
+    def end_state() -> TrajectoryState:
+        """The end state, rotated in place in ``w``'s array."""
+        return TrajectoryState(handed_out(w), t_global, window_index, t_local, e0_window)
+
     state: TrajectoryState | None = None
     cached = None  # after an observation: ``phased`` holds N(cached) of the observed w
     while t_global < config.t_end - _TIME_EPS:
@@ -494,7 +527,9 @@ def evolve(
         end_local = config.t_end - window_index * window
         if next_local > end_local - _TIME_EPS and end_local <= window + _TIME_EPS:
             next_local = min(end_local, window)
-        dt_step = config.dt if next_local == unclipped else next_local - t_local
+        # A step whose clip moves its end by no more than the time slack is
+        # dt long: the clock's rounding makes no clipped step of its own.
+        dt_step = config.dt if abs(next_local - unclipped) <= _TIME_EPS else next_local - t_local
         if dt_step <= _TIME_EPS:
             break
 
@@ -526,15 +561,17 @@ def evolve(
         cached = tau
         if record_hit:
             take_record(w)
-        if snapshot_hit or done:
-            state = handed_out(w, w if done else np.empty_like(ahead))
-            if snapshot_hit:
-                on_snapshot(t_global, state.field)
+        if done:
+            state = end_state()
+        if snapshot_hit:
+            # Nothing here keeps a mid-run hand-out: it lives only as long
+            # as the callback keeps it.
+            on_snapshot(t_global, state.field if done else handed_out(np.empty_like(ahead)))
 
-    if state is None or state.t_global != t_global:  # left by a step too short to take
+    if state is None:  # left by a step too short to take
         if cached is None:
             phase(tau, phased, twice=True)
-        state = handed_out(w, w)
+        state = end_state()
     return EvolveResult(
         final=state,
         records=tuple(records),
@@ -722,12 +759,14 @@ def picard_solve(
     apart.  Raises :class:`NoContraction` after three consecutive
     non-decreasing distances (the smallness condition on ``T`` and the
     data is violated), :class:`WindowViolation` if ``T`` exceeds one
-    window.
+    window, and :class:`ConfigInvalid` for a field too large to square
+    (as :func:`evolve` does).
     """
     if not 0.0 < T <= params.window + _TIME_EPS:
         raise WindowViolation(
             f"picard_solve: T = {T} outside the window (0, {params.window}]"
         )
+    _opening_record(u0, params)  # a field too large to square ends here
     pc = config.picard
     n_nodes = pc.quad_nodes
     unit_nodes, integ = _lobatto_rule(n_nodes)
