@@ -451,7 +451,8 @@ def boundary_mass_fraction(f: Field) -> float:
     """Fraction of ``||f||^2`` within two grid cells of the box boundary
     (the band the solver's truncation guard reads; all of an n = 4 box)."""
     n = f.grid.n
-    abs2 = np.abs(f.data) ** 2
+    abs2 = np.abs(f.data)
+    abs2 *= abs2  # one real temporary
     total = float(abs2.sum())
     if total == 0.0:
         return 0.0

@@ -451,7 +451,7 @@ def evolve(
     if on_snapshot is None:
         on_snapshot = lambda t, f: snapshots.append((t, f))  # noqa: E731
     grid, beta = u0.grid, params.beta
-    guard = config.blowup_factor * lp_norm(u0, np.inf)
+    guard = config.blowup_factor * opening.linf  # max |u0|, from the opening pass
     if snapshot_every > 0:
         on_snapshot(0.0, u0.copy())
 
@@ -758,7 +758,8 @@ def picard_solve(
     ``max_iter`` iterations, which :attr:`PicardResult.converged` tells
     apart.  Raises :class:`NoContraction` after three consecutive
     non-decreasing distances (the smallness condition on ``T`` and the
-    data is violated), :class:`WindowViolation` if ``T`` exceeds one
+    data is violated) and at once on a distance that is not finite (a
+    sweep overflowed), :class:`WindowViolation` if ``T`` exceeds one
     window, and :class:`ConfigInvalid` for a field too large to square
     (as :func:`evolve` does).
     """
@@ -840,9 +841,16 @@ def picard_solve(
     distances: list[float] = []
     rising = 0
     for iteration in range(1, pc.max_iter + 1):
-        dist = workspace_distance(grid, sweep(), params)
+        # An overflowing sweep shows in its distance, checked below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = workspace_distance(grid, sweep(), params)
         distances.append(dist)
         logger.debug("fixed-point iteration %d: distance %.3e", iteration, dist)
+        if not math.isfinite(dist):
+            raise NoContraction(
+                f"workspace distance is {dist} at iteration {iteration}: the "
+                f"iteration overflowed; T = {T} is too large for this data size"
+            )
         if len(distances) >= 2 and distances[-1] >= distances[-2]:
             rising += 1
         else:

@@ -13,6 +13,8 @@ system, which keeps it independent of the algebra it encodes.
 
 from __future__ import annotations
 
+import math
+import random
 from functools import partial
 
 import numpy as np
@@ -25,6 +27,7 @@ __all__ = [
     "ground_state",
     "vortex_state",
     "coherent_state",
+    "SeededDraws",
     "random_smooth_field",
     "make_state",
     "classical_orbit",
@@ -135,9 +138,46 @@ def coherent_state(
     return Field(grid, _outer((w / np.pi) ** 0.75 * np.outer(f1, f2), f3))
 
 
+class SeededDraws:
+    """Seeded uniform and standard normal draws from the standard library.
+
+    The stream is ``random.Random(seed)`` (Mersenne Twister).  It offers
+    the two draws the verify battery makes of a ``numpy.random.Generator``,
+    ``uniform`` and ``standard_normal``, without importing
+    ``numpy.random``, which loads ``secrets``, ``hashlib`` and OpenSSL
+    into the process.  Its numbers differ from ``default_rng(seed)``'s.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._random = random.Random(seed)
+
+    def uniform(self, low: float, high: float) -> float:
+        """One draw in ``[low, high)``."""
+        x = low + (high - low) * self._random.random()
+        return x if x < high else math.nextafter(high, low)  # rounding may reach high
+
+    def standard_normal(self, shape: int | tuple[int, ...]) -> np.ndarray:
+        """Standard normals of ``shape``, by Box-Muller on 53-bit uniforms.
+
+        Each 64-bit word of ``randbytes`` gives a uniform in the open
+        interval ``(0, 1)``, so the logarithm stays finite; a pair of
+        uniforms gives two normals, the cosine and the sine branch.
+        """
+        size = int(np.prod(shape))
+        pairs = (size + 1) // 2
+        words = np.frombuffer(self._random.randbytes(16 * pairs), dtype="<u8")
+        u = ((words >> 11) + 0.5) * 2.0**-53
+        radius = np.sqrt(-2.0 * np.log(u[0::2]))
+        angle = 2.0 * np.pi * u[1::2]
+        out = np.empty((pairs, 2))
+        out[:, 0] = radius * np.cos(angle)
+        out[:, 1] = radius * np.sin(angle)
+        return out.reshape(-1)[:size].reshape(shape)
+
+
 def random_smooth_field(
     grid: GridSpec,
-    rng: np.random.Generator,
+    rng: SeededDraws | np.random.Generator,
     k_cut: float | None = None,
     width: float | None = None,
 ) -> Field:
@@ -145,7 +185,9 @@ def random_smooth_field(
 
     ``k_cut`` is the hard spectral cutoff (default: a third of the
     Nyquist wavenumber); ``width`` the envelope scale (default:
-    ``extent / 3``).  Deterministic for a given generator state.
+    ``extent / 3``).  ``rng`` is anything with a numpy-style
+    ``standard_normal(shape)``, a :class:`SeededDraws` or a
+    ``numpy.random.Generator``.  Deterministic for a given generator state.
     """
     n = grid.n
     kmax = np.pi / grid.h

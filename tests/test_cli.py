@@ -383,6 +383,21 @@ def test_a_run_from_a_field_too_large_to_square_exits_config(tmp_path, capsys, s
     assert "too large to square" in err
 
 
+def test_a_picard_run_whose_iteration_overflows_exits_verify(tmp_path, capsys):
+    # At beta = 1e300 the first sweep overflows and its workspace distance
+    # is NaN, which the rising-distance count took for a fall: all sweeps
+    # ran, warning hundreds of times, and the run ended in Field's
+    # ValueError traceback.  A distance that is not finite ends it at once.
+    raw = run_config(tmp_path, evolve={"scheme": "picard", "dt": 0.01, "t_end": 0.1})
+    raw["physics"]["beta"] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any warning would end in a traceback
+        assert entrypoint(["run", write_config(tmp_path, raw)]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: workspace distance is nan at iteration 1")
+    assert err.count("\n") == 1
+
+
 def test_run_from_a_sidecar_that_is_not_an_object_exits_io(tmp_path, capsys):
     cfg, stem = snapshot_start_config(tmp_path)
     stem.with_suffix(".json").write_text(json.dumps(list(SIDECAR_KEYS)))
@@ -514,6 +529,32 @@ def test_the_intertwining_check_holds_at_most_eight_fields():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 16 * grid.n**3
+
+
+def test_verify_loads_neither_numpy_random_nor_secrets(tmp_path):
+    # The battery draws from the standard library's Mersenne Twister:
+    # numpy.random would load secrets, hashlib and OpenSSL (6.1 MB of a
+    # fresh process) to draw 7 fields and 120 times.
+    import rotor_gpe
+
+    cfg = write_config(tmp_path, {**default_config_dict(), "output": {"dir": str(tmp_path / "out")}})
+    src = str(Path(rotor_gpe.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys; sys.path.insert(0, {src!r}); from rotor_gpe.cli import entrypoint;"
+            f" code = entrypoint(['verify', {cfg!r}]);"
+            " print(sorted(m for m in ('numpy.random', 'secrets') if m in sys.modules));"
+            " sys.exit(code)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "all 12 checks passed" in proc.stdout
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_verify_battery_sums_its_norms_without_a_blas_dot(monkeypatch):
