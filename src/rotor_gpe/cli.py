@@ -51,10 +51,11 @@ from .config import (
     parse_config,
 )
 from .diagnostics import drift_report, record, write_csv
-from .errors import BoundaryTruncation, ConfigInvalid, RotorGpeError
+from .errors import BoundaryTruncation, ConfigInvalid, RotorGpeError, WindowViolation
 from .galilean import _dressed_component
 from .grid import Field, GridSpec, PhysicsParams, _partial, _sum_sq, lp_norm, pairing
 from .propagator import (
+    _check_window,
     _oracle_factors,
     default_scan_pairs,
     dispersive_scan,
@@ -66,7 +67,7 @@ from .propagator import (
     rotate_pattern,
     splitting_plan,
 )
-from .solver import _TIME_EPS, SolverConfig, evolve, picard_solve
+from .solver import SolverConfig, evolve, picard_solve
 from .snapshots import atomic_write, write_snapshot
 from .states import (
     SeededDraws,
@@ -76,7 +77,7 @@ from .states import (
     random_smooth_field,
 )
 
-__all__ = ["entrypoint", "main"]
+__all__ = ["entrypoint"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -161,12 +162,10 @@ def cmd_run(cfg: RunConfig) -> int:
     outputs: list[str] = []
 
     if cfg.solver.scheme == "picard":
-        window = cfg.params.window
-        if cfg.solver.t_end > window + _TIME_EPS:
-            raise ConfigInvalid(
-                "evolve.t_end: the picard scheme is single-window; need"
-                f" t_end <= {window:.6f}, got {cfg.solver.t_end}"
-            )
+        try:
+            _check_window(cfg.solver.t_end, cfg.params)
+        except WindowViolation as exc:
+            raise ConfigInvalid(f"evolve.t_end: the picard scheme is single-window; {exc}")
         result = picard_solve(build_initial_field(cfg), cfg.solver.t_end, cfg.solver, cfg.params)
         records = []  # the first record's e0 is the balance reference, as in evolve
         for t, f in zip(result.times, result.fields):
@@ -662,7 +661,3 @@ def entrypoint(argv: Sequence[str] | None = None) -> int:
         code = getattr(exc, "exit_code", EXIT_IO)
         print(f"{_PREFIX[code]}: {exc}", file=sys.stderr)
         return code
-
-
-def main() -> None:
-    raise SystemExit(entrypoint())

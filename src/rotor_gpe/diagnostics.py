@@ -66,9 +66,6 @@ from .snapshots import atomic_write
 __all__ = [
     "CSV_HEADER",
     "DiagnosticsRecord",
-    "mass",
-    "energy_terms",
-    "energy_e0",
     "record",
     "drift_report",
     "format_csv_rows",
@@ -125,30 +122,11 @@ class DiagnosticsRecord:
         return ",".join(f"{v:.17g}" for v in values)
 
 
-def mass(u: Field) -> float:
-    """Squared L2 norm ``||u||_2^2`` by grid quadrature."""
-    return float(np.sum(np.abs(u.data) ** 2) * u.grid.cell_volume)
-
-
 def _energy(m: _Moments, params: PhysicsParams) -> tuple[float, float, float]:
     kin = 0.5 * sum(m.grad_sq)
     pot = 0.5 * params.omega**2 * sum(m.x_sq)
     inter = 0.5 * params.beta * m.l4_4
     return kin, pot, inter
-
-
-def energy_terms(u: Field, params: PhysicsParams) -> tuple[float, float, float]:
-    """Kinetic, trap-potential and interaction terms of the energy.
-
-    Returns ``(kin, pot, inter)`` with ``kin = 1/2 ||grad u||^2``,
-    ``pot = (omega^2/2) || |x| u ||^2`` and ``inter = (beta/2) ||u||_4^4``.
-    """
-    return _energy(_moments(u.grid, u.data), params)
-
-
-def energy_e0(u: Field, params: PhysicsParams) -> float:
-    """Non-rotating energy: sum of the three terms of :func:`energy_terms`."""
-    return float(sum(energy_terms(u, params)))
 
 
 def _dressed_sq(

@@ -106,41 +106,24 @@ def _dressed_component(
     return (np.add if position else np.subtract)(out, scratch, out=out)
 
 
-def _dressed(
-    f: Field, t: float, params: PhysicsParams, derivs: _Partials | None, position: bool
-) -> tuple[Field, Field, Field]:
+def _dressed(f: Field, t: float, params: PhysicsParams, position: bool) -> tuple[Field, Field, Field]:
     """``J(t) f``, or ``H(t) f`` with ``position``: one :func:`_dressed_component` each."""
     u = f.data
-    derivs = gradient_arrays(f.grid, u) if derivs is None else derivs
-    scratch = np.empty_like(u)
+    derivs, scratch = gradient_arrays(f.grid, u), np.empty_like(u)
     return tuple(
         Field(f.grid, _dressed_component(f, t, params, axis, derivs, position, np.empty_like(u), scratch))
         for axis in range(3)
     )
 
 
-def galilean_momentum(
-    f: Field,
-    t: float,
-    params: PhysicsParams,
-    derivs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[Field, Field, Field]:
-    """Apply the dressed momentum ``J(t)`` componentwise.
-
-    ``derivs`` may carry precomputed spectral partials of ``f.data`` to
-    share one gradient with other diagnostics.
-    """
-    return _dressed(f, t, params, derivs, position=False)
+def galilean_momentum(f: Field, t: float, params: PhysicsParams) -> tuple[Field, Field, Field]:
+    """Apply the dressed momentum ``J(t)`` componentwise."""
+    return _dressed(f, t, params, position=False)
 
 
-def galilean_position(
-    f: Field,
-    t: float,
-    params: PhysicsParams,
-    derivs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[Field, Field, Field]:
+def galilean_position(f: Field, t: float, params: PhysicsParams) -> tuple[Field, Field, Field]:
     """Apply the dressed position ``H(t)`` componentwise."""
-    return _dressed(f, t, params, derivs, position=True)
+    return _dressed(f, t, params, position=True)
 
 
 # --------------------------------------------------------------------------

@@ -114,10 +114,14 @@ def _check_window(t: float, params: PhysicsParams) -> None:
 
 
 def _alias_budget(grid: GridSpec, params: PhysicsParams, t: float, oversample: int) -> float | None:
-    """``omega*cot(omega t)*extent*h_q`` where it exceeds pi (the quadrature aliases), else None."""
+    """``omega*cot(omega t)*extent*h_q`` where it exceeds pi (the quadrature aliases), else None.
+
+    A budget past the float range is ``inf``, which aliases, without a warning.
+    """
     theta = params.omega * t
-    cot = abs(np.cos(theta) / np.sin(theta))
-    budget = params.omega * cot * grid.extent * (grid.h / oversample)
+    with np.errstate(over="ignore", divide="ignore"):
+        cot = abs(np.cos(theta) / np.sin(theta))
+        budget = params.omega * cot * grid.extent * (grid.h / oversample)
     return budget if budget > np.pi * (1.0 + 1e-12) else None
 
 
@@ -337,9 +341,7 @@ def _shear(
     return np.fft.ifft(out, axis=axis, norm="ortho", out=out)
 
 
-def rotate_pattern(
-    grid: GridSpec, data: np.ndarray, angle: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def rotate_pattern(grid: GridSpec, data: np.ndarray, angle: float, out: np.ndarray) -> np.ndarray:
     """Resample ``data`` as ``data(R_angle x)``, for any ``angle``.
 
     ``R_angle`` rotates the (x1, x2) coordinates counterclockwise by
@@ -351,21 +353,16 @@ def rotate_pattern(
     permutation and four of them are the identity bit for bit.
 
     Every shear transforms in place and a quarter turn moves slabs, so a
-    rotation by any angle needs one ``(n, n)`` slab of scratch at most:
-    with ``out`` (a C-contiguous complex array of the field's shape,
-    possibly ``data`` itself) the result is written there and ``out`` is
-    returned, even at angle 0.  Without it a new array is returned, or
-    ``data`` itself at angle 0.
+    rotation by any angle needs one ``(n, n)`` slab of scratch at most.
+    The result is written into ``out`` (a C-contiguous complex array of
+    the field's shape, possibly ``data`` itself), which is returned, even
+    at angle 0.
     """
     # Nearest whole number of quarter turns, ties (and angles a rounding
     # error past a tie) going to the shear: up to pi/4 is one shear.
     turns = angle / (0.5 * np.pi)
     quarters = int(np.copysign(max(np.ceil(abs(turns) - 0.5 - 1e-12), 0.0), turns))
     rest = angle - quarters * (0.5 * np.pi)
-    if out is None:
-        if abs(rest) < 1e-15 and quarters % 4 == 0:
-            return data
-        out = np.empty(data.shape, dtype=np.complex128)
     if abs(rest) < 1e-15:
         np.copyto(out, data)
     else:
@@ -683,7 +680,7 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def dispersive_scan(
     f: Field,
     params: PhysicsParams,
-    pairs: list[tuple[float, float]] | None = None,
+    pairs: list[tuple[float, float]],
     substeps: int | None = None,
 ) -> DispersiveScan:
     """Measure ``||forward(t) dual(s) f||_inf / ||f||_1`` over a (t, s) battery.
@@ -691,8 +688,6 @@ def dispersive_scan(
     The composition is :func:`compose_propagators` on the fast backend,
     with the harmonic flow split into ``substeps`` when given.
     """
-    if pairs is None:
-        pairs = default_scan_pairs(params)
     if len(pairs) < 3:
         raise ValueError("dispersive scan needs at least 3 (t, s) pairs")
     l1 = lp_norm(f, 1)

@@ -62,7 +62,6 @@ from .errors import (
     BoundaryTruncation,
     ConfigInvalid,
     NoContraction,
-    WindowViolation,
 )
 from .grid import (
     Field,
@@ -75,6 +74,7 @@ from .grid import (
     lp_norm,
 )
 from .propagator import (
+    _check_window,
     harmonic_flow,
     rotate_pattern,
     splitting_plan,
@@ -162,19 +162,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TrajectoryState:
-    """Field plus window bookkeeping at one instant of a trajectory.
+    """Field at one instant of a trajectory, and the window it lies in.
 
-    ``t_global = window_index * window + t_local`` with
-    ``t_local in [0, window]``; ``e0_window`` is the energy captured at
-    the start of the current window (the reference of the
-    pseudo-conformal balance).
+    ``window_index`` counts the seams crossed before ``t_global``.
     """
 
     field: Field
     t_global: float
     window_index: int
-    t_local: float
-    e0_window: float
 
 
 def _modulus_sq(
@@ -319,7 +314,7 @@ def nonlinear_phase(u: Field, tau: float, params: PhysicsParams) -> Field:
 
 @dataclass(frozen=True)
 class EvolveResult:
-    """Final state, diagnostics stream, and the snapshots not streamed to a callback.
+    """Final state and diagnostics stream; snapshots go to ``evolve``'s callback.
 
     Two health figures of the loop: ``max_phase_per_step`` is the largest
     nonlinear angle a step applied, ``beta (tau + dt/2) max |w|^2`` (a
@@ -330,7 +325,6 @@ class EvolveResult:
 
     final: TrajectoryState
     records: tuple[DiagnosticsRecord, ...]
-    snapshots: tuple[tuple[float, Field], ...]
     max_phase_per_step: float
     guard_margin: float
 
@@ -416,10 +410,11 @@ def evolve(
 
     Snapshots (every ``snapshot_every`` steps, plus the first and the
     last field) go to ``on_snapshot(t, field)`` as they are produced;
-    without a callback they are collected in :attr:`EvolveResult.snapshots`.
+    nothing keeps them, so ``snapshot_every > 0`` needs a callback.
 
-    Raises :class:`ConfigInvalid` (under ``initial``) when the opening
-    record of ``u0`` is not finite, a field too large to square, and
+    Raises ``ValueError`` for ``snapshot_every > 0`` without a callback,
+    :class:`ConfigInvalid` (under ``initial``) when the opening record of
+    ``u0`` is not finite, a field too large to square, and
     :class:`BlowupDetected` when ``max |u|`` exceeds
     ``config.blowup_factor`` times its initial value or is not finite (a
     numerical-health guard; the defocusing-type problem should stay
@@ -433,6 +428,8 @@ def evolve(
     snapshot); the same peak gives :attr:`EvolveResult.max_phase_per_step`
     and :attr:`EvolveResult.guard_margin`.
     """
+    if snapshot_every > 0 and on_snapshot is None:
+        raise ValueError("evolve: snapshot_every > 0 needs an on_snapshot callback")
     window = params.window
     # Window 0's energy reference is the e0 of its own opening record, so
     # the initial field takes one moments pass, not an extra one for the
@@ -447,9 +444,6 @@ def evolve(
             stacklevel=2,
         )
 
-    snapshots: list[tuple[float, Field]] = []
-    if on_snapshot is None:
-        on_snapshot = lambda t, f: snapshots.append((t, f))  # noqa: E731
     grid, beta = u0.grid, params.beta
     guard = config.blowup_factor * opening.linf  # max |u0|, from the opening pass
     if snapshot_every > 0:
@@ -508,7 +502,7 @@ def evolve(
 
     def end_state() -> TrajectoryState:
         """The end state, rotated in place in ``w``'s array."""
-        return TrajectoryState(handed_out(w), t_global, window_index, t_local, e0_window)
+        return TrajectoryState(handed_out(w), t_global, window_index)
 
     state: TrajectoryState | None = None
     cached = None  # after an observation: ``phased`` holds N(cached) of the observed w
@@ -575,7 +569,6 @@ def evolve(
     return EvolveResult(
         final=state,
         records=tuple(records),
-        snapshots=tuple(snapshots),
         max_phase_per_step=max_phase,
         guard_margin=float(np.sqrt(peak_sq)) / guard if guard > 0.0 else 0.0,
     )
@@ -763,10 +756,7 @@ def picard_solve(
     window, and :class:`ConfigInvalid` for a field too large to square
     (as :func:`evolve` does).
     """
-    if not 0.0 < T <= params.window + _TIME_EPS:
-        raise WindowViolation(
-            f"picard_solve: T = {T} outside the window (0, {params.window}]"
-        )
+    _check_window(T, params)
     _opening_record(u0, params)  # a field too large to square ends here
     pc = config.picard
     n_nodes = pc.quad_nodes

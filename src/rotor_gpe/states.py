@@ -178,23 +178,19 @@ class SeededDraws:
 def random_smooth_field(
     grid: GridSpec,
     rng: SeededDraws | np.random.Generator,
-    k_cut: float | None = None,
     width: float | None = None,
 ) -> Field:
     """Normalized random field: band-limited noise under a Gaussian envelope.
 
-    ``k_cut`` is the hard spectral cutoff (default: a third of the
-    Nyquist wavenumber); ``width`` the envelope scale (default:
-    ``extent / 3``).  ``rng`` is anything with a numpy-style
-    ``standard_normal(shape)``, a :class:`SeededDraws` or a
-    ``numpy.random.Generator``.  Deterministic for a given generator state.
+    The hard spectral cutoff is a third of the Nyquist wavenumber;
+    ``width`` is the envelope scale (default: ``extent / 3``).  ``rng``
+    is anything with a numpy-style ``standard_normal(shape)``, a
+    :class:`SeededDraws` or a ``numpy.random.Generator``.  Deterministic
+    for a given generator state.
     """
     n = grid.n
-    kmax = np.pi / grid.h
-    if k_cut is None:
-        k_cut = kmax / 3.0
-    if k_cut <= 0 or k_cut > kmax:
-        raise ResolutionTooLow(f"k_cut {k_cut:.3g} outside (0, {kmax:.3g}]")
+    # Rounded as written: at n = 24 and 48 a mode sits exactly on the cut.
+    k_cut = (np.pi / grid.h) / 3.0
     if width is None:
         width = grid.extent / 3.0
     noise_hat = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))

@@ -21,11 +21,11 @@ from rotor_gpe import (
     Field,
     GridSpec,
     PhysicsParams,
-    energy_e0,
     galilean_momentum,
     galilean_position,
     ground_state,
     propagate_fast,
+    record,
     vortex_state,
 )
 from rotor_gpe.config import build_initial_field, default_config_dict, load_config, parse_config
@@ -111,11 +111,13 @@ def test_a_run_manifest_flags_a_phase_far_above_one_per_step(tmp_path):
 def test_run_writes_each_snapshot_as_the_evolution_collects_it(tmp_path):
     path = write_config(tmp_path, run_config(tmp_path))
     cfg = load_config(path)
+    collected = []
     with pytest.warns(BoundaryTruncation):
         assert entrypoint(["run", path]) == EXIT_OK
-        collected = evolve(
-            build_initial_field(cfg), cfg.solver, cfg.params, snapshot_every=cfg.snapshot_every
-        ).snapshots
+        evolve(
+            build_initial_field(cfg), cfg.solver, cfg.params, snapshot_every=cfg.snapshot_every,
+            on_snapshot=lambda t, f: collected.append((t, f)),
+        )
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     names = [name for name in manifest["outputs"] if name.startswith("snapshot_0")]
     assert names == [f"snapshot_{i:06d}.{ext}" for i in range(len(collected)) for ext in ("bin", "json")]
@@ -153,6 +155,32 @@ def test_run_picard_scheme(tmp_path, capsys):
     assert "picard:" in out
     assert "iterations" in out
     assert (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+def test_a_picard_run_takes_the_kernel_window_rule_before_it_builds_a_field(
+    tmp_path, capsys, monkeypatch
+):
+    # One window rule, propagator._check_window's: t_end = pi/(4 omega)
+    # runs, and a t_end past the rule's slack exits 2 under evolve.t_end
+    # before the initial field is built.
+    import rotor_gpe.cli as cli
+
+    window = PhysicsParams(omega=1.0, beta=1.0).window
+    raw = run_config(tmp_path, evolve={"scheme": "picard", "t_end": window, "picard": {"quad_nodes": 9}})
+    assert entrypoint(["run", write_config(tmp_path, raw)]) == EXIT_OK
+    capsys.readouterr()
+
+    def unbuilt(cfg):
+        raise AssertionError("the initial field was built")
+
+    monkeypatch.setattr(cli, "build_initial_field", unbuilt)
+    raw["evolve"]["t_end"] = window * (1.0 + 1e-11)
+    raw["output"]["dir"] = str(tmp_path / "past")
+    assert entrypoint(["run", write_config(tmp_path, raw, "past.json")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: evolve.t_end: the picard scheme is single-window; "), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "past").exists()
 
 
 def test_a_picard_run_that_misses_its_tolerance_is_named_in_summary_and_manifest(
@@ -195,7 +223,7 @@ def test_a_picard_run_takes_its_balance_reference_from_its_first_record(tmp_path
     rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
     cfg = load_config(path)
     assert len(rows) == 9
-    assert rows[0]["e0"] == energy_e0(build_initial_field(cfg), cfg.params)
+    assert rows[0]["e0"] == record(build_initial_field(cfg), 0.0, cfg.params, None).e0
     for row in rows:
         assert row["pc_residual"] == row["pc_lhs"] - 2.0 * rows[0]["e0"]
 

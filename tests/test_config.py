@@ -10,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotor_gpe import (
     ConfigInvalid,
+    RotorGpeError,
     GridSpec,
     build_initial_field,
     ground_state,
@@ -305,6 +308,81 @@ def test_every_rejected_single_fault_exits_config_through_the_command_line(
     assert rejected > 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
     assert time.perf_counter() - start < 30.0
+
+
+#: Valid configs that a property example mutates once: every section set
+#: (the coherent state, picard), the defaults (the ground state), a vortex.
+BASES = {
+    "full": full,
+    "minimal": minimal,
+    "vortex": lambda: {**minimal(), "initial": {"type": "vortex_minus"}},
+}
+#: One mutation: a wrong type, a non-finite number, a huge integer of
+#: either sign, a missing or an unknown key, or any other number.  Small
+#: integers stop at 40, so a grid the guard admits builds in milliseconds.
+MUTATIONS = st.one_of(
+    st.sampled_from([None, True, "s", [], {}, [1, 2, 3], math.nan, math.inf, -math.inf, DELETE, ADD_KEY]),
+    st.integers(2**53, 10**400).flatmap(lambda k: st.sampled_from([k, -k])),
+    st.integers(-4, 40),
+    st.floats(),
+)
+
+
+def mutated(base: dict, path: tuple, fault) -> dict:
+    """``base`` with the node at ``path`` replaced by ``fault`` or deleted.
+
+    ``ADD_KEY`` gives the node, or the nearest object above it, an unknown key.
+    """
+    raw = copy.deepcopy(base)
+    parent, owner = raw, raw
+    for key in path[:-1]:
+        parent = parent[key]
+        owner = parent if isinstance(parent, dict) else owner
+    node = parent[path[-1]]
+    if fault is ADD_KEY:
+        (node if isinstance(node, dict) else owner)["unknown_key"] = 0
+    elif fault is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = fault
+    return raw
+
+
+def node_paths(node, path=()):
+    """Every key path of a decoded JSON value, the root ``()`` first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key in node if isinstance(node, dict) else range(len(node)):
+            yield from node_paths(node[key], path + (key,))
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=2000)
+@given(data=st.data())
+def test_a_mutated_config_parses_and_builds_or_exits_config(data):
+    # One mutation of one key of a valid config: parse_config, and for a
+    # state the initial field, either return or raise an error that exits
+    # 2; no other exception and no numpy warning (Tier-1 makes it one).
+    base = BASES[data.draw(st.sampled_from(sorted(BASES)), label="base")]()
+    path = data.draw(st.sampled_from(list(node_paths(base))[1:]), label="path")
+    fault = data.draw(MUTATIONS, label="fault")
+    raw = mutated(base, path, fault)
+    try:
+        cfg = parse_config(raw)
+        if cfg.initial_type != "file":
+            field = build_initial_field(cfg)
+            assert field.data.shape == cfg.grid.shape
+    except RotorGpeError as exc:
+        assert exc.exit_code == EXIT_CONFIG, (path, fault, exc)
+
+
+def test_a_compare_pair_on_a_box_past_the_float_range_aliases_without_a_warning():
+    # The alias budget omega*cot*extent*h overflowed with numpy's
+    # RuntimeWarning here (the property above, at 20,000 examples); past
+    # the float range it is inf, which aliases.
+    raw = full()
+    raw["grid"]["extent"] = 5.414634237358505e203
+    with pytest.raises(ConfigInvalid, match=r"^compare\.pairs\[0\]\[1\]: .* = inf > pi\)"):
+        parse_config(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,8 @@ from rotor_gpe import (
     SolverConfig,
     coherent_state,
     drift_report,
-    energy_e0,
-    energy_terms,
     evolve,
-    galilean_momentum,
-    galilean_position,
     ground_state,
-    mass,
     propagate_oracle,
     random_smooth_field,
     record,
@@ -25,6 +20,7 @@ from rotor_gpe import (
     write_csv,
 )
 from rotor_gpe.diagnostics import format_csv_rows
+from rotor_gpe.galilean import _dressed_component
 from rotor_gpe.propagator import rotate_pattern
 
 GRID = GridSpec(24, 6.0)
@@ -44,24 +40,25 @@ QUADRATURE_COLUMNS = (
 
 def test_ground_state_energy_split_matches_closed_forms():
     u = ground_state(GRID, CUBIC)
-    assert mass(u) == pytest.approx(1.0, abs=1e-10)
-    kin, pot, inter = energy_terms(u, CUBIC)
+    rec = record(u, 0.0, CUBIC, None)
+    assert rec.mass == pytest.approx(1.0, abs=1e-10)
+    kin, pot, inter = rec.e0_kin, rec.e0_pot, rec.e0_int
     # Width-1/sqrt(omega) Gaussian: kinetic = potential = 3*omega/4, and
     # ||u||_4^4 = (omega/(2 pi))^(3/2).
     assert kin == pytest.approx(0.75, rel=1e-9)
     assert pot == pytest.approx(0.75, rel=1e-9)
     assert inter == pytest.approx(0.5 * (2.0 * np.pi) ** -1.5, rel=1e-7)
-    assert energy_e0(u, CUBIC) == pytest.approx(kin + pot + inter, abs=1e-14)
+    assert rec.e0 == pytest.approx(kin + pot + inter, abs=1e-14)
     # beta = 0 drops only the interaction term.
-    assert energy_e0(u, LINEAR) == pytest.approx(kin + pot, abs=1e-14)
+    assert record(u, 0.0, LINEAR, None).e0 == pytest.approx(kin + pot, abs=1e-14)
 
 
 def test_energy_scales_with_trap_frequency():
     params = PhysicsParams(omega=2.0, beta=0.0)
     grid = GridSpec(24, 6.0 / np.sqrt(2.0))
-    kin, pot, _ = energy_terms(ground_state(grid, params), params)
-    assert kin == pytest.approx(1.5, rel=1e-8)
-    assert pot == pytest.approx(1.5, rel=1e-8)
+    rec = record(ground_state(grid, params), 0.0, params, None)
+    assert rec.e0_kin == pytest.approx(1.5, rel=1e-8)
+    assert rec.e0_pot == pytest.approx(1.5, rel=1e-8)
 
 
 def test_record_components_scale_quadratically_and_quartically():
@@ -110,7 +107,7 @@ def test_balance_law_equals_twice_the_energy(t_local):
     for beta in (0.0, 1.0, 2.3):
         params = PhysicsParams(omega=1.0, beta=beta)
         u = random_smooth_field(GRID, rng, width=1.0)
-        rec = record(u, t_local, params, energy_e0(u, params))
+        rec = record(u, t_local, params, None)
         assert rec.pc_lhs == pytest.approx(2.0 * rec.e0, rel=1e-12)
         assert abs(rec.pc_residual) < 1e-12 * max(abs(rec.pc_lhs), 1.0)
 
@@ -134,11 +131,18 @@ def _direct_dressed_quantities(u, t_local, params):
     def sq(a):
         return float(np.sum(np.abs(a) ** 2)) * vol
 
-    j_fields = galilean_momentum(u, t_local, params, derivs)
-    h_fields = galilean_position(u, t_local, params, derivs)
-    j2 = sum(sq(f.data) for f in j_fields)
-    h2 = sum(sq(f.data) for f in h_fields)
-    j3, h3 = sq(j_fields[2].data), sq(h_fields[2].data)
+    def dressed(position):
+        return [
+            _dressed_component(
+                u, t_local, params, axis, derivs, position, np.empty_like(u.data), np.empty_like(u.data)
+            )
+            for axis in range(3)
+        ]
+
+    j_fields, h_fields = dressed(False), dressed(True)
+    j2 = sum(sq(a) for a in j_fields)
+    h2 = sum(sq(a) for a in h_fields)
+    j3, h3 = sq(j_fields[2]), sq(h_fields[2])
     cos_t = np.cos(params.omega * t_local)
     breve = 2.0 * cos_t - 1.0
     cross = 4.0 * cos_t * (1.0 - cos_t) * (
@@ -167,7 +171,7 @@ def test_record_moment_identities_match_the_dressed_fields(state, t_local):
         u = coherent_state(GRID, CUBIC, (1.0, 0.5, 0.3), (0.4, -0.3, 0.2))
     else:
         u = vortex_state(GRID, CUBIC, +1)
-    rec = record(u, 7.0, CUBIC, energy_e0(u, CUBIC), t_local=t_local)
+    rec = record(u, 7.0, CUBIC, None, t_local=t_local)
     for name, expected in _direct_dressed_quantities(u, t_local, CUBIC).items():
         measured = getattr(rec, name)
         assert abs(measured - expected) <= 1e-12 * abs(expected), name
@@ -183,7 +187,8 @@ def test_records_are_rotation_invariant_once_the_grid_resolves_the_field(n):
     v = coherent_state(grid, CUBIC, (1.0, 0.5, 0.2), (0.3, -0.5, 0.2))
     want = record(v, 0.3, CUBIC, 1.0, t_local=0.3)
     for theta in (0.1, 0.4, np.pi / 4):
-        got = record(Field(grid, rotate_pattern(grid, v.data, theta)), 0.3, CUBIC, 1.0, t_local=0.3)
+        turned = rotate_pattern(grid, v.data, theta, out=np.empty_like(v.data))
+        got = record(Field(grid, turned), 0.3, CUBIC, 1.0, t_local=0.3)
         for name in QUADRATURE_COLUMNS:
             expected = getattr(want, name)
             assert abs(getattr(got, name) - expected) <= 1e-12 * abs(expected), (theta, name)
@@ -196,7 +201,7 @@ def test_balance_law_is_conserved_along_the_linear_flow():
     # where that backend is trustworthy.
     rng = np.random.default_rng(43)
     u0 = random_smooth_field(GRID, rng, width=1.0)
-    e0 = energy_e0(u0, LINEAR)
+    e0 = record(u0, 0.0, LINEAR, None).e0
     for t in (0.55, LINEAR.window):
         ut = propagate_oracle(u0, t, LINEAR)
         rec = record(ut, t, LINEAR, e0)
@@ -205,7 +210,7 @@ def test_balance_law_is_conserved_along_the_linear_flow():
 
 def test_balance_law_is_conserved_for_the_ground_state():
     u0 = ground_state(GRID, LINEAR)
-    e0 = energy_e0(u0, LINEAR)
+    e0 = record(u0, 0.0, LINEAR, None).e0
     ut = propagate_oracle(u0, 0.6, LINEAR)
     rec = record(ut, 0.6, LINEAR, e0)
     assert abs(rec.pc_residual) / (2.0 * e0) < 1e-6
@@ -219,14 +224,14 @@ def test_balance_law_is_conserved_for_the_ground_state():
 def test_drift_report_handles_short_streams():
     assert drift_report([]) == {"mass": 0.0, "e0": 0.0, "lz_expect": 0.0}
     u = ground_state(GRID, LINEAR)
-    one = [record(u, 0.0, LINEAR, energy_e0(u, LINEAR))]
+    one = [record(u, 0.0, LINEAR, None)]
     assert all(v == 0.0 for v in drift_report(one).values())
 
 
 def test_drift_report_measures_relative_drift():
     u = ground_state(GRID, CUBIC)
-    e0 = energy_e0(u, CUBIC)
-    r0 = record(u, 0.0, CUBIC, e0)
+    r0 = record(u, 0.0, CUBIC, None)
+    e0 = r0.e0
     bumped = Field(GRID, u.data * (1.0 + 1e-6))
     r1 = record(bumped, 0.1, CUBIC, e0)
     rep = drift_report([r0, r1])
@@ -246,7 +251,7 @@ def test_csv_header_is_frozen():
 
 def test_csv_rows_round_trip_at_full_precision():
     u = vortex_state(GRID, CUBIC, +1)
-    rec = record(u, 0.125, CUBIC, energy_e0(u, CUBIC))
+    rec = record(u, 0.125, CUBIC, None)
     row = rec.csv_row()
     cells = row.split(",")
     assert len(cells) == len(CSV_HEADER.split(","))
@@ -260,7 +265,7 @@ def test_csv_rows_round_trip_at_full_precision():
 
 def test_write_csv_writes_the_formatted_rows_to_a_path(tmp_path):
     u = ground_state(GRID, CUBIC)
-    recs = [record(u, 0.0, CUBIC, energy_e0(u, CUBIC))]
+    recs = [record(u, 0.0, CUBIC, None)]
     path = tmp_path / "diag.csv"
     write_csv(recs, path)
     text = path.read_text()

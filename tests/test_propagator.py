@@ -417,7 +417,8 @@ def test_fast_rotation_sense_matches_the_oracle():
     mat = splitting_plan(OGRID, PARAMS, t, substeps=4)
 
     def flow(angle):
-        return Field(OGRID, rotate_pattern(OGRID, harmonic_flow(mat, u.data), angle))
+        lab = rotate_pattern(OGRID, harmonic_flow(mat, u.data), angle, out=np.empty_like(u.data))
+        return Field(OGRID, lab)
 
     assert np.array_equal(flow(PARAMS.omega * t).data, propagate_fast(u, t, PARAMS, 4).data)
     err = rel_l2(flow(PARAMS.omega * t), oracle)
@@ -438,8 +439,8 @@ def test_rotation_by_any_angle_equals_composed_rotations_of_at_most_an_eighth_tu
     pieces = int(np.ceil(abs(angle) / (0.25 * np.pi)))
     want = u
     for _ in range(pieces):
-        want = rotate_pattern(grid, want, angle / pieces)
-    got = rotate_pattern(grid, u, angle)
+        want = rotate_pattern(grid, want, angle / pieces, out=np.empty_like(u))
+    got = rotate_pattern(grid, u, angle, out=np.empty_like(u))
     assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
     in_place = u.copy()
     assert rotate_pattern(grid, in_place, angle, out=in_place) is in_place
@@ -452,7 +453,7 @@ def test_a_quarter_turn_is_an_index_permutation():
     grid = GridSpec(32, 8.0)
     n = grid.n
     u = coherent_state(grid, PARAMS, center=(1.0, 0.5, 0.2), kick=(0.3, -0.5, 0.2)).data
-    turned = rotate_pattern(grid, u, 0.5 * np.pi)
+    turned = rotate_pattern(grid, u, 0.5 * np.pi, out=np.empty_like(u))
     assert np.array_equal(turned, np.swapaxes(u, 0, 1)[:, (-np.arange(n)) % n])
     density = np.abs(turned) ** 2
     centre = [float(np.sum(density * x) / np.sum(density)) for x in (grid.x1, grid.x2)]
@@ -461,7 +462,8 @@ def test_a_quarter_turn_is_an_index_permutation():
     for _ in range(4):
         rotate_pattern(grid, data, 0.5 * np.pi, out=data)
     assert np.array_equal(data, u)
-    assert np.array_equal(rotate_pattern(grid, u, -2.0 * np.pi), u)
+    whole = rotate_pattern(grid, u, -2.0 * np.pi, out=np.empty_like(u))
+    assert np.array_equal(whole, u) and not np.shares_memory(whole, u)
 
 
 def test_a_quarter_turn_in_place_needs_no_field_of_scratch():
@@ -496,7 +498,8 @@ def _split_step_reference(grid, params, data, t, m, reverse):
         hat = mult3(sfft.fftn(data, norm="ortho"), kin)
         data = sfft.ifftn(hat, norm="ortho")
         data = mult3(data, pot_half**2 if step < m - 1 else pot_half)
-    data = rotate_pattern(grid, data, params.omega * t)
+    lab = np.empty(data.shape, dtype=np.complex128)
+    data = rotate_pattern(grid, data, params.omega * t, out=lab)
     if reverse:
         data = np.swapaxes(data, 0, 1)
     return data

@@ -21,7 +21,6 @@ from rotor_gpe import (
     SolverConfig,
     WindowViolation,
     coherent_state,
-    energy_e0,
     evolve,
     galilean_momentum,
     galilean_position,
@@ -269,15 +268,14 @@ def test_seam_records_share_one_moments_pass():
     a, b = res.records[i - 1], res.records[i]
     assert (a.mass, a.e0, a.lz_expect) == (b.mass, b.e0, b.lz_expect)
     assert b.pc_residual == b.pc_lhs - 2.0 * a.e0
-    assert res.final.e0_window == a.e0
 
 
 def test_a_bare_initial_field_takes_one_moments_pass(monkeypatch):
     # The energy reference of window 0 is the opening record's e0, so the
-    # initial field is not passed over once more for energy_e0 (a one-step
+    # initial field is not passed over once more for its energy (a one-step
     # run took three passes with it: energy, t = 0 record, end record).
     u = off_axis_state(GRID)
-    e0 = energy_e0(u, CUBIC)
+    e0 = record(u, 0.0, CUBIC, None).e0
     calls = []
     real_moments = solver_module._moments
 
@@ -293,7 +291,6 @@ def test_a_bare_initial_field_takes_one_moments_pass(monkeypatch):
     first = res.records[0]
     assert first.e0 == e0
     assert first.pc_residual == first.pc_lhs - 2.0 * e0
-    assert res.final.e0_window == e0
     assert res.records[1].pc_residual == res.records[1].pc_lhs - 2.0 * e0
 
 
@@ -322,7 +319,8 @@ def reference_observations(u, dt, t_end, params):
         tau = 0.5 * dt_step
         t_local += dt_step
         corotating = np.exp(-1j * beta * tau * np.abs(w) ** 2) * w
-        out[start + t_local] = (corotating, rotate_pattern(grid, corotating, theta))
+        lab = rotate_pattern(grid, corotating, theta, out=np.empty_like(corotating))
+        out[start + t_local] = (corotating, lab)
     return out
 
 
@@ -334,7 +332,10 @@ def test_every_observed_field_is_the_rotated_phased_frame():
     u = off_axis_state(GRID)
     dt, t_end = 0.05, 1.3 * CUBIC.window
     cfg = SolverConfig(dt=dt, t_end=t_end, diagnostics_every=3)
-    res = evolve(u, cfg, CUBIC, snapshot_every=2)
+    handed = []
+    res = evolve(
+        u, cfg, CUBIC, snapshot_every=2, on_snapshot=lambda t, f: handed.append((t, f.data))
+    )
     reference = reference_observations(u, dt, t_end, CUBIC)
 
     def at(t):
@@ -355,7 +356,6 @@ def test_every_observed_field_is_the_rotated_phased_frame():
             t_local=rec.t - window_index * CUBIC.window,
         )
         assert astuple(rec) == pytest.approx(astuple(want), rel=1e-12, abs=1e-13), rec.t
-    handed = [(t, f.data) for t, f in res.snapshots]
     handed.append((res.final.t_global, res.final.field.data))
     for t, data in handed:
         _, want = at(t)
@@ -374,8 +374,8 @@ def allocating_evolve(u, cfg, params, snapshot_every):
     """``evolve``'s step and observation sequence with allocating calls only.
 
     Every step and observation builds fresh arrays through
-    :func:`nonlinear_phase` and the allocating forms of ``harmonic_flow``
-    and ``rotate_pattern``, and every record is :func:`record` of a fresh
+    :func:`nonlinear_phase`, the allocating form of ``harmonic_flow`` and
+    ``rotate_pattern`` into a new array, and every record is :func:`record` of a fresh
     co-rotating field; the clock arithmetic is ``evolve``'s, so that each
     step uses the same plan.  An observation takes ``(N(tau) w, N(tau)
     N(tau) w)`` from :func:`phased_twice` and reads the first; the next
@@ -386,7 +386,7 @@ def allocating_evolve(u, cfg, params, snapshot_every):
     """
     grid, window = u.grid, params.window
     phased = lambda data, tau: nonlinear_phase(Field(grid, data), tau, params).data
-    records = [record(u, 0.0, params, energy_e0(u, params), t_local=0.0)]
+    records = [record(u, 0.0, params, None, t_local=0.0)]
     e0 = records[0].e0
     snapshots = [(0.0, u.data)]
     w, theta, tau, ahead = u.data, 0.0, 0.0, None
@@ -424,8 +424,8 @@ def allocating_evolve(u, cfg, params, snapshot_every):
             if record_hit:
                 records.append(record(Field(grid, w), t_global, params, e0, t_local=t_local))
             if snapshot_hit:
-                snapshots.append((t_global, rotate_pattern(grid, w, theta)))
-    return records, snapshots, rotate_pattern(grid, w, theta)
+                snapshots.append((t_global, rotate_pattern(grid, w, theta, out=np.empty_like(w))))
+    return records, snapshots, rotate_pattern(grid, w, theta, out=np.empty_like(w))
 
 
 def assert_workspace_evolve_is_bit_equal_to_allocating_steps(grid):
@@ -485,8 +485,12 @@ def test_an_observed_evolve_ends_where_an_unobserved_one_does(run, records, snap
     u = off_axis_state(grid)
     cfg = SolverConfig(dt=dt, t_end=t_end)
     plain = evolve(u, cfg, CUBIC).final.field.data
-    observed = evolve(u, replace(cfg, diagnostics_every=1), CUBIC, snapshot_every=2)
-    assert len(observed.records) == records and len(observed.snapshots) == snapshots
+    times = []
+    observed = evolve(
+        u, replace(cfg, diagnostics_every=1), CUBIC,
+        snapshot_every=2, on_snapshot=lambda t, f: times.append(t),
+    )
+    assert len(observed.records) == records and len(times) == snapshots
     gap = np.linalg.norm(observed.final.field.data - plain) / np.linalg.norm(plain)
     assert 0.0 < gap <= 1e-14
 
@@ -668,7 +672,8 @@ def test_a_two_window_run_fetches_dt_one_length_per_seam_and_one_for_the_end(cal
     dt, window = 0.03, CUBIC.window
     cfg = SolverConfig(dt=dt, t_end=2.1 * window, diagnostics_every=5)
     u = off_axis_state(GRID)
-    res = evolve(u, cfg, CUBIC, snapshot_every=4)
+    handed = []
+    res = evolve(u, cfg, CUBIC, snapshot_every=4, on_snapshot=lambda t, f: handed.append((t, f)))
     assert res.final.window_index == 2
     seam = window - 26 * dt
     end = 0.1 * window - 2 * dt
@@ -676,33 +681,47 @@ def test_a_two_window_run_fetches_dt_one_length_per_seam_and_one_for_the_end(cal
     assert max(calls) <= dt
     records, snapshots, final = allocating_evolve(u, cfg, CUBIC, 4)
     assert res.records == tuple(records)
-    assert [t for t, _ in res.snapshots] == [t for t, _ in snapshots]
-    for (_, got), (_, want) in zip(res.snapshots, snapshots):
+    assert [t for t, _ in handed] == [t for t, _ in snapshots]
+    for (_, got), (_, want) in zip(handed, snapshots):
         assert np.array_equal(got.data, want)
     assert np.array_equal(res.final.field.data, final)
 
 
-def test_evolve_streams_snapshots_to_a_callback():
+def test_a_snapshot_cadence_without_a_callback_is_refused():
+    # Nothing keeps a snapshot but the callback, so a cadence with nowhere
+    # to go is a caller's error, raised before any work.
     cfg = SolverConfig(scheme="strang", dt=1e-2, t_end=0.1)
+    with pytest.raises(ValueError, match="on_snapshot"):
+        evolve(off_axis_state(GRID), cfg, CUBIC, snapshot_every=3)
+
+
+def assert_a_collecting_callback_gets_the_first_field_the_cadence_and_the_end_state(every, steps):
+    """The callback is handed, in order: a copy of the initial field at
+    t = 0, the lab field at every cadence step, and the end state once;
+    the fields are the allocating replay's bit for bit."""
+    cfg = SolverConfig(scheme="strang", dt=1e-2, t_end=0.1, diagnostics_every=1)
     u = off_axis_state(GRID)
-    collected = evolve(u, cfg, CUBIC, snapshot_every=3)
-    streamed = []
-    res = evolve(
-        u, cfg, CUBIC, snapshot_every=3, on_snapshot=lambda t, f: streamed.append((t, f))
-    )
-    assert res.snapshots == ()
-    assert [t for t, _ in streamed] == [t for t, _ in collected.snapshots]
-    for (_, a), (_, b) in zip(streamed, collected.snapshots):
-        assert np.array_equal(a.data, b.data)
+    collected = []
+    res = evolve(u, cfg, CUBIC, snapshot_every=every, on_snapshot=lambda t, f: collected.append((t, f)))
+    assert [t for t, _ in collected] == [res.records[k].t for k in steps]
+    assert all(isinstance(f, Field) for _, f in collected)
+    first, last = collected[0][1], collected[-1][1]
+    assert np.array_equal(first.data, u.data) and not np.shares_memory(first.data, u.data)
+    assert last is res.final.field and collected[-1][0] == res.final.t_global
+    _, snapshots, final = allocating_evolve(u, cfg, CUBIC, every)
+    assert [t for t, _ in snapshots] == [t for t, _ in collected]
+    for (_, got), (_, want) in zip(collected, snapshots):
+        assert np.array_equal(got.data, want)
+    assert np.array_equal(last.data, final)
+
+
+def test_evolve_streams_snapshots_to_a_callback():
+    assert_a_collecting_callback_gets_the_first_field_the_cadence_and_the_end_state(3, [0, 3, 6, 9, 10])
 
 
 def test_evolve_snapshot_cadence():
-    cfg = SolverConfig(scheme="strang", dt=1e-2, t_end=0.1)
-    res = evolve(ground_state(GRID, CUBIC), cfg, CUBIC, snapshot_every=5)
-    assert len(res.snapshots) >= 2
-    for t_snap, field in res.snapshots:
-        assert isinstance(field, Field)
-        assert 0.0 <= t_snap <= 0.1 + 1e-12
+    # The last step falls on the cadence: the end state is handed once.
+    assert_a_collecting_callback_gets_the_first_field_the_cadence_and_the_end_state(5, [0, 5, 10])
 
 
 # ---------------------------------------------------------------------------
@@ -843,9 +862,8 @@ def test_one_picard_iteration_equals_the_direct_collocation_sum():
     pulled = [pull_back(np.abs(f) ** 2 * f, k) for k, f in enumerate(free)]
     for k in range(n_nodes):
         duhamel = sum(S[k, j] * pulled[j] for j in range(n_nodes))
-        want = rotate_pattern(
-            grid, flow(u0.data - 1j * CUBIC.beta * duhamel, k), CUBIC.omega * times[k]
-        )
+        flowed = flow(u0.data - 1j * CUBIC.beta * duhamel, k)
+        want = rotate_pattern(grid, flowed, CUBIC.omega * times[k], out=np.empty_like(flowed))
         err = np.linalg.norm(res.fields[k].data - want) / np.linalg.norm(want)
         assert err < 1e-12
 

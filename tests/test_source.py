@@ -1,10 +1,12 @@
 """Dead-code guard over the package source, by its syntax tree alone.
 
-Three kinds of leftovers fail it: a name a module imports but never reads
+Four kinds of leftovers fail it: a name a module imports but never reads
 (the package ``__init__`` re-exports, so it is exempt), a module-level
-private name (``_x``) that no module of the package reads, and a
-defaulted parameter of a package function that no call in the package,
-its tests or its benchmark passes.
+private name (``_x``) that no module of the package reads, a defaulted
+parameter of a package function that no call in the package, its tests
+or its benchmark passes, and a public name (in a module's ``__all__``)
+that neither the package, the acceptance battery nor the benchmark reads
+and that is no listed reference.
 """
 
 import ast
@@ -21,6 +23,21 @@ CALLERS = [
     for folder in ("src/rotor_gpe", "tests", "perfbench")
     for path in sorted((ROOT / folder).glob("*.py"))
 ]
+#: Files outside the package whose reads keep a public name: the
+#: acceptance battery and the benchmark.
+CLIENTS = [
+    ast.parse(path.read_text(encoding="utf-8"))
+    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+]
+#: Public names that only the unit tests read, each a reference that a
+#: test checks the program, or a closed form, against.
+REFERENCES = {
+    "chirp_pair": "the chirps M(t), Q(t) of the factorized J and H, checked unimodular and singular at 0",
+    "galilean_momentum_chirped": "J(t) through the tangent chirp, a second route to galilean_momentum",
+    "galilean_position_chirped": "H(t) through the cotangent chirp, a second route to galilean_position",
+    "generator_expectation": "the Rayleigh quotient of the brute-force generator, the states' eigenvalues",
+    "nonlinear_phase": "N(tau) into a fresh field, the allocating replay of evolve's in-place phase",
+}
 
 
 def _imported(tree):
@@ -146,3 +163,50 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         and (position is None or (function, position) not in passed)
     ]
     assert not unpassed, f"defaulted parameters no call passes: {unpassed}"
+
+
+def _public(tree):
+    """The names a module spells out in its ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+            return [elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)]
+    return []
+
+
+def _client_reads(tree):
+    """Package names a file reads: imported by name, or as ``module.name``.
+
+    A name counts only where it comes from ``rotor_gpe``, so a local
+    ``mass`` or a record's ``.mass`` does not read a function ``mass``.
+    """
+    modules = {path.stem for path in SOURCES}
+    bound, read = {"rotor_gpe"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname for a in node.names if a.asname and a.name.startswith("rotor_gpe."))
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("rotor_gpe")):
+            read.update(alias.name for alias in node.names)
+            bound.update(alias.asname or alias.name for alias in node.names if alias.name in modules)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+            if owner in bound:
+                read.add(node.attr)
+    return read
+
+
+def test_every_public_name_has_a_reader_or_is_a_listed_reference():
+    reads = {module: _client_reads(tree) for module, tree in TREES.items()}
+    outside = set().union(*(_client_reads(tree) for tree in CLIENTS))
+    unread = [
+        f"{module}: {name}"
+        for module, tree in TREES.items()
+        for name in _public(tree)
+        if name not in REFERENCES
+        and name not in outside
+        and not any(name in read for other, read in reads.items() if other != module)
+        and name not in _loaded(tree)
+    ]
+    assert not unread, f"public names only unit tests read: {unread}"
+    listed = {name for tree in TREES.values() for name in _public(tree)}
+    assert set(REFERENCES) <= listed, "a listed reference is no public name"

@@ -185,8 +185,6 @@ def test_random_smooth_field_is_seeded_and_normalized():
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
     assert lp_norm(a, 2) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ResolutionTooLow):
-        random_smooth_field(GRID, np.random.default_rng(0), k_cut=1e9)
 
 
 def test_random_smooth_field_takes_seeded_draws():
