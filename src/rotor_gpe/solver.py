@@ -37,11 +37,13 @@ the same factor applied once more, the next step's input when that step
 is as long as the last.
 
 The linear kernel is only valid on ``(0, pi/(4 omega)]``, so long
-evolutions proceed window by window: steps are clipped at seams, and at
-each seam only bookkeeping restarts — the window-local clock returns to
-zero and the energy reference for the pseudo-conformal balance is
-re-captured.  The field and the co-rotating frame run on unchanged, so
-the frame angle grows without bound.
+evolutions proceed window by window (:func:`_schedule`): steps are
+clipped at seams, and at each seam only bookkeeping restarts — the
+window-local clock returns to zero and the energy reference for the
+pseudo-conformal balance is re-captured.  The field runs on unchanged.
+As ``omega`` times a window is ``pi/4``, the frame angle at
+window-local time ``t`` of window ``k`` is ``k pi/4 + omega t``, which
+is how it is taken: no angle is summed across windows.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, record_from_moments
+from .diagnostics import DiagnosticsRecord, _dressed_sq, record_from_moments
 from .errors import (
     BlowupDetected,
     BoundaryTruncation,
@@ -68,7 +70,6 @@ from .grid import (
     GridSpec,
     PhysicsParams,
     _moments,
-    _Moments,
     _partial,
     boundary_mass_fraction,
     lp_norm,
@@ -95,7 +96,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Time-comparison slack for seam and end-point bookkeeping.
+#: Time-comparison slack of the step schedule (:func:`_schedule`).
 _TIME_EPS = 1e-13
 
 
@@ -148,6 +149,13 @@ class SolverConfig:
                 raise ConfigInvalid(
                     f"{name}: must exceed the time slack {_TIME_EPS}, got {value}"
                 )
+        # From 2**52 steps on, a dt-long step can be shorter than the spacing
+        # of the floats near t_end, so the time labels stop telling steps apart.
+        if self.scheme == "strang" and self.t_end / self.dt >= 2**52:
+            raise ConfigInvalid(
+                f"t_end: must stay below 2**52 steps of dt = {self.dt}, where the"
+                f" time labels still tell one step from the next; got t_end = {self.t_end}"
+            )
         if self.m is not None and self.m < 1:
             raise ConfigInvalid(f"m: must be >= 1 when given, got {self.m}")
         if self.diagnostics_every < 0:
@@ -348,6 +356,47 @@ def _opening_record(u0: Field, params: PhysicsParams) -> DiagnosticsRecord:
     return opening
 
 
+def _schedule(t_end: float, window: float, dt: float) -> Iterable[tuple[float, int, float, bool, bool]]:
+    """The steps to ``t_end``, each ``(dt_step, window_index, t_local, at_seam, done)``.
+
+    A step is ``dt_step`` long and ends at window-local time ``t_local``
+    of window ``window_index``: at the label ``window_index * window +
+    t_local``.  Every decision compares window-local times, with the
+    slack :data:`_TIME_EPS`.  Steps never straddle seams: the last step of
+    a window is clipped to it and ends at ``t_local = window``, so seam
+    ``k`` is labelled ``k * window + window``.  Every step that is not
+    clipped is ``dt`` long, whatever the rounding of the clock, and so is
+    a step whose clip to a seam or to the end would move its end by no
+    more than the slack: a run of a whole number of steps ends on a
+    ``dt``-long step.
+
+    ``done`` marks the last step.  A seam step reads the time left on the
+    next window's clock, so a ``t_end`` no more than the slack past a seam
+    ends at that seam, and a window that opens has more than the slack
+    left.  So every step is longer than the slack, and the labels never
+    go back.
+    """
+    window_index, t_local, left = 0, 0.0, t_end
+    while True:
+        unclipped = t_local + dt
+        next_local = min(unclipped, window)
+        if next_local > left - _TIME_EPS and left <= window + _TIME_EPS:
+            next_local = min(left, window)
+        dt_step = dt if abs(next_local - unclipped) <= _TIME_EPS else next_local - t_local
+        at_seam = next_local >= window - _TIME_EPS
+        if at_seam:
+            t_local, left = window, t_end - (window_index + 1) * window
+            done = left <= _TIME_EPS
+        else:
+            t_local = next_local
+            done = t_local >= left - _TIME_EPS
+        yield dt_step, window_index, t_local, at_seam, done
+        if done:
+            return
+        if at_seam:
+            window_index, t_local = window_index + 1, 0.0
+
+
 def evolve(
     u0: Field,
     config: SolverConfig,
@@ -358,15 +407,18 @@ def evolve(
 ) -> EvolveResult:
     """Strang steps from ``u0`` at ``t = 0`` to ``config.t_end``, window by window.
 
-    The loop runs in the co-rotating frame (see the module docstring).
-    It carries the array ``w``, which still owes its trailing half-phase,
-    the frame angle ``theta`` and that pending phase time ``tau``; one
-    step is ``w <- H(dt) N(tau + dt/2) w``, then ``tau = dt/2``.  A
-    record takes the moments of the co-rotating field ``N(tau) w``, so
-    its ``linf`` is the co-rotating grid maximum.  A field is built in
-    the lab frame, ``R(theta) N(tau) w``, only where it is handed out: at
-    a snapshot and at the end, where the record is taken from the same
-    array before it is rotated.
+    The steps, their lengths and their time labels are
+    :func:`_schedule`'s.  The loop runs in the co-rotating frame (see the
+    module docstring).  It carries the array ``w``, which still owes its
+    trailing half-phase, and that pending phase time ``tau``; one step is
+    ``w <- H(dt) N(tau + dt/2) w``, then ``tau = dt/2``.  A record takes
+    the moments of the co-rotating field ``N(tau) w``, so its ``linf`` is
+    the co-rotating grid maximum.  A field is built in the lab frame,
+    ``R(theta) N(tau) w``, only where it is handed out: at a snapshot and
+    at the end, where the record is taken from the same array before it
+    is rotated.  In window ``k`` the frame angle is ``theta = (k mod 8)
+    pi/4 + omega s``, with ``s`` the window's own steps added up; in
+    window 0 it is the angle summed step by step.
 
     Every observation (a record or a snapshot) after ``t = 0`` takes one
     phase pass (``_phase_into`` with ``twice``): the observed field
@@ -393,18 +445,13 @@ def evolve(
     not keep: it lives only as long as ``on_snapshot`` keeps it.  The
     loop holds the initial field for its first step only (after that
     only the caller does).  It never writes into the caller's field or
-    into a field it has handed to ``on_snapshot`` before the end.
-    Every step that is not clipped is ``config.dt`` long, whatever the
-    rounding of the window-local clock, and so is a step whose clip to
-    a seam or to the end would move its end by no more than the time
-    slack: a run of a whole number of steps ends on a ``dt``-long step.
-    So the harmonic flow's matrix is fetched only at the first step, at
-    a step clipped to a seam or to the end, and after it.
+    into a field it has handed to ``on_snapshot`` before the end.  The
+    harmonic flow's matrix is fetched only when the step length changes:
+    at the first step, at a step clipped to a seam or to the end, and
+    after it.
 
-    Steps never straddle window seams: the last step of each window is
-    clipped, the window-local clock is re-based to zero and the energy
-    reference is re-captured, and nothing else changes.  Two records are
-    emitted at a seam from one moments pass: the closing one at the
+    At a seam that does not end the run only bookkeeping restarts: two
+    records are emitted from one moments pass, the closing one at the
     window's end, and the opening one at window-local time 0, whose
     energy becomes the new reference.
 
@@ -451,9 +498,8 @@ def evolve(
 
     # The loop reads the initial field through w alone, which the first
     # step rebinds to the workspace: from then on only the caller holds it.
-    w, theta, tau = u0.data, 0.0, 0.0
+    w, tau = u0.data, 0.0
     del u0
-    window_index, t_local, t_global = 0, 0.0, 0.0
     e0_window = opening.e0
 
     # The workspace: a step phases w into ``phased`` (with ``real`` as the
@@ -465,7 +511,7 @@ def evolve(
     ahead = np.empty(grid.shape, dtype=np.complex128)
     phased = np.empty_like(ahead)
     real = np.empty(grid.shape)
-    step_count = 0
+    step_count, t_global, spin = 0, 0.0, 0.0  # spin: omega times this window's steps
     mat, mat_dt = None, None
     peak_sq, max_phase = 0.0, 0.0
 
@@ -480,53 +526,14 @@ def evolve(
                 "numerically unstable (aliasing or too-large dt), not physics"
             )
 
-    records: list[DiagnosticsRecord] = [opening]
-    moments: _Moments | None = None
-
-    def take_record(data: np.ndarray) -> None:
-        nonlocal moments
-        moments = _moments(grid, data, real=real)
-        records.append(
-            record_from_moments(moments, t_global, params, e0_window, t_local=t_local)
-        )
-
-    def open_window() -> None:
-        """The opening record of a window, from the last moments pass."""
-        nonlocal e0_window
-        records.append(record_from_moments(moments, t_global, params, None, t_local=0.0))
-        e0_window = records[-1].e0
-
     def handed_out(lab: np.ndarray) -> Field:
         """The lab field ``R(theta) w``, written into ``lab`` (may be ``w``)."""
+        theta = (window_index % 8) * (0.25 * math.pi) + spin
         return Field(grid, rotate_pattern(grid, w, theta, out=lab))
 
-    def end_state() -> TrajectoryState:
-        """The end state, rotated in place in ``w``'s array."""
-        return TrajectoryState(handed_out(w), t_global, window_index)
-
-    state: TrajectoryState | None = None
+    records: list[DiagnosticsRecord] = [opening]
     cached = None  # after an observation: ``phased`` holds N(cached) of the observed w
-    while t_global < config.t_end - _TIME_EPS:
-        if window - t_local <= _TIME_EPS:
-            # Seam: bookkeeping only.  The opening record reads the
-            # closing record's moments, and its energy is the new
-            # reference of the balance law.
-            window_index += 1
-            t_local = 0.0
-            open_window()
-            continue
-
-        unclipped = t_local + config.dt
-        next_local = min(unclipped, window)
-        end_local = config.t_end - window_index * window
-        if next_local > end_local - _TIME_EPS and end_local <= window + _TIME_EPS:
-            next_local = min(end_local, window)
-        # A step whose clip moves its end by no more than the time slack is
-        # dt long: the clock's rounding makes no clipped step of its own.
-        dt_step = config.dt if abs(next_local - unclipped) <= _TIME_EPS else next_local - t_local
-        if dt_step <= _TIME_EPS:
-            break
-
+    for dt_step, window_index, t_local, at_seam, done in _schedule(config.t_end, window, config.dt):
         if dt_step != mat_dt:  # the first step, a clipped one, or the one after it
             mat, mat_dt = splitting_plan(grid, params, dt_step, config.m), dt_step
         half = 0.5 * dt_step
@@ -534,19 +541,16 @@ def evolve(
             phase(half if cached else tau + half, phased)
         max_phase = max(max_phase, beta * (tau + half) * peak_sq)
         w = harmonic_flow(mat, phased, out=ahead, scratch=phased)
-        theta += params.omega * dt_step
+        spin += params.omega * dt_step
         tau, cached = half, None
-        at_seam = next_local >= window - _TIME_EPS
-        t_global = window_index * window + next_local
-        t_local = window if at_seam else next_local
+        t_global = window_index * window + t_local
         step_count += 1
 
-        done = t_global >= config.t_end - _TIME_EPS
         record_hit = at_seam or done or (
             config.diagnostics_every > 0
             and step_count % config.diagnostics_every == 0
         )
-        snapshot_hit = snapshot_every > 0 and (step_count % snapshot_every == 0 or done)
+        snapshot_hit = snapshot_every > 0 and step_count % snapshot_every == 0
         if not (record_hit or snapshot_hit):
             continue
         # One pass leaves the observed field N(tau) w in w's array and
@@ -554,20 +558,25 @@ def evolve(
         phase(tau, phased, twice=True)
         cached = tau
         if record_hit:
-            take_record(w)
-        if done:
-            state = end_state()
-        if snapshot_hit:
+            moments = _moments(grid, w, real=real)
+            records.append(record_from_moments(moments, t_global, params, e0_window, t_local=t_local))
+        if snapshot_hit and not done:
             # Nothing here keeps a mid-run hand-out: it lives only as long
             # as the callback keeps it.
-            on_snapshot(t_global, state.field if done else handed_out(np.empty_like(ahead)))
+            on_snapshot(t_global, handed_out(np.empty_like(ahead)))
+        if at_seam and not done:
+            # The opening record reads the closing record's moments, its
+            # energy is the new reference of the balance law, and the
+            # window's own angle restarts.
+            records.append(record_from_moments(moments, t_global, params, None, t_local=0.0))
+            e0_window, spin = records[-1].e0, 0.0
 
-    if state is None:  # left by a step too short to take
-        if cached is None:
-            phase(tau, phased, twice=True)
-        state = end_state()
+    # The end state, rotated in place in w's array.
+    final = TrajectoryState(handed_out(w), t_global, window_index)
+    if snapshot_every > 0:
+        on_snapshot(t_global, final.field)
     return EvolveResult(
-        final=state,
+        final=final,
         records=tuple(records),
         max_phase_per_step=max_phase,
         guard_margin=float(np.sqrt(peak_sq)) / guard if guard > 0.0 else 0.0,
@@ -601,19 +610,14 @@ def _node_norms(
 
     The transverse mix of the dressed operators
     (:mod:`rotor_gpe.galilean`) rotates the vectors ``x d`` and
-    ``grad d`` and so leaves their pointwise magnitudes alone.  With
-    ``c, s = cos, sin(omega t)`` and ``X = sum_j x_j Im(conj(d) d_j d)``::
-
-        |J(t) d|^2 = |omega s x d - i c grad d|^2
-                   = (omega s)^2 |x|^2 |d|^2 + c^2 |grad d|^2 + 2 omega s c X
-        |H(t) d|^2 = |omega c x d + i s grad d|^2
-                   = (omega c)^2 |x|^2 |d|^2 + s^2 |grad d|^2 - 2 omega s c X
-
-    All three squared moduli come from one gradient of ``d``, its
-    partials taken in turn into ``dj`` (a complex array of the field's
-    shape), and are written into ``work``, five real arrays of that
-    shape; no ``Field`` and no dressed component is built.  ``d`` is
-    only read.
+    ``grad d`` and so leaves their pointwise magnitudes alone.  So
+    ``|J(t) d|^2`` and ``|H(t) d|^2`` are the closed forms of the
+    diagnostics' dressed norms (:func:`~rotor_gpe.diagnostics._dressed_sq`)
+    taken point by point: of ``|x|^2 |d|^2``, ``|grad d|^2`` and ``X =
+    sum_j x_j Im(conj(d) d_j d)``.  All three come from one gradient of
+    ``d``, its partials taken in turn into ``dj`` (a complex array of the
+    field's shape), through ``work``, five real arrays of that shape; no
+    ``Field`` and no dressed component is built.  ``d`` is only read.
     """
     abs2, grad2, cross, tmp, tmp2 = work
     _modulus_sq(d, abs2, tmp)
@@ -628,17 +632,9 @@ def _node_norms(
         cross += tmp
     np.multiply(grid.r2, abs2, out=tmp)
     plain = _l4_from_sq(abs2, grid)
-    w = params.omega
-    c, s = np.cos(w * t), np.sin(w * t)
-    mixed = 2.0 * w * s * c
-    np.multiply(tmp, (w * s) ** 2, out=abs2)
-    abs2 += np.multiply(grad2, c * c, out=tmp2)
-    abs2 += np.multiply(cross, mixed, out=tmp2)
-    dressed_j = _l4_from_sq(abs2, grid)
-    np.multiply(tmp, (w * c) ** 2, out=abs2)
-    abs2 += np.multiply(grad2, s * s, out=tmp2)
-    abs2 -= np.multiply(cross, mixed, out=tmp2)
-    return plain, dressed_j, _l4_from_sq(abs2, grid)
+    theta = params.omega * t
+    j2, h2 = _dressed_sq(params.omega, np.cos(theta), np.sin(theta), tmp, grad2, cross)
+    return plain, _l4_from_sq(j2, grid), _l4_from_sq(h2, grid)
 
 
 def workspace_distance(

@@ -183,6 +183,18 @@ def test_a_picard_run_takes_the_kernel_window_rule_before_it_builds_a_field(
     assert not (tmp_path / "past").exists()
 
 
+def test_a_strang_run_past_two_to_the_fifty_two_steps_exits_config(tmp_path, capsys):
+    # t_end = 1e300 at dt = 2e-3 would run until killed: the time labels
+    # stop telling steps apart long before, so parsing refuses it.
+    raw = run_config(tmp_path)
+    raw["evolve"]["t_end"] = 1e300
+    assert entrypoint(["run", write_config(tmp_path, raw)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: evolve.t_end: must stay below 2**52 steps"), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_picard_run_that_misses_its_tolerance_is_named_in_summary_and_manifest(
     tmp_path, capsys
 ):

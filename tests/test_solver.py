@@ -1,8 +1,10 @@
 """Nonlinear stepping: splitting, windowed bookkeeping, fixed-point solver."""
 
+import math
 import tracemalloc
 import warnings
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +71,17 @@ def test_solver_config_validation():
         SolverConfig(dt=1e-3, t_end=0.1, diagnostics_every=-1)
     with pytest.raises(ConfigInvalid):
         SolverConfig(dt=1e-3, t_end=0.1, blowup_factor=1.0)
+
+
+def test_a_strang_run_of_two_to_the_fifty_two_steps_is_refused():
+    # From 2**52 steps of dt on, a step can be shorter than the spacing of
+    # the floats near t_end, so the time labels would not tell it apart.
+    assert SolverConfig(dt=1.0, t_end=2.0**52 - 1.0).t_end == 2.0**52 - 1.0
+    for t_end, dt in ((2.0**52, 1.0), (1e300, 1e-3)):
+        with pytest.raises(ConfigInvalid, match=r"^t_end: must stay below 2\*\*52 steps"):
+            SolverConfig(dt=dt, t_end=t_end)
+    # A picard run solves one window, which the window rule bounds.
+    assert SolverConfig(scheme="picard", dt=1.0, t_end=2.0**52).scheme == "picard"
 
 
 def test_picard_config_validation():
@@ -258,6 +271,145 @@ def test_evolve_emits_seam_records_with_continuous_diagnostics():
     assert res.final.window_index == 1
 
 
+SLACK = solver_module._TIME_EPS
+
+
+def schedule(t_end, dt, params=CUBIC):
+    """Every step of ``_schedule`` for a run to ``t_end`` in steps of ``dt``."""
+    return list(solver_module._schedule(t_end, params.window, dt))
+
+
+@pytest.mark.parametrize("dt, steps", [(5e-4, 40), (CUBIC.window / 3, 15)], ids=["one-window", "five-windows"])
+def test_a_whole_number_of_steps_ends_on_a_dt_long_step(dt, steps):
+    # 40 steps of 5e-4, whose clock rounds, and 3 steps a window for five
+    # windows: every step is dt long, and the last ends at t_end itself.
+    t_end = steps * dt
+    got = schedule(t_end, dt)
+    assert len(got) == steps
+    assert all(step == dt for step, *_ in got)
+    assert [done for *_, done in got] == [False] * (steps - 1) + [True]
+    _, k, t_local, _, _ = got[-1]
+    assert k * CUBIC.window + t_local == pytest.approx(t_end, abs=SLACK)
+
+
+def test_each_window_but_the_last_ends_on_the_label_window():
+    # dt = 0.03 clips the last step of each window: the seam step's clock
+    # reads the window itself, so seam k is labelled k * window + window.
+    window = CUBIC.window
+    got = schedule(2.1 * window, 0.03)
+    seams = [(k, t_local, done) for _, k, t_local, at_seam, done in got if at_seam]
+    assert seams == [(0, window, False), (1, window, False)]
+    assert got[-1][1] == 2 and got[-1][4]
+
+
+@pytest.mark.parametrize("past", [-0.5, 0.5, 0.95, 1.05, 1.5, 2.0, 300.0])
+def test_no_step_is_at_or_below_the_slack(past):
+    # t_end lies ``past`` slacks past the first seam, in 300 steps a
+    # window: within the slack the run ends at the seam; beyond it one
+    # more step, longer than the slack, runs in the next window.
+    window = CUBIC.window
+    got = schedule(window + past * SLACK, window / 300)
+    assert min(step for step, *_ in got) > SLACK
+    dt_step, k, t_local, at_seam, done = got[-1]
+    assert done and [s[4] for s in got].count(True) == 1
+    if past <= 1.0:
+        assert (len(got), k, t_local, at_seam) == (300, 0, window, True)
+    else:
+        assert (len(got), k, at_seam) == (301, 1, False)
+        assert dt_step == pytest.approx(past * SLACK, rel=0.02)
+
+
+SCHEDULES = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@SCHEDULES
+@given(
+    omega=st.floats(1.0, 8.0),
+    per_window=st.floats(0.125, 8.0) | st.sampled_from([1.0, 2.0, 3.0, 7.0]),
+    windows=st.integers(0, 10_000),
+    fraction=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
+    nudge=st.sampled_from([0.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+)
+def test_the_steps_add_up_to_each_window_and_the_labels_never_go_back(
+    omega, per_window, windows, fraction, nudge
+):
+    # t_end anywhere up to 10^4 windows, often on or a few slacks off a
+    # seam; dt gives up to 8 steps a window.  Each window's steps add up
+    # to its span (the window, or t_end less the last window's origin
+    # k * window) within the slack and the rounding of the window-local
+    # clock; the last window may end a slack short of t_end or a slack
+    # past it, and its origin is rounded to the floats near t_end.
+    window = PhysicsParams(omega=omega).window
+    dt = window / per_window
+    t_end = (windows + fraction) * window + nudge * SLACK
+    if t_end <= SLACK:  # no run: SolverConfig refuses it
+        return
+    by_window, labels = {}, []
+    for dt_step, k, t_local, at_seam, done in solver_module._schedule(t_end, window, dt):
+        assert dt_step > SLACK
+        by_window.setdefault(k, []).append((dt_step, t_local, at_seam))
+        labels.append(k * window + t_local)
+    assert labels == sorted(labels)
+    last = max(by_window)
+    assert sorted(by_window) == list(range(last + 1))
+    for k, steps in by_window.items():
+        clock = [t_local for _, t_local, _ in steps]
+        assert clock == sorted(set(clock))  # the window-local clock only moves on
+        rounding = len(steps) * math.ulp(2.0 * window)
+        if k < last:
+            assert steps[-1][1:] == (window, True)
+            span, slack = Fraction(window), SLACK
+        else:
+            span, slack = Fraction(t_end) - Fraction(k * window), 2 * SLACK + math.ulp(t_end)
+        total = Fraction(math.fsum(step for step, _, _ in steps))
+        assert abs(total - span) <= slack + rounding, (k, float(total - span))
+
+
+def test_a_t_end_within_the_slack_past_a_seam_ends_at_the_seam():
+    # 9.5e-14 past the first seam, in 300 steps a window: the seam step
+    # ends the run, labelled the window itself, with no opening record
+    # and no step shorter than the slack after it.
+    window = CUBIC.window
+    t_end = 0.7853981633975433
+    assert 0.0 < t_end - window < SLACK
+    res = evolve(ground_state(GRID, CUBIC), SolverConfig(dt=window / 300, t_end=t_end), CUBIC)
+    assert res.final.t_global == window == 0.7853981633974483
+    assert res.final.window_index == 0
+    assert [r.t for r in res.records] == [0.0, window]
+
+
+def test_seam_records_are_labelled_the_window_end():
+    # 300 steps a window: the clock reaches the seam a rounding short of
+    # the window, and both seam records still read k * window + window.
+    window = CUBIC.window
+    res = evolve(ground_state(GRID, CUBIC), SolverConfig(dt=window / 300, t_end=1.5 * window), CUBIC)
+    seam = [r.t for r in res.records if abs(r.t - window) < 1e-12]
+    assert seam == [window, window]
+    assert res.final.window_index == 1
+
+
+@pytest.mark.parametrize("omega, per_window, windows", [(1.0, 3, 3000), (1.7, 5, 1000)])
+def test_the_handed_out_angle_is_taken_per_window(monkeypatch, omega, per_window, windows):
+    # 9,000 and 5,000 steps ending on a seam, where omega t is a whole
+    # number of pi/4 turns, 0 mod 2 pi here: an angle summed step by step
+    # over the run was 6.1e-11 and 2.8e-11 rad off.
+    params = PhysicsParams(omega=omega)
+    grid = GridSpec(8, 5.0)
+    u = Field(grid, np.random.default_rng(3).standard_normal(grid.shape) + 0j)
+    angles = []
+    real_rotate = solver_module.rotate_pattern
+
+    def spying(grid, data, angle, out):
+        angles.append(angle)
+        return real_rotate(grid, data, angle, out=out)
+
+    monkeypatch.setattr(solver_module, "rotate_pattern", spying)
+    cfg = SolverConfig(dt=params.window / per_window, t_end=windows * params.window)
+    res = evolve(u, cfg, params)
+    assert res.final.window_index == windows - 1 and windows % 8 == 0
+    assert abs(math.remainder(angles[-1], 2.0 * math.pi)) <= 1e-15
+
+
 def test_seam_records_share_one_moments_pass():
     # The frame runs on across the seam, so the closing and the opening
     # record read the same co-rotating field, and the new window's energy
@@ -376,33 +528,27 @@ def allocating_evolve(u, cfg, params, snapshot_every):
     Every step and observation builds fresh arrays through
     :func:`nonlinear_phase`, the allocating form of ``harmonic_flow`` and
     ``rotate_pattern`` into a new array, and every record is :func:`record` of a fresh
-    co-rotating field; the clock arithmetic is ``evolve``'s, so that each
-    step uses the same plan.  An observation takes ``(N(tau) w, N(tau)
-    N(tau) w)`` from :func:`phased_twice` and reads the first; the next
-    step's input is the second if its half-step is ``tau``, and otherwise
-    the observed field phased by that half-step.  The frame runs on
-    across the seam, whose two records read the same field.  Returns
-    ``(records, snapshots, final lab array)``.
+    co-rotating field; the steps are ``evolve``'s schedule, so that each
+    step uses the same plan, and the hand-out angle is ``evolve``'s, a
+    whole number of eighth turns plus the window's own steps.  An
+    observation takes ``(N(tau) w, N(tau) N(tau) w)`` from
+    :func:`phased_twice` and reads the first; the next step's input is the
+    second if its half-step is ``tau``, and otherwise the observed field
+    phased by that half-step.  The field runs on across the seam, whose
+    two records read the same field.  Returns ``(records, snapshots,
+    final lab array)``.
     """
     grid, window = u.grid, params.window
     phased = lambda data, tau: nonlinear_phase(Field(grid, data), tau, params).data
+    lab = lambda data, k, spin: rotate_pattern(
+        grid, data, (k % 8) * (0.25 * np.pi) + spin, out=np.empty_like(data)
+    )
     records = [record(u, 0.0, params, None, t_local=0.0)]
     e0 = records[0].e0
     snapshots = [(0.0, u.data)]
-    w, theta, tau, ahead = u.data, 0.0, 0.0, None
-    k, t_local, t_global, steps = 0, 0.0, 0.0, 0
-    while t_global < cfg.t_end - 1e-13:
-        if window - t_local <= 1e-13:  # seam: bookkeeping only
-            k, t_local = k + 1, 0.0
-            e0 = records[-1].e0
-            records.append(record(Field(grid, w), t_global, params, e0, t_local=0.0))
-            continue
-        unclipped = t_local + cfg.dt
-        next_local = min(unclipped, window)
-        end_local = cfg.t_end - k * window
-        if next_local > end_local - 1e-13 and end_local <= window + 1e-13:
-            next_local = min(end_local, window)
-        dt_step = cfg.dt if abs(next_local - unclipped) <= 1e-13 else next_local - t_local
+    w, spin, tau, ahead = u.data, 0.0, 0.0, None
+    schedule = solver_module._schedule(cfg.t_end, window, cfg.dt)
+    for steps, (dt_step, k, t_local, at_seam, done) in enumerate(schedule, 1):
         mat = splitting_plan(grid, params, dt_step, cfg.m)
         half = 0.5 * dt_step
         if ahead is None:  # no observation since the last step: w owes tau
@@ -410,22 +556,21 @@ def allocating_evolve(u, cfg, params, snapshot_every):
         else:
             step_input = ahead if half == tau else phased(w, half)
         w = harmonic_flow(mat, step_input)
-        theta += params.omega * dt_step
+        spin += params.omega * dt_step
         tau, ahead = half, None
-        at_seam = next_local >= window - 1e-13
-        t_global = k * window + next_local
-        t_local = window if at_seam else next_local
-        steps += 1
-        done = t_global >= cfg.t_end - 1e-13
+        t = k * window + t_local
         record_hit = at_seam or done or steps % cfg.diagnostics_every == 0
         snapshot_hit = steps % snapshot_every == 0 or done
         if record_hit or snapshot_hit:
             w, ahead = phased_twice(w, tau, params)
             if record_hit:
-                records.append(record(Field(grid, w), t_global, params, e0, t_local=t_local))
+                records.append(record(Field(grid, w), t, params, e0, t_local=t_local))
             if snapshot_hit:
-                snapshots.append((t_global, rotate_pattern(grid, w, theta, out=np.empty_like(w))))
-    return records, snapshots, rotate_pattern(grid, w, theta, out=np.empty_like(w))
+                snapshots.append((t, lab(w, k, spin)))
+        if at_seam and not done:  # seam: bookkeeping only, and the window's angle restarts
+            records.append(record(Field(grid, w), t, params, None, t_local=0.0))
+            e0, spin = records[-1].e0, 0.0
+    return records, snapshots, lab(w, k, spin)
 
 
 def assert_workspace_evolve_is_bit_equal_to_allocating_steps(grid):

@@ -210,3 +210,35 @@ def test_every_public_name_has_a_reader_or_is_a_listed_reference():
     assert not unread, f"public names only unit tests read: {unread}"
     listed = {name for tree in TREES.values() for name in _public(tree)}
     assert set(REFERENCES) <= listed, "a listed reference is no public name"
+
+
+def _readers(tree, name):
+    """Qualified names of the functions (or ``<module>``) that read ``name``."""
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope != "<module>" else child.name)
+                continue
+            if (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                readers.add(scope)
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return readers
+
+
+def test_only_the_schedule_and_the_config_read_the_time_slack():
+    # The step schedule takes every time decision with the slack, and the
+    # solver config refuses a dt or t_end it would swallow; no other code
+    # compares times with it.
+    readers = {
+        f"{module}: {scope}"
+        for module, tree in TREES.items()
+        for scope in _readers(tree, "_TIME_EPS")
+    }
+    assert readers <= {"solver.py: _schedule", "solver.py: SolverConfig.__post_init__"}, readers
+    assert "solver.py: _schedule" in readers
