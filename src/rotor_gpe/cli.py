@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import resource
 import sys
 import time
 import warnings
@@ -133,7 +134,9 @@ def _write_outputs(
     ``files`` maps each output name, in manifest order, to its text, or to
     ``None`` for a file the command has written itself.  Every file is
     written atomically.  The manifest records the wall time since
-    ``start``; ``extra`` holds further entries, such as a run's loop health.
+    ``start`` and the process's peak resident memory so far (``ru_maxrss``,
+    KiB on Linux, in MB); ``extra`` holds further entries, such as a run's
+    loop health.
     """
     for name, text in files.items():
         if text is not None:
@@ -144,6 +147,7 @@ def _write_outputs(
         "config": cfg.echo,
         "version": __version__,
         "wall_time_seconds": wall,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "outputs": list(files),
         **(extra or {}),
     }

@@ -447,12 +447,15 @@ def pairing(f: Field, g: Field) -> complex:
     return complex(np.sum(f.data * g.data) * f.grid.cell_volume)
 
 
-def boundary_mass_fraction(f: Field) -> float:
+def boundary_mass_fraction(f: Field, real: np.ndarray | None = None) -> float:
     """Fraction of ``||f||^2`` within two grid cells of the box boundary
-    (the band the solver's truncation guard reads; all of an n = 4 box)."""
+    (the band the solver's truncation guard reads; all of an n = 4 box).
+
+    ``|f|^2`` is written into ``real`` (a C-contiguous float array of the
+    field's shape, overwritten; one real temporary when not given)."""
     n = f.grid.n
-    abs2 = np.abs(f.data)
-    abs2 *= abs2  # one real temporary
+    abs2 = np.abs(f.data, out=real)
+    abs2 *= abs2
     total = float(abs2.sum())
     if total == 0.0:
         return 0.0

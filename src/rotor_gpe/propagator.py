@@ -396,6 +396,11 @@ def _quarter_turn(out: np.ndarray) -> None:
         np.copyto(plane, slab)
 
 
+#: Largest field (bytes) that :func:`harmonic_flow` contracts leading
+#: axis first: a 2 MB L2, the cache the phase slabs are cut for.
+_FLOW_CYCLE_BYTES = 2**21
+
+
 def harmonic_flow(
     mat: np.ndarray,
     data: np.ndarray,
@@ -407,10 +412,18 @@ def harmonic_flow(
     ``mat`` is a :func:`splitting_plan` matrix.  This is the flow in the
     frame co-rotating with the trap; the same matrix acts on every axis,
     so it commutes with the dual's swap.  Each contraction is one matrix
-    product that cycles the axis order: ``data.reshape(n, n^2).T @
-    mat.T``, written as an ``(n^2, n)`` array, contracts the leading
-    axis and puts the result last.  Three of them contract every axis
-    and restore the order, with no transposing copy.
+    product that cycles the axis order, so three of them contract every
+    axis and restore the order, with no transposing copy.  The cycle's
+    direction is chosen by the field's size:
+
+    - up to :data:`_FLOW_CYCLE_BYTES` (n <= 50), ``data.reshape(n,
+      n^2).T @ mat.T``, written as an ``(n^2, n)`` array, contracts the
+      leading axis and puts the result last.  It is the faster form there.
+    - above it, ``mat @ data.reshape(n^2, n).T``, written as an ``(n,
+      n^2)`` array, contracts the last axis and puts the result first.
+      Every product then writes ``n`` rows, so BLAS packs only an ``n x
+      n`` panel of its operands; the other form has it pack a ``K x n^2``
+      panel, one whole field that stays resident in a buffer of its own.
 
     The products ping-pong between ``out`` and ``scratch`` (C-contiguous
     complex arrays of the field's shape; fresh ones when not given), and
@@ -424,9 +437,12 @@ def harmonic_flow(
     if scratch is None:
         scratch = np.empty_like(out)
     wide, tall = (n, n * n), (n * n, n)
-    np.matmul(data.reshape(wide).T, mat.T, out=out.reshape(tall))
-    np.matmul(out.reshape(wide).T, mat.T, out=scratch.reshape(tall))
-    np.matmul(scratch.reshape(wide).T, mat.T, out=out.reshape(tall))
+    contract_last = out.nbytes > _FLOW_CYCLE_BYTES
+    for src, dst in ((data, out), (out, scratch), (scratch, out)):
+        if contract_last:
+            np.matmul(mat, src.reshape(tall).T, out=dst.reshape(wide))
+        else:
+            np.matmul(src.reshape(wide).T, mat.T, out=dst.reshape(tall))
     return out
 
 

@@ -337,16 +337,18 @@ class EvolveResult:
     guard_margin: float
 
 
-def _opening_record(u0: Field, params: PhysicsParams) -> DiagnosticsRecord:
-    """The record of ``u0`` at ``t = 0``, through a real array of its own.
+def _opening_record(u0: Field, params: PhysicsParams, real: np.ndarray) -> DiagnosticsRecord:
+    """The record of ``u0`` at ``t = 0``, its moments taken through ``real``.
 
-    It is the first pass to square the field, so a field too large to
-    square, one whose record is not finite, ends here as
-    :class:`ConfigInvalid` under ``initial``, before any pass warns of
-    its overflow.
+    ``real`` is a C-contiguous float array of the field's shape, which
+    is overwritten (the caller's workspace, so the pass leaves no freed
+    field-size temporary behind).  It is the first pass to square the
+    field, so a field too large to square, one whose record is not
+    finite, ends here as :class:`ConfigInvalid` under ``initial``, before
+    any pass warns of its overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        opening = record_from_moments(_moments(u0.grid, u0.data), 0.0, params, None)
+        opening = record_from_moments(_moments(u0.grid, u0.data, real), 0.0, params, None)
     if not all(map(math.isfinite, astuple(opening))):
         raise ConfigInvalid(
             f"initial: the field (max |u| = {lp_norm(u0, np.inf):.3e}) is too large"
@@ -434,11 +436,14 @@ def evolve(
     complex arrays and one real one, each of the field's shape.  The
     phase goes into one complex array, with its slabs of scratch in the
     real one, and the harmonic flow into the other with the first as its
-    scratch; a record takes its moments through the real one.  So a
-    step, and a step that only records, allocates nothing.  The opening
-    record at ``t = 0`` comes before the workspace and takes its moments
-    through a real array of its own, freed before the workspace is made.
-    The end state is rotated in place in the array that holds the
+    scratch; a mid-run record takes its moments through the real one.
+    So a step, and a step that only records, allocates nothing.  The
+    phase's array is made first: the opening record at ``t = 0`` and the
+    boundary check square the initial field through its float bytes
+    before the other two are made, and the closing record, after which
+    no step reads it, takes its moments through them too.  A run with no
+    mid-run record so touches only the phase's two slabs of the real
+    array.  The end state is rotated in place in the array that holds the
     observed field, the harmonic flow's output and the only one of the
     workspace that outlives the call; a mid-run snapshot is a fresh
     array, rotated from the observed field into it, that the loop does
@@ -478,11 +483,16 @@ def evolve(
     if snapshot_every > 0 and on_snapshot is None:
         raise ValueError("evolve: snapshot_every > 0 needs an on_snapshot callback")
     window = params.window
-    # Window 0's energy reference is the e0 of its own opening record, so
-    # the initial field takes one moments pass, not an extra one for the
-    # energy.
-    opening = _opening_record(u0, params)
-    truncated = boundary_mass_fraction(u0)
+    grid, beta = u0.grid, params.beta
+    # The set-up squares the initial field through the float bytes of the
+    # workspace's first array, ``spare``, which no step reads before it
+    # writes it.  Window 0's energy reference is the e0 of its own opening
+    # record, so the initial field takes one moments pass, not an extra
+    # one for the energy.
+    phased = np.empty(grid.shape, dtype=np.complex128)
+    spare = phased.view(np.float64).reshape(-1)[: phased.size].reshape(grid.shape)
+    opening = _opening_record(u0, params, spare)
+    truncated = boundary_mass_fraction(u0, spare)
     if truncated > 1e-10:
         warnings.warn(
             f"initial field keeps {truncated:.3e} of its mass within two cells "
@@ -491,7 +501,6 @@ def evolve(
             stacklevel=2,
         )
 
-    grid, beta = u0.grid, params.beta
     guard = config.blowup_factor * opening.linf  # max |u0|, from the opening pass
     if snapshot_every > 0:
         on_snapshot(0.0, u0.copy())
@@ -504,12 +513,12 @@ def evolve(
 
     # The workspace: a step phases w into ``phased`` (with ``real`` as the
     # phase's scratch), then the harmonic flow takes it into ``ahead``
-    # (with ``phased`` as its scratch), and w becomes ``ahead``; a record
-    # takes its moments through ``real``.  Only these three arrays are
-    # ever written; w may also be the caller's field, which is only read
-    # (no observation, so no in-place phase, comes before the first step).
-    ahead = np.empty(grid.shape, dtype=np.complex128)
-    phased = np.empty_like(ahead)
+    # (with ``phased`` as its scratch), and w becomes ``ahead``; a mid-run
+    # record takes its moments through ``real``, the closing one through
+    # ``spare``.  Only these three arrays are ever written; w may also be
+    # the caller's field, which is only read (no observation, so no
+    # in-place phase, comes before the first step).
+    ahead = np.empty_like(phased)
     real = np.empty(grid.shape)
     step_count, t_global, spin = 0, 0.0, 0.0  # spin: omega times this window's steps
     mat, mat_dt = None, None
@@ -558,7 +567,8 @@ def evolve(
         phase(tau, phased, twice=True)
         cached = tau
         if record_hit:
-            moments = _moments(grid, w, real=real)
+            # ``phased`` holds the next step's input, unless there is none.
+            moments = _moments(grid, w, real=spare if done else real)
             records.append(record_from_moments(moments, t_global, params, e0_window, t_local=t_local))
         if snapshot_hit and not done:
             # Nothing here keeps a mid-run hand-out: it lives only as long
@@ -753,11 +763,12 @@ def picard_solve(
     (as :func:`evolve` does).
     """
     _check_window(T, params)
-    _opening_record(u0, params)  # a field too large to square ends here
+    grid = u0.grid
+    real = np.empty(grid.shape)
+    _opening_record(u0, params, real)  # a field too large to square ends here
     pc = config.picard
     n_nodes = pc.quad_nodes
     unit_nodes, integ = _lobatto_rule(n_nodes)
-    grid = u0.grid
 
     def node_matrices():
         """``(k, M_k)`` for ``k >= 1``, chained gap by gap."""
@@ -792,7 +803,6 @@ def picard_solve(
         return result((0.0,))
 
     proposed = np.empty_like(scratch)
-    real = np.empty(grid.shape)
     cubic = np.empty((n_nodes,) + grid.shape, dtype=np.complex128)  # G, then V
     np.multiply(_modulus_sq(u0.data, real, scratch.real), u0.data, out=cubic[0])
     # V = A G in place, through the float views: a block of columns of G

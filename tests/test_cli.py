@@ -4,6 +4,7 @@ import contextlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -106,6 +107,17 @@ def test_a_run_manifest_flags_a_phase_far_above_one_per_step(tmp_path):
     manifest = json.loads((tmp_path / "calm" / "manifest.json").read_text())
     assert 0.0 < manifest["max_phase_per_step"] < 1e-3
     assert manifest["guard_margin"] == pytest.approx(1e-3, rel=0.1)
+
+
+@pytest.mark.filterwarnings("ignore::rotor_gpe.errors.BoundaryTruncation")
+def test_a_run_manifest_records_the_process_peak_resident_memory(tmp_path):
+    # ru_maxrss (KiB on Linux) only grows, and the manifest reads it in
+    # this process once the run's other outputs are written.
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert entrypoint(["run", write_config(tmp_path, run_config(tmp_path))]) == EXIT_OK
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert 0.0 < before <= manifest["peak_rss_mb"] <= after
 
 
 def test_run_writes_each_snapshot_as_the_evolution_collects_it(tmp_path):

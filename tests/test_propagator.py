@@ -650,6 +650,53 @@ def test_harmonic_flow_equals_a_three_axis_einsum():
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _flow_products(monkeypatch, mat, data):
+    """The ``(a, b, out)`` shapes of every ``np.matmul`` of one harmonic flow."""
+    shapes, matmul = [], np.matmul
+
+    def spy(a, b, out):
+        shapes.append((a.shape, b.shape, out.shape))
+        return matmul(a, b, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", spy)
+        harmonic_flow(mat, data)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_harmonic_flow_writes_n_rows_per_product_past_two_mebibytes(monkeypatch, n):
+    # Up to 2 MiB (n <= 50) a product contracts the leading axis and
+    # writes n^2 rows; past it, the last axis, and writes n rows, so BLAS
+    # packs an n x n panel and no whole field of its own.
+    grid = GridSpec(n, 5.0)
+    data = np.zeros(grid.shape, dtype=np.complex128)
+    mat = splitting_plan(grid, PARAMS, 0.3, 3)
+    if n == 64:
+        want = ((n, n), (n, n * n), (n, n * n))
+    else:
+        want = ((n * n, n), (n, n), (n * n, n))
+    assert _flow_products(monkeypatch, mat, data) == [want] * 3
+
+
+def test_harmonic_flow_past_two_mebibytes_keeps_its_workspace_contract():
+    grid = GridSpec(64, 5.0)
+    rng = np.random.default_rng(64)
+    data = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    bits = data.copy()
+    mat = splitting_plan(grid, PARAMS, 0.45, 5)
+    want = np.einsum("ai,bj,ck,ijk->abc", mat, mat, mat, data, optimize=True)
+    got = harmonic_flow(mat, data)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    out, scratch = np.empty_like(data), np.empty_like(data)
+    assert harmonic_flow(mat, data, out=out, scratch=scratch) is out
+    assert np.array_equal(out, got)
+    assert np.array_equal(data, bits)  # read only
+    # scratch may be the input, which is then overwritten
+    spent = bits.copy()
+    assert np.array_equal(harmonic_flow(mat, spent, out=out, scratch=spent), got)
+
+
 def test_harmonic_flow_with_its_workspace_allocates_under_a_hundredth_of_a_field():
     grid = GridSpec(32, 5.0)
     data = random_smooth_field(grid, np.random.default_rng(32), width=1.0).data
