@@ -51,7 +51,7 @@ from .config import (
     load_config,
     parse_config,
 )
-from .diagnostics import drift_report, record, write_csv
+from .diagnostics import _csv_text, drift_report, record, write_csv
 from .errors import BoundaryTruncation, ConfigInvalid, RotorGpeError, WindowViolation
 from .galilean import _dressed_component
 from .grid import Field, GridSpec, PhysicsParams, _partial, _sum_sq, lp_norm, pairing
@@ -114,11 +114,6 @@ def _strang_referee(u0: Field, t: float, params: PhysicsParams) -> Field:
         for k in (128, 256)
     )
     return Field(u0.grid, (4.0 * fine - coarse) / 3.0)
-
-
-def _fmt(value: float) -> str:
-    """Round-trip-exact decimal for CSV cells."""
-    return f"{value:.17g}"
 
 
 def _write_outputs(
@@ -444,15 +439,6 @@ def _level_ratios(errors: list[float]) -> list[float]:
     return [prev / cur if cur > 0 and prev > 0 else float("nan") for prev, cur in zip(errors, errors[1:])]
 
 
-def _convergence_csv(labels: list[float], errors: list[float], column: str, cells: list[float]) -> str:
-    """The study's CSV: one row per level, ``cells`` under ``column`` from the second level on."""
-    lines = [f"level,dt_or_m,error,{column}"]
-    for k, (label, err) in enumerate(zip(labels, errors)):
-        cell = "" if k == 0 else _fmt(cells[k - 1])
-        lines.append(f"{k},{_fmt(label)},{_fmt(err)},{cell}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_convergence(cfg: RunConfig, scheme: str, levels: int) -> int:
     start = time.perf_counter()
     if not 2 <= levels <= 6:
@@ -505,10 +491,12 @@ def cmd_convergence(cfg: RunConfig, scheme: str, levels: int) -> int:
     # writes each level's error ratio and asks only for a strict decrease.
     ratios = _level_ratios(errors)
     if scheme == "picard":
-        csv_text = _convergence_csv(labels, errors, "error_ratio", ratios)
+        column, cells = "error_ratio", ratios
     else:
         orders = [float(np.log2(r)) for r in ratios]
-        csv_text = _convergence_csv(labels, errors, "observed_order", orders)
+        column, cells = "observed_order", orders
+    rows = zip(range(levels), labels, errors, [None, *cells])  # the first level has no ratio
+    csv_text = _csv_text(f"level,dt_or_m,error,{column}", rows)
     name = f"convergence_{scheme}.csv"
     _write_outputs(cfg, f"convergence --scheme {scheme} --levels {levels}", start,
                    {name: csv_text}, f"manifest_{name}.json")
@@ -549,10 +537,10 @@ def cmd_dispersive_scan(cfg: RunConfig) -> int:
         raise ConfigInvalid(
             f"scan.pairs: the scan fits a power law and needs >= 3 pairs, got {len(pairs)}"
         )
-    lines, summary, excess = ["t,s,ratio,bound"], ["empty pair list: nothing to fit"], 0.0
+    rows, summary, excess = [], ["empty pair list: nothing to fit"], 0.0
     if pairs:
         scan = dispersive_scan(_narrow_probe(cfg.grid), params, pairs=pairs)
-        lines += [",".join(map(_fmt, (r.t, r.s, r.ratio, r.bound))) for r in scan.rows]
+        rows = [(r.t, r.s, r.ratio, r.bound) for r in scan.rows]
         excess = scan.max_bound_excess()
         summary = [
             f"fitted exponent vs (t+s): {scan.slope_sum:.4f}"
@@ -561,10 +549,10 @@ def cmd_dispersive_scan(cfg: RunConfig) -> int:
             f" (rms residual {scan.residual_diff:.3f})",
             f"max ratio/bound: {excess:.4f}",
         ]
-    _write_outputs(cfg, "dispersive-scan", start,
-                   {"dispersive_scan.csv": "\n".join(lines) + "\n"},
+    csv_text = _csv_text("t,s,ratio,bound", rows)
+    _write_outputs(cfg, "dispersive-scan", start, {"dispersive_scan.csv": csv_text},
                    "manifest_dispersive_scan.json")
-    print("\n".join(lines + summary))
+    print(csv_text + "\n".join(summary))
     if excess > 1.1:
         print("measured ratios exceed the kernel bound by more than 10%")
         return EXIT_VERIFY
@@ -579,17 +567,16 @@ def cmd_propagator_compare(cfg: RunConfig) -> int:
         if cfg.compare_pairs is not None
         else default_compare_pairs(cfg.grid, params)
     )
-    lines = ["t,ratio,bound"]
-    worst = 0.0
+    rows, worst = [], 0.0
     for kind, t in pairs:
         u0 = make_state(cfg.grid, params, kind)
         dense = propagate_oracle(u0, t, params)
         ratio = _rel_l2(propagate_fast(u0, t, params), dense)
         worst = max(worst, ratio)
-        lines.append(f"{_fmt(t)},{_fmt(ratio)},{_fmt(COMPARE_BOUND)}")
+        rows.append((t, ratio, COMPARE_BOUND))
         print(f"{kind:>12}  t = {t:.4f}  discrepancy = {ratio:.3e}")
     _write_outputs(cfg, "propagator-compare", start,
-                   {"propagator_compare.csv": "\n".join(lines) + "\n"},
+                   {"propagator_compare.csv": _csv_text("t,ratio,bound", rows)},
                    "manifest_propagator_compare.json")
     if worst > COMPARE_BOUND:
         print(f"worst discrepancy {worst:.3e} exceeds {COMPARE_BOUND:.1e}")

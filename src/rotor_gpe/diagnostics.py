@@ -50,6 +50,11 @@ resolution of the field; ``linf`` is a grid-sampled maximum, which a
 rotation samples at other points.  So a solver may record the field in
 any frame turned about x3 (``solver.evolve`` records the co-rotating
 one).
+
+Every CSV of the package, the diagnostics CSV and the command line's
+study tables, is written by :func:`_csv_text`; the diagnostics rows are
+read off the records in :data:`CSV_HEADER`'s column order, so the
+header and its rows cannot disagree.
 """
 
 from __future__ import annotations
@@ -74,6 +79,8 @@ __all__ = [
 
 #: Column order of the diagnostics CSV written by the command-line driver.
 CSV_HEADER = "t,mass,e0,e0_kin,e0_pot,e0_int,lz,pc_lhs,pc_residual,sigma,j2,h2,linf"
+#: The record field of each column whose name is not the field's own.
+_FIELDS = {"lz": "lz_expect", "sigma": "sigma_norm", "j2": "j_norm_sq", "h2": "h_norm_sq"}
 
 
 @dataclass(frozen=True)
@@ -101,25 +108,6 @@ class DiagnosticsRecord:
     j_norm_sq: float
     h_norm_sq: float
     linf: float
-
-    def csv_row(self) -> str:
-        """Render the CSV row (17 significant digits, header order)."""
-        values = (
-            self.t,
-            self.mass,
-            self.e0,
-            self.e0_kin,
-            self.e0_pot,
-            self.e0_int,
-            self.lz_expect,
-            self.pc_lhs,
-            self.pc_residual,
-            self.sigma_norm,
-            self.j_norm_sq,
-            self.h_norm_sq,
-            self.linf,
-        )
-        return ",".join(f"{v:.17g}" for v in values)
 
 
 def _energy(m: _Moments, params: PhysicsParams) -> tuple[float, float, float]:
@@ -235,11 +223,21 @@ def drift_report(records: Sequence[DiagnosticsRecord]) -> dict[str, float]:
     return out
 
 
-def format_csv_rows(records: Iterable[DiagnosticsRecord]) -> str:
-    """Header plus one row per record, trailing newline included."""
-    lines = [CSV_HEADER]
-    lines.extend(r.csv_row() for r in records)
+def _csv_text(header: str, rows: Iterable[Iterable[float | None]]) -> str:
+    """The package's one CSV format: ``header``, then a line per row, newline-terminated.
+
+    Every cell is written at 17 significant digits, which reads back to
+    the same double; ``None`` is an empty cell.
+    """
+    lines = [header]
+    lines.extend(",".join("" if v is None else f"{v:.17g}" for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def format_csv_rows(records: Iterable[DiagnosticsRecord]) -> str:
+    """Header plus one row per record (:func:`_csv_text`), in the header's column order."""
+    fields = [_FIELDS.get(column, column) for column in CSV_HEADER.split(",")]
+    return _csv_text(CSV_HEADER, ([getattr(r, f) for f in fields] for r in records))
 
 
 def write_csv(records: Iterable[DiagnosticsRecord], path: str | Path) -> None:

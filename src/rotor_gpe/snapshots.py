@@ -99,7 +99,9 @@ def write_snapshot(
 def read_snapshot(stem: str | Path) -> tuple[Field, dict]:
     """Read a snapshot pair back into a field plus its sidecar dict.
 
-    ``stem`` may be the bare stem or either of the two file paths.
+    ``stem`` may be the bare stem or either of the two file paths.  The
+    payload is read once into the field's own array (a copy is made
+    only on a big-endian host), and ``Field`` checks it for NaN and Inf.
     """
     stem = Path(stem)
     if stem.suffix in (".bin", ".json"):
@@ -142,13 +144,13 @@ def read_snapshot(stem: str | Path) -> tuple[Field, dict]:
     except ValueError as exc:  # ConfigInvalid
         raise SnapshotFormatError(f"sidecar {json_path}: {exc}") from None
     n = grid.n
-    raw = bin_path.read_bytes()
+    raw = np.fromfile(bin_path, dtype=np.uint8)
     expected = n**3 * 16
-    if len(raw) != expected:
+    if raw.size != expected:
         raise SnapshotFormatError(
-            f"{bin_path} holds {len(raw)} bytes; {expected} expected for n = {n}"
+            f"{bin_path} holds {raw.size} bytes; {expected} expected for n = {n}"
         )
-    data = np.frombuffer(raw, dtype="<c16").reshape(n, n, n).astype(np.complex128)
-    if not np.isfinite(data.view(np.float64)).all():
-        raise SnapshotFormatError(f"{bin_path} holds NaN or Inf amplitudes")
-    return Field(grid, data), sidecar
+    try:  # Field checks finiteness, and copies only on a big-endian host
+        return Field(grid, raw.view("<c16").reshape(n, n, n)), sidecar
+    except ValueError:
+        raise SnapshotFormatError(f"{bin_path} holds NaN or Inf amplitudes") from None

@@ -429,8 +429,10 @@ def evolve(
     half-step is ``tau`` takes that as its input, as ``N(tau) N(tau) w =
     N(tau + dt/2) w`` because ``|N(tau) w| = |w|``; any other step
     phases the observed field by its own half-step.  Either way the step
-    applies the angle ``tau + dt/2``.  The record at ``t = 0`` reads
-    ``u0`` as it is.
+    applies the angle ``tau + dt/2``.  The last observation, which no
+    step follows, is one plain pass: the observed field, the same bits,
+    goes into the other array.  The record at ``t = 0`` reads ``u0`` as
+    it is.
 
     The loop writes only a workspace allocated once per call: two
     complex arrays and one real one, each of the field's shape.  The
@@ -440,20 +442,20 @@ def evolve(
     So a step, and a step that only records, allocates nothing.  The
     phase's array is made first: the opening record at ``t = 0`` and the
     boundary check square the initial field through its float bytes
-    before the other two are made, and the closing record, after which
-    no step reads it, takes its moments through them too.  A run with no
-    mid-run record so touches only the phase's two slabs of the real
-    array.  The end state is rotated in place in the array that holds the
-    observed field, the harmonic flow's output and the only one of the
-    workspace that outlives the call; a mid-run snapshot is a fresh
-    array, rotated from the observed field into it, that the loop does
-    not keep: it lives only as long as ``on_snapshot`` keeps it.  The
-    loop holds the initial field for its first step only (after that
-    only the caller does).  It never writes into the caller's field or
-    into a field it has handed to ``on_snapshot`` before the end.  The
-    harmonic flow's matrix is fetched only when the step length changes:
-    at the first step, at a step clipped to a seam or to the end, and
-    after it.
+    before the other two are made.  The closing record takes its moments
+    through the float bytes of the harmonic flow's output, which the
+    last pass has left free.  A run with no mid-run record so touches
+    only the phase's two slabs of the real array.  The end state is
+    rotated in place in the phase's array, where the last pass left the
+    observed field, and the only one of the workspace that outlives the
+    call; a mid-run snapshot is a fresh array, rotated from the observed
+    field into it, that the loop does not keep: it lives only as long as
+    ``on_snapshot`` keeps it.  The loop holds the initial field for its
+    first step only (after that only the caller does).  It never writes
+    into the caller's field or into a field it has handed to
+    ``on_snapshot`` before the end.  The harmonic flow's matrix is
+    fetched only when the step length changes: at the first step, at a
+    step clipped to a seam or to the end, and after it.
 
     At a seam that does not end the run only bookkeeping restarts: two
     records are emitted from one moments pass, the closing one at the
@@ -515,9 +517,9 @@ def evolve(
     # phase's scratch), then the harmonic flow takes it into ``ahead``
     # (with ``phased`` as its scratch), and w becomes ``ahead``; a mid-run
     # record takes its moments through ``real``, the closing one through
-    # ``spare``.  Only these three arrays are ever written; w may also be
-    # the caller's field, which is only read (no observation, so no
-    # in-place phase, comes before the first step).
+    # ``ahead``'s float bytes.  Only these three arrays are ever written;
+    # w may also be the caller's field, which is only read (no
+    # observation, so no in-place phase, comes before the first step).
     ahead = np.empty_like(phased)
     real = np.empty(grid.shape)
     step_count, t_global, spin = 0, 0.0, 0.0  # spin: omega times this window's steps
@@ -563,11 +565,15 @@ def evolve(
         if not (record_hit or snapshot_hit):
             continue
         # One pass leaves the observed field N(tau) w in w's array and
-        # N(tau) of it in ``phased``.
-        phase(tau, phased, twice=True)
+        # N(tau) of it in ``phased``.  The last, which no step follows,
+        # leaves it in ``phased`` alone, and w's bytes are then free.
+        phase(tau, phased, twice=not done)
         cached = tau
+        if done:
+            w, spare = phased, w.view(np.float64).reshape(-1)[: w.size].reshape(grid.shape)
         if record_hit:
-            # ``phased`` holds the next step's input, unless there is none.
+            # Mid-run ``phased`` holds the next step's input; at the end
+            # ``spare`` is the bytes of w's former array.
             moments = _moments(grid, w, real=spare if done else real)
             records.append(record_from_moments(moments, t_global, params, e0_window, t_local=t_local))
         if snapshot_hit and not done:
@@ -581,7 +587,7 @@ def evolve(
             records.append(record_from_moments(moments, t_global, params, None, t_local=0.0))
             e0_window, spin = records[-1].e0, 0.0
 
-    # The end state, rotated in place in w's array.
+    # The end state, rotated in place in ``phased``, where the last pass left it.
     final = TrajectoryState(handed_out(w), t_global, window_index)
     if snapshot_every > 0:
         on_snapshot(t_global, final.field)

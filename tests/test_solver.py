@@ -671,6 +671,25 @@ def test_an_observed_step_takes_one_phase_pass(monkeypatch, grid, dt, t_end, pas
     assert res.final.t_global == pytest.approx(t_end, abs=1e-12)
 
 
+def test_the_last_observation_takes_one_plain_phase_pass(monkeypatch):
+    # No step follows the last observation, so its pass writes the
+    # observed field alone; every observation before it doubles the factor
+    # for the next step.
+    flags = []
+    real_kernel = solver_module._phase_into
+
+    def spying(data, tau, beta, out, scratch, twice=False):
+        flags.append(twice)
+        return real_kernel(data, tau, beta, out, scratch, twice)
+
+    monkeypatch.setattr(solver_module, "_phase_into", spying)
+    cfg = SolverConfig(dt=2.0**-10, t_end=20 * 2.0**-10, diagnostics_every=1)
+    evolve(off_axis_state(GRID), cfg, CUBIC)
+    assert len(flags) == 21
+    assert flags[-1] is False
+    assert all(flags[1:-1])
+
+
 def _evolve_memory(cfg):
     """``tracemalloc`` figures of an ``evolve`` call at n = 32, in fields.
 

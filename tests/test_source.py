@@ -212,23 +212,28 @@ def test_every_public_name_has_a_reader_or_is_a_listed_reference():
     assert set(REFERENCES) <= listed, "a listed reference is no public name"
 
 
-def _readers(tree, name):
-    """Qualified names of the functions (or ``<module>``) that read ``name``."""
-    readers = set()
+def _scopes(tree, hit):
+    """Qualified names of the functions (or ``<module>``) that hold a node ``hit`` accepts."""
+    found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope != "<module>" else child.name)
                 continue
-            if (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id == name) or (
-                isinstance(child, ast.Attribute) and child.attr == name
-            ):
-                readers.add(scope)
+            if hit(child):
+                found.add(scope)
             visit(child, scope)
 
     visit(tree, "<module>")
-    return readers
+    return found
+
+
+def _readers(tree, name):
+    """Qualified names of the functions (or ``<module>``) that read ``name``."""
+    return _scopes(tree, lambda node: (
+        isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+    ) or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
 def test_only_the_schedule_and_the_config_read_the_time_slack():
@@ -242,3 +247,14 @@ def test_only_the_schedule_and_the_config_read_the_time_slack():
     }
     assert readers <= {"solver.py: _schedule", "solver.py: SolverConfig.__post_init__"}, readers
     assert "solver.py: _schedule" in readers
+
+
+def test_only_the_csv_writer_formats_at_full_precision():
+    # One function owns the CSV format (17 significant digits, empty
+    # cells, a trailing newline), so no table can drift from it.
+    writers = {
+        f"{module}: {scope}"
+        for module, tree in TREES.items()
+        for scope in _scopes(tree, lambda node: isinstance(node, ast.Constant) and ".17g" in str(node.value))
+    }
+    assert writers == {"diagnostics.py: _csv_text"}, writers
